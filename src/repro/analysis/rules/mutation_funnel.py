@@ -6,7 +6,9 @@ incremental view maintenance) — hangs off
 :meth:`~repro.relation.relation.TemporalRelation._after_mutation`.  A write
 to ``_tuples``/``_rowids``/``_next_rowid``/``_derived_cache``/``_changelog``
 anywhere else silently desynchronizes caches, views, storage and
-transactions from the relation's contents.
+transactions from the relation's contents.  ``_generation`` — what engine
+table snapshots compare before reading a derived structure on their own
+behalf — moves only with the cache drop, so it is protected the same way.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ if TYPE_CHECKING:  # pragma: no cover
 RULE_ID = "mutation-funnel"
 
 #: The relation attributes that make up row/derived state.
-PROTECTED = {"_tuples", "_rowids", "_next_rowid", "_derived_cache", "_changelog"}
+PROTECTED = {
+    "_tuples",
+    "_rowids",
+    "_next_rowid",
+    "_derived_cache",
+    "_changelog",
+    "_generation",
+}
 
 #: Method calls that mutate a protected container in place.
 MUTATORS = {

@@ -8,23 +8,35 @@ double as backrefs — entry ``i`` describes ``relation.tuples()[i]``, which is
 how kernel output is materialised back into tuples only at the boundary.
 
 Encodings are cached on the relation through
-:meth:`TemporalRelation.derived`, split into two entries so independent key
-sets share the endpoint arrays:
+:meth:`TemporalRelation.derived`, split into entries so independent key sets
+share the endpoint arrays:
 
 * ``("columnar", "endpoints", backend)`` — the ``starts``/``ends`` arrays;
-* ``("columnar", "keys", backend, attrs)`` — codes + dictionary per key set.
+* ``("columnar", "keys", backend, attrs)`` — codes + dictionary per key set;
+* ``("columnar", "row_order", "np")`` — positions of the tuples, as engine
+  rows, in the executor's sort order with exact duplicates dropped (built by
+  :func:`repro.columnar.rows.arrays_from_frames`, the engine's reader).
 
-Both entries are dropped by the relation's ``_after_mutation`` funnel like
+All entries are dropped by the relation's ``_after_mutation`` funnel like
 every other derived structure, so a cached frame can never describe stale
 tuples.  ``backend`` distinguishes NumPy arrays from the pure-Python list
 fallback (the two must not be mixed when tests force the fallback on).
+
+Two readers share the frames: the relation-level operators of
+:mod:`repro.core` and the engine's ``ColumnarAdjustment`` node.  The engine
+works on a *copy* of the tuples (a ``Table`` snapshot) that a physical plan
+may hold across mutations, so it reads a frame only while the snapshot's
+recorded :attr:`TemporalRelation.generation` is still current.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.columnar.runtime import numpy_or_none
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.relation.relation import TemporalRelation
 
 #: Dictionary code meaning "this row's key matches no row of the other side".
 NO_MATCH = -1
@@ -40,7 +52,7 @@ class ColumnarFrame:
 
     __slots__ = ("starts", "ends", "codes", "key_index")
 
-    def __init__(self, starts, ends, codes, key_index: Dict[Hashable, int]):
+    def __init__(self, starts: Any, ends: Any, codes: Any, key_index: Dict[Hashable, int]):
         self.starts = starts
         self.ends = ends
         self.codes = codes
@@ -54,7 +66,7 @@ def _backend() -> str:
     return "np" if numpy_or_none() is not None else "py"
 
 
-def _int_array(values: List[int]):
+def _int_array(values: List[int]) -> Any:
     np = numpy_or_none()
     if np is None:
         return values
@@ -63,7 +75,7 @@ def _int_array(values: List[int]):
 
 def encode_keys(
     keys: Sequence[Hashable], key_index: Optional[Dict[Hashable, int]] = None
-):
+) -> Tuple[Any, Dict[Hashable, int]]:
     """Dictionary-encode a key sequence into dense integer codes.
 
     With ``key_index`` given, codes come from that dictionary and unseen keys
@@ -81,7 +93,7 @@ def encode_keys(
     return _int_array(codes), key_index
 
 
-def encode_relation(relation, attributes: Sequence[str] = ()) -> ColumnarFrame:
+def encode_relation(relation: TemporalRelation, attributes: Sequence[str] = ()) -> ColumnarFrame:
     """The (lazily built, cached) columnar frame of ``relation``.
 
     ``attributes`` name the equality key (normalization's ``B`` attributes or
@@ -93,7 +105,7 @@ def encode_relation(relation, attributes: Sequence[str] = ()) -> ColumnarFrame:
     attrs = tuple(attributes)
     backend = _backend()
 
-    def build_endpoints():
+    def build_endpoints() -> Tuple[Any, Any]:
         starts: List[int] = []
         ends: List[int] = []
         for t in relation:
@@ -101,18 +113,17 @@ def encode_relation(relation, attributes: Sequence[str] = ()) -> ColumnarFrame:
             ends.append(t.end)
         return _int_array(starts), _int_array(ends)
 
-    def build_keys():
+    def build_keys() -> Tuple[Any, Dict[Hashable, int]]:
         if attrs:
             return encode_keys([t.values_of(attrs) for t in relation])
-        codes, index = encode_keys([()] * len(relation))
-        return codes, index
+        return encode_keys([()] * len(relation))
 
     starts, ends = relation.derived(("columnar", "endpoints", backend), build_endpoints)
     codes, key_index = relation.derived(("columnar", "keys", backend, attrs), build_keys)
     return ColumnarFrame(starts, ends, codes, key_index)
 
 
-def remap_codes(frame: ColumnarFrame, target: ColumnarFrame):
+def remap_codes(frame: ColumnarFrame, target: ColumnarFrame) -> Any:
     """Re-express ``frame``'s codes in ``target``'s dictionary.
 
     The overlap kernels compare codes for equality, so both sides must speak
@@ -133,7 +144,7 @@ def remap_codes(frame: ColumnarFrame, target: ColumnarFrame):
     return [table[code] if code >= 0 else NO_MATCH for code in frame.codes]
 
 
-def peek_endpoint_arrays(relation) -> Optional[Tuple[Any, Any]]:
+def peek_endpoint_arrays(relation: TemporalRelation) -> Optional[Tuple[Any, Any]]:
     """Already-cached endpoint arrays of ``relation``, or ``None``.
 
     Never builds anything: statistics collection uses this to reuse the
@@ -141,7 +152,9 @@ def peek_endpoint_arrays(relation) -> Optional[Tuple[Any, Any]]:
     relation's derived caches (pinned by a regression test).
     """
     for backend in ("np", "py"):
-        cached = relation.peek_derived(("columnar", "endpoints", backend))
+        cached: Optional[Tuple[Any, Any]] = relation.peek_derived(
+            ("columnar", "endpoints", backend)
+        )
         if cached is not None:
             return cached
     return None

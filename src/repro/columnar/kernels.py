@@ -151,6 +151,22 @@ def normalize_pieces_from_intervals(
     ``include_empty=False`` skips empty reference intervals — the
     relation-level semantics (an empty tuple belongs to no group, Def. 9).
     """
+    if resolve_use_numpy(use_numpy):
+        np = numpy_or_none()
+        rs = np.asarray(r_starts, dtype=np.int64)
+        re = np.asarray(r_ends, dtype=np.int64)
+        rc = np.asarray(r_codes, dtype=np.int64)
+        keep = rc >= 0 if include_empty else (rc >= 0) & (re > rs)
+        # Interleaved (start, end) per kept row: the order the loop below
+        # appends in, so both backends hand the kernel the same column.
+        return normalize_pieces(
+            l_starts,
+            l_ends,
+            l_codes,
+            np.stack((rs[keep], re[keep]), axis=1).ravel(),
+            np.repeat(rc[keep], 2),
+            use_numpy=True,
+        )
     points: List[int] = []
     codes: List[int] = []
     for start, end, code in zip(r_starts, r_ends, r_codes):

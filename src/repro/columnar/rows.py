@@ -2,12 +2,24 @@
 
 The partition-parallel executor describes the serial per-partition pipeline
 (``join → project → sort → plane sweep``) as a picklable ``AdjustmentTask``;
-this module executes the *same contract* as whole-array kernels: given the
-task plus the raw rows of both inputs it returns exactly the rows the row
-pipeline would produce — same values, same order (left rows sorted by the
-engine's comparator, pieces in sweep order), same treatment of duplicate
-left rows (the pipeline's partition sort makes them one group) and of null
-join keys (an equality θ over ``ω`` is false, so such rows stay dangling).
+this module executes the *same contract* as whole-array kernels: it returns
+exactly the rows the row pipeline would produce — same values, same order
+(left rows sorted by the engine's comparator, pieces in sweep order), same
+treatment of duplicate left rows (the pipeline's partition sort makes them
+one group) and of null join keys (an equality θ over ``ω`` is false, so such
+rows stay dangling).
+
+The work is split in two.  *Obtaining the arrays* has two sources:
+
+* :func:`arrays_from_rows` encodes the drained rows of both inputs — any
+  input at all, and what partition workers run on their slice;
+* :func:`arrays_from_frames` reads the frames cached on the two relations
+  (:func:`~repro.columnar.encoding.encode_relation`) when both inputs are
+  unmodified snapshots of registered relations, so repeated adjustments pay
+  no per-row Python work.
+
+*Kernel → rows* (:func:`rows_from_arrays`) is shared: one kernel call, one
+row builder.  The sources differ in cost only, never in output.
 
 :exc:`ColumnarUnsupported` signals inputs the encoding cannot batch
 (non-integer interval bounds); callers then fall back to the row pipeline,
@@ -17,18 +29,40 @@ so adopting a columnar plan can never change a query's result.
 from __future__ import annotations
 
 import functools
-from typing import Any, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.columnar import kernels
-from repro.columnar.encoding import NO_MATCH
-from repro.columnar.runtime import numpy_available
+from repro.columnar.encoding import NO_MATCH, encode_relation, remap_codes
+from repro.columnar.runtime import numpy_available, numpy_or_none
 from repro.relation.tuple import is_null
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.relation.relation import TemporalRelation
 
 Row = Tuple[Any, ...]
 
 
 class ColumnarUnsupported(Exception):
     """The rows cannot be columnar-encoded; use the row pipeline instead."""
+
+
+class AdjustmentArrays(NamedTuple):
+    """Kernel input of one adjustment, whichever source produced it.
+
+    ``rows`` are the argument rows in output order (engine sort order, exact
+    duplicates collapsed); ``l_*`` are parallel to them.  The reference side
+    is either intervals (``r_starts``/``r_ends``) or, for a normalization
+    fed the split-point projection, a point column in ``r_starts`` with
+    ``r_ends`` ``None``.
+    """
+
+    rows: Sequence[Row]
+    l_starts: Any
+    l_ends: Any
+    l_codes: Any
+    r_starts: Any
+    r_ends: Optional[Any]
+    r_codes: Any
 
 
 def kernel_mode() -> str:
@@ -46,23 +80,32 @@ def _row_compare(left: Row, right: Row) -> int:
     return 0
 
 
-def _sorted_unique(rows: Sequence[Row]) -> List[Row]:
-    """Left rows in the engine sort order, exact duplicates collapsed.
+def sorted_unique_positions(rows: Sequence[Row]) -> List[int]:
+    """Positions of ``rows`` in the engine sort order, exact duplicates dropped.
 
     Plain tuple comparison is the fast path; heterogeneous columns fall back
     to the executor's total order (type-name tie-break), keeping the output
-    order identical to the serial plan's partition sort.
+    order identical to the serial plan's partition sort.  Of equal rows the
+    first one stays.
     """
-    ordered = list(rows)
     try:
-        ordered.sort()
+        order = sorted(range(len(rows)), key=rows.__getitem__)
     except TypeError:
-        ordered.sort(key=functools.cmp_to_key(_row_compare))
-    unique: List[Row] = []
-    for row in ordered:
-        if not unique or row != unique[-1]:
-            unique.append(row)
+        compare = functools.cmp_to_key(_row_compare)
+        order = sorted(range(len(rows)), key=lambda i: compare(rows[i]))
+    unique: List[int] = []
+    previous: Optional[Row] = None
+    for position in order:
+        row = rows[position]
+        if previous is None or row != previous:
+            unique.append(position)
+            previous = row
     return unique
+
+
+def _sorted_unique(rows: Sequence[Row]) -> List[Row]:
+    """Left rows in the engine sort order, exact duplicates collapsed."""
+    return [rows[position] for position in sorted_unique_positions(rows)]
 
 
 def _bound_column(rows: Sequence[Row], index: int) -> List[int]:
@@ -93,7 +136,7 @@ def _key_codes(
         return [0] * len(left_rows), [0] * len(right_rows)
     left_indexes = [i for i, _ in key_pairs]
     right_indexes = [j for _, j in key_pairs]
-    key_index: dict = {}
+    key_index: Dict[Tuple[Any, ...], int] = {}
     right_codes: List[int] = []
     for row in right_rows:
         key = tuple(row[j] for j in right_indexes)
@@ -111,10 +154,10 @@ def _key_codes(
     return left_codes, right_codes
 
 
-def adjust_rows_columnar(
-    task, left_rows: Sequence[Row], right_rows: Sequence[Row]
-) -> List[Row]:
-    """Run one adjustment task (align or normalize) through the kernels.
+def arrays_from_rows(
+    task: Any, left_rows: Sequence[Row], right_rows: Sequence[Row]
+) -> AdjustmentArrays:
+    """Encode the drained rows of both inputs (works for every input).
 
     Args:
         task: An :class:`~repro.engine.executor.partition.AdjustmentTask`;
@@ -124,16 +167,12 @@ def adjust_rows_columnar(
         right_rows: Rows of the reference input — the raw reference for
             alignment, the split-point projection for normalization.
 
-    Returns:
-        The rows the serial row pipeline would produce, in its order.
-
     Raises:
         ColumnarUnsupported: When a bound column cannot be batch-encoded.
     """
     unique = _sorted_unique(left_rows)
     l_starts = _bound_column(unique, task.ts_index)
     l_ends = _bound_column(unique, task.te_index)
-
     if task.isalign:
         right_ts, right_te = task.bounds[2], task.bounds[3]
         # Rows with null bounds never satisfy the overlap condition: drop
@@ -144,32 +183,118 @@ def adjust_rows_columnar(
             if not (is_null(row[right_ts]) or is_null(row[right_te]))
         ]
         l_codes, r_codes = _key_codes(unique, usable, task.key_pairs)
-        rows_idx, starts, ends = kernels.align_pieces(
+        return AdjustmentArrays(
+            unique,
             l_starts,
             l_ends,
             l_codes,
             _bound_column(usable, right_ts),
             _bound_column(usable, right_te),
             r_codes,
-            include_empty=True,
+        )
+    point_index = len(task.right_columns) - 1
+    usable = [row for row in right_rows if not is_null(row[point_index])]
+    l_codes, r_codes = _key_codes(unique, usable, task.key_pairs)
+    return AdjustmentArrays(
+        unique, l_starts, l_ends, l_codes, _bound_column(usable, point_index), None, r_codes
+    )
+
+
+def arrays_from_frames(
+    rows: Sequence[Row],
+    argument: TemporalRelation,
+    argument_keys: Sequence[str],
+    reference: TemporalRelation,
+    reference_keys: Sequence[str],
+) -> AdjustmentArrays:
+    """Read both sides off the relations' cached columnar frames.
+
+    ``rows`` must be ``argument``'s tuples as engine rows, position for
+    position (a current :class:`~repro.engine.table.Table` snapshot); the
+    key attribute lists are positionally paired.  Nothing here walks rows in
+    Python after the first call: the frames and the argument's sorted-unique
+    row order are cached on the relations and dropped by their mutation
+    funnel.  Relation bounds are integers by construction, so this source
+    never raises :exc:`ColumnarUnsupported`.  Requires NumPy.
+    """
+    np = numpy_or_none()
+    left = encode_relation(argument, argument_keys)
+    right = encode_relation(reference, reference_keys)
+    order = argument.derived(
+        ("columnar", "row_order", "np"),
+        lambda: np.asarray(sorted_unique_positions(rows), dtype=np.intp),
+    )
+    l_codes = remap_codes(left, right)[order]
+    r_codes = right.codes
+    # Once per distinct key, not per row: a key containing ω equals nothing.
+    null_codes = [
+        code
+        for key, code in right.key_index.items()
+        if isinstance(key, tuple) and any(map(is_null, key))
+    ]
+    if null_codes:
+        # One spare slot at the end, so that NO_MATCH (-1) maps to itself.
+        lookup = np.arange(len(right.key_index) + 1, dtype=np.int64)
+        lookup[-1] = NO_MATCH
+        lookup[null_codes] = NO_MATCH
+        l_codes, r_codes = lookup[l_codes], lookup[r_codes]
+    return AdjustmentArrays(
+        [rows[position] for position in order.tolist()],
+        left.starts[order],
+        left.ends[order],
+        l_codes,
+        right.starts,
+        right.ends,
+        r_codes,
+    )
+
+
+def rows_from_arrays(task: Any, arrays: AdjustmentArrays) -> List[Row]:
+    """Run the kernel of ``task`` over ``arrays`` and build the output rows.
+
+    Returns:
+        The rows the serial row pipeline would produce, in its order.
+    """
+    left = arrays.l_starts, arrays.l_ends, arrays.l_codes
+    if task.isalign:
+        rows_idx, starts, ends = kernels.align_pieces(
+            *left, arrays.r_starts, arrays.r_ends, arrays.r_codes, include_empty=True
+        )
+    elif arrays.r_ends is None:
+        rows_idx, starts, ends = kernels.normalize_pieces(
+            *left, arrays.r_starts, arrays.r_codes
         )
     else:
-        point_index = len(task.right_columns) - 1
-        usable = [row for row in right_rows if not is_null(row[point_index])]
-        l_codes, r_codes = _key_codes(unique, usable, task.key_pairs)
-        rows_idx, starts, ends = kernels.normalize_pieces(
-            l_starts,
-            l_ends,
-            l_codes,
-            _bound_column(usable, point_index),
-            r_codes,
+        # Split points straight off the reference intervals; empty ones keep
+        # their point, as in the split-point projection of the row pipeline.
+        rows_idx, starts, ends = kernels.normalize_pieces_from_intervals(
+            *left, arrays.r_starts, arrays.r_ends, arrays.r_codes, include_empty=True
         )
 
+    rows = arrays.rows
     ts_index, te_index = task.ts_index, task.te_index
+    cut = task.group_width - 2
+    if (ts_index, te_index) == (cut, cut + 1):
+        # The common layout (``ts``/``te`` last): each row is built once.
+        return [rows[i][:cut] + (start, end) for i, start, end in zip(rows_idx, starts, ends)]
     output: List[Row] = []
     for i, start, end in zip(rows_idx, starts, ends):
-        values = list(unique[i])
+        values = list(rows[i])
         values[ts_index] = start
         values[te_index] = end
         output.append(tuple(values))
     return output
+
+
+def adjust_rows_columnar(
+    task: Any, left_rows: Sequence[Row], right_rows: Sequence[Row]
+) -> List[Row]:
+    """Run one adjustment task (align or normalize) over drained rows.
+
+    :func:`arrays_from_rows` then :func:`rows_from_arrays`; what partition
+    workers and the drained-row route of ``ColumnarAdjustmentNode`` call.
+
+    Raises:
+        ColumnarUnsupported: When a bound column cannot be batch-encoded.
+    """
+    return rows_from_arrays(task, arrays_from_rows(task, left_rows, right_rows))

@@ -345,8 +345,9 @@ def shm_adjustment(
     :func:`~repro.engine.executor.partition.run_adjustment_task` fan-out:
 
     1. sort/dedupe the argument rows and encode both sides into ``int64``
-       endpoint + key-code arrays (reusing the row→column helpers of
-       :mod:`repro.columnar.rows`, so the output contract is identical);
+       endpoint + key-code arrays (:func:`repro.columnar.rows.arrays_from_rows`,
+       the drained-row source of the single-process path, so the output
+       contract is identical);
     2. partition **by key code** with one vectorized take — the codes are
        already dense integers, so ``code % partitions`` is an exact
        equality-preserving split and no row is ever hashed;
@@ -363,35 +364,20 @@ def shm_adjustment(
     both *before* any segment exists, so the caller can fall back to pickled
     rows with nothing to clean up.
     """
-    from repro.columnar.rows import _bound_column, _key_codes, _sorted_unique
-    from repro.relation.tuple import is_null
+    from repro.columnar.rows import arrays_from_rows
 
     if not shm_available():
         raise ShmUnavailable("shared-memory transport disabled or unavailable")
     np = numpy_or_none()
     partitions = max(1, partitions)
 
-    unique = _sorted_unique(left_rows)
-    l_starts = _bound_column(unique, task.ts_index)
-    l_ends = _bound_column(unique, task.te_index)
-    if task.isalign:
-        right_ts, right_te = task.bounds[2], task.bounds[3]
-        usable = [
-            row
-            for row in right_rows
-            if not (is_null(row[right_ts]) or is_null(row[right_te]))
-        ]
-        l_codes, r_codes = _key_codes(unique, usable, task.key_pairs)
-        right_columns = [
-            _bound_column(usable, right_ts),
-            _bound_column(usable, right_te),
-            r_codes,
-        ]
-    else:
-        point_index = len(task.right_columns) - 1
-        usable = [row for row in right_rows if not is_null(row[point_index])]
-        l_codes, r_codes = _key_codes(unique, usable, task.key_pairs)
-        right_columns = [_bound_column(usable, point_index), r_codes]
+    arrays = arrays_from_rows(task, left_rows, right_rows)
+    unique = arrays.rows
+    l_starts, l_ends, l_codes = arrays.l_starts, arrays.l_ends, arrays.l_codes
+    if arrays.r_ends is not None:
+        right_columns = [arrays.r_starts, arrays.r_ends, arrays.r_codes]
+    else:  # normalization: the split-point column
+        right_columns = [arrays.r_starts, arrays.r_codes]
 
     left_order, left_offsets, left_counts = code_partition_order(l_codes, partitions)
     right_order, right_offsets, right_counts = code_partition_order(
@@ -434,7 +420,7 @@ def shm_adjustment(
             run_shm_job,
             jobs,
             workers=workers,
-            total_items=len(unique) + len(usable),
+            total_items=len(unique) + len(arrays.r_codes),
             min_items=min_items,
         )
 

@@ -28,7 +28,7 @@ from repro.engine.executor.partition import (
     PartitionNode,
     run_adjustment_task,
 )
-from repro.engine.executor.columnar_adjustment import ColumnarAdjustmentNode
+from repro.engine.executor.columnar_adjustment import ColumnarAdjustmentNode, ReferenceInput
 from repro.engine.executor.absorb import AbsorbNode
 from repro.engine.executor.limit import LimitNode
 from repro.engine.executor.view_scan import ViewScanNode
@@ -52,6 +52,7 @@ __all__ = [
     "AdjustmentNode",
     "AdjustmentTask",
     "ColumnarAdjustmentNode",
+    "ReferenceInput",
     "PartitionNode",
     "ExchangeNode",
     "run_adjustment_task",

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterator, List, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List
 
 from repro.engine.executor.base import PhysicalNode, Row
 
@@ -15,7 +15,8 @@ class AbsorbNode(PhysicalNode):
     covering tuple may arrive after the covered one), groups rows by their
     non-interval values, and keeps per group only the maximal intervals.
     Exact duplicates collapse to a single row — the ``ABSORB`` keyword of the
-    SQL surface therefore subsumes ``DISTINCT``.
+    SQL surface therefore subsumes ``DISTINCT``.  Groups come out in order
+    of first appearance, a group's rows by ascending start.
     """
 
     def __init__(self, child: PhysicalNode, start_index: int, end_index: int):
@@ -23,31 +24,43 @@ class AbsorbNode(PhysicalNode):
         self.child = child
         self.start_index = start_index
         self.end_index = end_index
+        others = [i for i in range(len(child.columns)) if i not in (start_index, end_index)]
+        # Any hashable stands for the group: the bare value of a single
+        # non-interval column, () when there is none.
+        self._group_key: Callable[[Row], Any] = (
+            itemgetter(*others) if others else lambda row: ()
+        )
 
     def rows(self) -> Iterator[Row]:
         start_index = self.start_index
         end_index = self.end_index
-        groups: Dict[Tuple, List[Tuple[int, int]]] = defaultdict(list)
-        order: List[Tuple] = []
-
+        group_key = self._group_key
+        groups: Dict[Any, List[Row]] = {}
         for row in self.child:
-            key = tuple(v for i, v in enumerate(row) if i not in (start_index, end_index))
-            if key not in groups:
-                order.append(key)
-            groups[key].append((row[start_index], row[end_index]))
+            key = group_key(row)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [row]
+            else:
+                group.append(row)
 
-        for key in order:
-            intervals = sorted(set(groups[key]), key=lambda iv: (iv[0], -iv[1]))
-            max_end: int | None = None
+        for group in groups.values():
+            first = group[0]
+            if len(group) == 1:
+                # Nothing to absorb and nothing to rebuild.
+                yield first
+                continue
+            intervals = sorted(
+                {(row[start_index], row[end_index]) for row in group},
+                key=lambda iv: (iv[0], -iv[1]),
+            )
+            max_end = None
             for start, end in intervals:
                 if max_end is not None and end <= max_end:
                     continue
-                max_end = end if max_end is None else max(max_end, end)
-                values = list(key)
-                # Re-insert the interval columns at their original positions.
-                first, second = sorted((start_index, end_index))
-                values.insert(first, None)
-                values.insert(second, None)
+                max_end = end
+                # The group's first row carries its values, as the key did.
+                values = list(first)
                 values[start_index] = start
                 values[end_index] = end
                 yield tuple(values)

@@ -2,30 +2,85 @@
 
 Where the serial plan streams a group-construction join through project,
 sort and the plane sweep (Fig. 12(b)), :class:`ColumnarAdjustmentNode`
-materialises both inputs once, encodes their interval bounds and equality
-keys into arrays, and produces the full output in one batched kernel pass
+takes both inputs as arrays — interval bounds plus dictionary-encoded
+equality keys — and produces the full output in one batched kernel pass
 (:mod:`repro.columnar`).  The node is chosen cost-based by the planner —
 only for conditions that are pure equalities (anything else needs per-row
 evaluation) and inputs past the columnar crossover — and appears in
 ``EXPLAIN`` as ``ColumnarAdjustment(...)``, so the row/column dispatch is as
 visible as the join-strategy choice.
 
-Correctness never depends on the choice: if the materialised rows cannot be
-batch-encoded (non-integer bounds), the node transparently re-runs the
+The arrays have two sources (see :mod:`repro.columnar.rows`).  When both
+inputs are bare scans of relation-backed tables that still mirror their
+relation, they are the frames cached on the relations and the child scans
+are never pulled (*frame* input); every other input is drained and encoded
+per execution (*rows* input).  Both feed the same kernel call and row
+builder, so the source changes the cost, never the result.
+
+Correctness never depends on the plan choice either: if drained rows cannot
+be batch-encoded (non-integer bounds), the node transparently re-runs the
 equivalent serial row pipeline over the same rows, exactly like the
 partition-parallel executor falls back in-process.  A traced execution
-(``EXPLAIN ANALYZE``) annotates the span with which path executed.
+(``EXPLAIN ANALYZE``) annotates the span with the path and input that ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence, Tuple
 
-from repro.columnar.rows import ColumnarUnsupported, adjust_rows_columnar, kernel_mode
+from repro.columnar.rows import (
+    AdjustmentArrays,
+    ColumnarUnsupported,
+    adjust_rows_columnar,
+    arrays_from_frames,
+    kernel_mode,
+    rows_from_arrays,
+)
+from repro.columnar.runtime import numpy_available
 from repro.engine.executor.base import PhysicalNode, Row
 from repro.engine.executor.partition import AdjustmentTask, run_adjustment_task
+from repro.engine.executor.scan import SeqScanNode
 from repro.obs import trace as obs_trace
+from repro.relation.relation import TemporalRelation
+
+
+@dataclass(frozen=True)
+class ReferenceInput:
+    """The reference side as the frame input needs it.
+
+    ``node`` produces the reference *intervals* — for alignment that is the
+    node's right child itself, for normalization the input underneath the
+    split-point projection — with its equality-key and bound columns at the
+    given positions.
+    """
+
+    node: PhysicalNode
+    key_indexes: Tuple[int, ...]
+    ts_index: int
+    te_index: int
+
+
+def _scanned_relation(
+    node: PhysicalNode, key_indexes: Sequence[int], ts_index: int, te_index: int
+) -> Optional[Tuple[Sequence[Row], TemporalRelation, Tuple[str, ...]]]:
+    """``(rows, relation, key attributes)`` when ``node`` can be read as a frame.
+
+    That takes a bare scan of a table which still mirrors its backing
+    relation (see :meth:`Table.current_source_relation` — a plan outlives
+    mutations of the relation it was planned over), the relation's own
+    timestamp as the bounds, and keys among its nontemporal attributes.
+    """
+    if not isinstance(node, SeqScanNode):
+        return None
+    table = node.table
+    relation = table.current_source_relation()
+    attributes = len(table.columns) - 2
+    if relation is None or (ts_index, te_index) != (attributes, attributes + 1):
+        return None
+    if any(index >= attributes for index in key_indexes):
+        return None
+    return table.rows, relation, tuple(table.columns[index] for index in key_indexes)
 
 
 class ColumnarAdjustmentNode(PhysicalNode):
@@ -44,16 +99,59 @@ class ColumnarAdjustmentNode(PhysicalNode):
         The :class:`AdjustmentTask` describing bounds, keys and kind; shared
         with the partition-parallel executor so the row-pipeline fallback is
         literally the serial plan over the same rows.
+    reference:
+        For a normalization, the input whose split points ``right`` projects
+        (an alignment reads the same facts off ``right`` and ``task``).
+        Without it only the drained-row input is available.
     """
 
-    def __init__(self, left: PhysicalNode, right: PhysicalNode, task: AdjustmentTask):
+    def __init__(
+        self,
+        left: PhysicalNode,
+        right: PhysicalNode,
+        task: AdjustmentTask,
+        reference: Optional[ReferenceInput] = None,
+    ):
         columns = list(task.left_columns[: task.group_width])
         super().__init__(columns, [left, right])
         self.left = left
         self.right = right
         self.task = task
+        if reference is None and task.isalign and task.bounds is not None:
+            reference = ReferenceInput(
+                right, tuple(j for _, j in task.key_pairs), task.bounds[2], task.bounds[3]
+            )
+        self.reference = reference
+
+    def _frame_arrays(self) -> Optional[AdjustmentArrays]:
+        """Kernel input from the relations' cached frames, when both inputs
+        qualify (:func:`_scanned_relation`) and NumPy holds the frames."""
+        reference, task = self.reference, self.task
+        if reference is None or not numpy_available():
+            return None
+        argument = _scanned_relation(
+            self.left, [i for i, _ in task.key_pairs], task.ts_index, task.te_index
+        )
+        if argument is None:
+            return None
+        other = _scanned_relation(
+            reference.node, reference.key_indexes, reference.ts_index, reference.te_index
+        )
+        if other is None:
+            return None
+        rows, relation, keys = argument
+        return arrays_from_frames(rows, relation, keys, other[1], other[2])
 
     def rows(self) -> Iterator[Row]:
+        # Runtime facts go on the trace span (``executed=numpy|python|
+        # row-fallback``, ``input=frame|rows``), never on the node, so a
+        # silently degraded batch is visible in EXPLAIN ANALYZE without
+        # leaking state between executions.
+        arrays = self._frame_arrays()
+        if arrays is not None:
+            obs_trace.annotate(self, executed=kernel_mode(), input="frame")
+            yield from rows_from_arrays(self.task, arrays)
+            return
         left_rows = list(self.left)
         right_rows = list(self.right)
         try:
@@ -64,10 +162,7 @@ class ColumnarAdjustmentNode(PhysicalNode):
             result = run_adjustment_task(
                 replace(self.task, use_columnar=False), left_rows, right_rows
             )
-        # Recorded on the trace span (``executed=numpy|python|row-fallback``),
-        # never on the node, so a silently degraded batch is visible in
-        # EXPLAIN ANALYZE without leaking state between executions.
-        obs_trace.annotate(self, executed=mode)
+        obs_trace.annotate(self, executed=mode, input="rows")
         yield from result
 
     def describe(self) -> str:

@@ -5,7 +5,8 @@ All three strategies support the join kinds the planner may request:
 (nested loop only for ``cross``).  Hash and merge joins require at least one
 equality key pair; the full join condition is re-checked as a residual
 predicate after the key match, so handing them the complete condition is
-always safe.
+always safe.  (The hash join skips the re-check when the condition *is* its
+key equalities — the lookup already decided it.)
 
 Null semantics follow SQL: rows whose key contains a null never match, and
 end up padded (outer joins) or retained (anti join) accordingly.
@@ -15,12 +16,19 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.executor.base import PhysicalNode, Row
 from repro.engine.executor.sort import _compare_values
-from repro.engine.expressions import Expression
-from repro.relation.errors import PlanError
+from repro.engine.expressions import (
+    Column,
+    Comparison,
+    Expression,
+    conjuncts_of,
+    resolve_column,
+)
+from repro.relation.errors import PlanError, QueryError
 from repro.relation.tuple import NULL, is_null
 
 JOIN_KINDS = ("inner", "left", "right", "full", "semi", "anti", "cross")
@@ -146,8 +154,18 @@ class NestedLoopJoinNode(_JoinBase):
         return f"NestedLoopJoin({self.kind})"
 
 
+def _any_null(key: Tuple[Any, ...]) -> bool:
+    return any(map(is_null, key))
+
+
 class HashJoinNode(_JoinBase):
-    """Hash join on equality key index pairs, with residual condition re-check."""
+    """Hash join on equality key index pairs.
+
+    The full condition is re-checked as a residual after the key match —
+    unless it consists of exactly the key equalities, which the bucket
+    lookup has already established (dictionary equality: ``==``, with
+    identical objects always equal).
+    """
 
     def __init__(
         self,
@@ -161,45 +179,76 @@ class HashJoinNode(_JoinBase):
             raise PlanError("hash join requires at least one equality key pair")
         super().__init__(left, right, kind, condition)
         self.key_pairs = list(key_pairs)
+        # One key column: the bare value is the key (itemgetter's shape).
+        self._left_key: Callable[[Row], Any] = itemgetter(*[i for i, _ in self.key_pairs])
+        self._right_key: Callable[[Row], Any] = itemgetter(*[j for _, j in self.key_pairs])
+        self._null_key: Callable[[Any], bool] = is_null if len(self.key_pairs) == 1 else _any_null
+        self._residual = None if self._keys_decide_condition() else self._bound_condition
 
-    def _left_key(self, row: Row) -> Optional[Tuple[Any, ...]]:
-        key = tuple(row[i] for i, _ in self.key_pairs)
-        return None if any(is_null(v) for v in key) else key
+    def _keys_decide_condition(self) -> bool:
+        """Whether the condition is exactly the equalities of ``key_pairs``.
 
-    def _right_key(self, row: Row) -> Optional[Tuple[Any, ...]]:
-        key = tuple(row[j] for _, j in self.key_pairs)
-        return None if any(is_null(v) for v in key) else key
+        Judged on the positions the *bound* condition reads in the combined
+        row, so a name that resolves differently there than it did per side
+        keeps its residual.
+        """
+        if self.condition is None:
+            return True
+        combined = list(self.left.columns) + list(self.right.columns)
+        pairs = set()
+        for conjunct in conjuncts_of(self.condition):
+            if not (
+                isinstance(conjunct, Comparison)
+                and conjunct.operator == "="
+                and isinstance(conjunct.left, Column)
+                and isinstance(conjunct.right, Column)
+            ):
+                return False
+            try:
+                low, high = sorted(
+                    resolve_column(side.name, combined) for side in (conjunct.left, conjunct.right)
+                )
+            except QueryError:
+                return False
+            if not low < self._left_width <= high:
+                return False
+            pairs.add((low, high - self._left_width))
+        return pairs == set(self.key_pairs)
 
     def rows(self) -> Iterator[Row]:
-        buckets: Dict[Tuple[Any, ...], List[Tuple[int, Row]]] = defaultdict(list)
+        kind = self.kind
+        residual = self._residual
+        right_key, null_key = self._right_key, self._null_key
+        buckets: Dict[Any, List[Tuple[int, Row]]] = defaultdict(list)
         inner_rows: List[Row] = []
         for index, right_row in enumerate(self.right):
             inner_rows.append(right_row)
-            key = self._right_key(right_row)
-            if key is not None:
+            key = right_key(right_row)
+            if not null_key(key):
                 buckets[key].append((index, right_row))
         matched_inner = [False] * len(inner_rows)
 
+        # Every bucket key is null-free and ω equals only ω, so a probe key
+        # containing a null finds no bucket: it needs no check of its own.
+        left_key = self._left_key
         for left_row in self.left:
-            key = self._left_key(left_row)
             matched = False
-            if key is not None:
-                for index, right_row in buckets.get(key, ()):
-                    if self._matches(left_row, right_row):
-                        matched = True
-                        matched_inner[index] = True
-                        if self.kind == "semi":
-                            break
-                        if self.kind != "anti":
-                            yield self._emit_pair(left_row, right_row)
-            if self.kind == "semi" and matched:
+            for index, right_row in buckets.get(left_key(left_row), ()):
+                if residual is None or residual(left_row + right_row):
+                    matched = True
+                    matched_inner[index] = True
+                    if kind == "semi":
+                        break
+                    if kind != "anti":
+                        yield left_row + right_row
+            if kind == "semi" and matched:
                 yield left_row
-            elif self.kind == "anti" and not matched:
+            elif kind == "anti" and not matched:
                 yield left_row
-            elif not matched and self.kind in ("left", "full"):
+            elif not matched and kind in ("left", "full"):
                 yield self._pad_right(left_row)
 
-        if self.kind in ("right", "full"):
+        if kind in ("right", "full"):
             for index, right_row in enumerate(inner_rows):
                 if not matched_inner[index]:
                     yield self._pad_left(right_row)

@@ -444,6 +444,13 @@ def conjunction(expressions: Sequence[Expression]) -> Optional[Expression]:
     return And(*live)
 
 
+def conjuncts_of(condition: Expression) -> List[Expression]:
+    """The operands of ``condition``'s top-level conjunction, flattened."""
+    if isinstance(condition, And):
+        return [c for operand in condition.operands for c in conjuncts_of(operand)]
+    return [condition]
+
+
 def equijoin_only(condition: Optional[Expression],
                   left_columns: Sequence[str],
                   right_columns: Sequence[str]) -> bool:
@@ -457,18 +464,8 @@ def equijoin_only(condition: Optional[Expression],
     """
     if condition is None:
         return True
-    conjuncts: List[Expression] = []
-
-    def collect(expr: Expression) -> None:
-        if isinstance(expr, And):
-            for operand in expr.operands:
-                collect(operand)
-        else:
-            conjuncts.append(expr)
-
-    collect(condition)
     keys = equijoin_keys(condition, left_columns, right_columns)
-    return len(keys) == len(conjuncts)
+    return len(keys) == len(conjuncts_of(condition))
 
 
 def equijoin_keys(condition: Optional[Expression],
@@ -482,16 +479,6 @@ def equijoin_keys(condition: Optional[Expression],
     """
     if condition is None:
         return []
-    conjuncts: List[Expression] = []
-
-    def collect(expr: Expression) -> None:
-        if isinstance(expr, And):
-            for operand in expr.operands:
-                collect(operand)
-        else:
-            conjuncts.append(expr)
-
-    collect(condition)
 
     def side(reference: str) -> Optional[str]:
         try:
@@ -506,7 +493,7 @@ def equijoin_keys(condition: Optional[Expression],
             return None
 
     keys: List[Tuple[str, str]] = []
-    for conjunct in conjuncts:
+    for conjunct in conjuncts_of(condition):
         if not isinstance(conjunct, Comparison) or conjunct.operator != "=":
             continue
         if not isinstance(conjunct.left, Column) or not isinstance(conjunct.right, Column):

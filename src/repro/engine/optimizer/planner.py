@@ -38,6 +38,7 @@ from repro.engine.executor import (
     PartitionNode,
     PhysicalNode,
     ProjectNode,
+    ReferenceInput,
     RelabelNode,
     SeqScanNode,
     SetOpNode,
@@ -355,6 +356,9 @@ class Planner:
             # The normalize condition is equality on B plus the split-point
             # window — fully captured by the columnar encoding.
             pure_equality=True,
+            # The split points are a projection of ``right``: a columnar node
+            # that can read ``right`` as a cached frame takes them from there.
+            reference=ReferenceInput(right, tuple(using_right_indexes), right_ts, right_te),
         )
 
     # -- materialized view substitution ------------------------------------------------------
@@ -570,6 +574,7 @@ class Planner:
         serial: PhysicalNode,
         serial_estimate: Estimate,
         pure_equality: bool,
+        reference: Optional[ReferenceInput] = None,
     ) -> PhysicalNode:
         """Row/column dispatch over an adjustment: pick among the serial row
         pipeline, a single columnar batch, and the partition-parallel plan
@@ -641,7 +646,8 @@ class Planner:
                     )
                     _STRATEGY_COUNTER.inc(label="columnar")
                     return self._estimated(
-                        ColumnarAdjustmentNode(left, right, task), columnar_estimate
+                        ColumnarAdjustmentNode(left, right, task, reference),
+                        columnar_estimate,
                     )
         _STRATEGY_COUNTER.inc(label="row")
         return serial

@@ -38,6 +38,9 @@ class Table:
         #: of one (set by :meth:`from_relation`); statistics collection uses
         #: it to read already-cached endpoint arrays instead of re-scanning.
         self.source_relation: Optional[TemporalRelation] = None
+        #: ``source_relation.generation`` when the rows were copied; the
+        #: snapshot describes the live relation only while the two agree.
+        self.source_generation: int = -1
 
     # -- protocol ---------------------------------------------------------------
 
@@ -92,7 +95,27 @@ class Table:
         rows = [t.values + (t.start, t.end) for t in relation]
         table = cls(name, columns, rows)
         table.source_relation = relation
+        table.source_generation = relation.generation
         return table
+
+    def current_source_relation(self) -> Optional[TemporalRelation]:
+        """The backing relation, if this snapshot still mirrors it row for row.
+
+        A physical plan keeps the table it was planned over, while structures
+        cached on the relation (:meth:`TemporalRelation.derived`) follow the
+        *live* tuples.  Consumers that want those structures in place of a
+        scan of :attr:`rows` ask here first: ``None`` once the relation was
+        mutated after the copy (or the table itself was appended to), so a
+        stale plan keeps answering from its own rows.
+        """
+        relation = self.source_relation
+        if (
+            relation is None
+            or relation.generation != self.source_generation
+            or len(relation) != len(self.rows)
+        ):
+            return None
+        return relation
 
     def to_relation(
         self,

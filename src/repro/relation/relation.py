@@ -112,6 +112,11 @@ class TemporalRelation:
         #: points); dropped on every mutation so cached entries are always
         #: consistent with the current tuple set.
         self._derived_cache: Dict[Any, Any] = {}
+        #: Mutation generation: bumped by every mutation, next to the cache
+        #: drop.  A snapshot taken elsewhere (an engine ``Table``) records it
+        #: to tell later whether the live relation — and therefore anything
+        #: in ``_derived_cache`` — still describes the rows it copied.
+        self._generation: int = 0
         #: Change log (``None`` until tracking is enabled — intermediate
         #: results built by the adjustment operators never pay for logging).
         self._changelog: Optional[ChangeLog] = None
@@ -166,8 +171,12 @@ class TemporalRelation:
         self._rowids.append(rowid)
         if self._changelog is not None:
             self._after_mutation([self._changelog.append("+", rowid, tuple_)])
-        elif self._derived_cache:
-            self._derived_cache.clear()
+        else:
+            # Untracked relations (intermediate results) skip the listener
+            # dispatch of ``_after_mutation`` but keep its invalidation.
+            self._generation += 1
+            if self._derived_cache:
+                self._derived_cache.clear()
         return tuple_
 
     def insert(self, values: Sequence[Any], interval: Interval) -> TemporalTuple:
@@ -344,10 +353,11 @@ class TemporalRelation:
         """Shared epilogue of every mutation path.
 
         Drops **all** derived caches (interval indexes, split points) so no
-        stale structure can be served, then notifies listeners.  Every
-        mutation — ``add``/``insert``, ``delete``, ``update`` — funnels
-        through here.
+        stale structure can be served, advances :attr:`generation`, then
+        notifies listeners.  Every mutation — ``add``/``insert``,
+        ``delete``, ``update`` — funnels through here.
         """
+        self._generation += 1
         if self._derived_cache:
             self._derived_cache.clear()
         if deltas and self._listeners:
@@ -660,6 +670,16 @@ class TemporalRelation:
             return value
         _DERIVED_COUNTER.inc(label="hit")
         return value
+
+    @property
+    def generation(self) -> int:
+        """Counter that changes whenever the tuple set may have changed.
+
+        Unlike :attr:`version` it needs no change tracking.  Holders of a
+        copy of the rows compare the value they recorded with the current
+        one before reading a :meth:`derived` structure on the copy's behalf.
+        """
+        return self._generation
 
     def peek_derived(self, key: Any) -> Any:
         """The cached derived structure for ``key``, or ``None`` — never builds.

@@ -64,3 +64,17 @@ def test_findings_carry_position_and_render():
 def test_unknown_rule_id_is_an_error():
     with pytest.raises(ValueError):
         analyze_paths([FIXTURES / "clean"], rule_ids=["no-such-rule"])
+
+
+def test_generation_counter_is_protected_like_the_caches(tmp_path):
+    # Engine table snapshots trust ``_generation`` to move with every cache
+    # drop; a write from outside the funnel would let a stale plan read
+    # frames of rows it never copied.
+    source = tmp_path / "sneaky.py"
+    source.write_text(
+        "def rewind(relation):\n"
+        "    relation._generation = 0\n"
+        "    relation._generation += 1\n"
+    )
+    report = analyze_paths([tmp_path], rule_ids=["mutation-funnel"])
+    assert [f.line for f in report.findings] == [2, 3]

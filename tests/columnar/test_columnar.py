@@ -199,3 +199,40 @@ class TestBackendParity:
             assert normalize_pieces(
                 ls, le, lc, points, pcodes, use_numpy=True
             ) == normalize_pieces(ls, le, lc, points, pcodes, use_numpy=False)
+
+    def test_normalize_from_intervals_parity(self):
+        # The NumPy route derives the point column with a mask + stack, the
+        # pure-Python route with its append loop; negative codes and empty
+        # reference intervals are where the two could drift apart.
+        import random
+
+        import numpy as np
+
+        rng = random.Random(7)
+        for _ in range(40):
+            n, m = rng.randrange(0, 25), rng.randrange(0, 25)
+            ls = [rng.randrange(0, 30) for _ in range(n)]
+            le = [s + rng.randrange(0, 8) for s in ls]
+            lc = [rng.randrange(-1, 3) for _ in range(n)]
+            rs = [rng.randrange(0, 30) for _ in range(m)]
+            re = [s + rng.randrange(0, 4) for s in rs]  # a quarter are empty
+            rc = [rng.randrange(-1, 3) for _ in range(m)]
+            for include_empty in (False, True):
+                expected = normalize_pieces_from_intervals(
+                    ls, le, lc, rs, re, rc, use_numpy=False, include_empty=include_empty
+                )
+                assert expected == normalize_pieces_from_intervals(
+                    ls, le, lc, rs, re, rc, use_numpy=True, include_empty=include_empty
+                )
+                # Array arguments (what cached frames hand over) as well.
+                assert expected == normalize_pieces_from_intervals(
+                    *(np.asarray(c, dtype=np.int64) for c in (ls, le, lc, rs, re, rc)),
+                    include_empty=include_empty,
+                )
+                # And both agree with the explicit point column.
+                keep = [
+                    j for j in range(m) if rc[j] >= 0 and (include_empty or re[j] > rs[j])
+                ]
+                points = [p for j in keep for p in (rs[j], re[j])]
+                codes = [rc[j] for j in keep for _ in (0, 1)]
+                assert expected == normalize_pieces(ls, le, lc, points, codes, use_numpy=False)

@@ -216,3 +216,259 @@ class TestColumnarExecution:
         else:
             pytest.skip("NumPy not installed; planner never emits the node")
         assert columnar_rows == sorted(database.execute(plan, ROW).rows)
+
+
+# -- the two array sources ---------------------------------------------------------
+
+
+def _columnar_nodes(physical):
+    found = [physical] if isinstance(physical, ColumnarAdjustmentNode) else []
+    for child in physical.children:
+        found.extend(_columnar_nodes(child))
+    return found
+
+
+def _traced(physical):
+    with obs_trace.collect(physical) as trace:
+        rows = physical.execute()
+    inputs = [trace.span_for(node).attributes.get("input") for node in _columnar_nodes(physical)]
+    return rows, inputs, trace
+
+
+def _derived_counts():
+    from repro.obs.metrics import REGISTRY
+
+    labels = REGISTRY.snapshot().get("relation.derived", {}).get("labels", {})
+    return labels.get("hit", 0), labels.get("miss", 0)
+
+
+def _sql_database(size=400, categories=12, seed=3):
+    from repro.sql.interface import Connection
+
+    left, right = generate_random(
+        config=SyntheticConfig(size=size, categories=categories, seed=seed)
+    )
+    connection = Connection(Database())
+    connection.register_relation("r", left)
+    connection.register_relation("s", right)
+    return connection
+
+
+#: The four keyed shapes of ``perf/``'s ``analytic_keyed`` (aliased and
+#: unaliased scans, a self-normalization, both adjustments under one join)
+#: and the unkeyed NORMALIZE of ``analytic_theta``.
+KEYED_SQL = {
+    "align": "SELECT * FROM (r ALIGN s ON r.cat = s.cat) x",
+    "normalize-aliased": "SELECT * FROM (r r1 NORMALIZE s s1 USING(cat)) x",
+    "outer-join": (
+        "SELECT ABSORB r1.cat, r1.min_dur, r1.max_dur, s1.cat AS s_cat, s1.min_dur AS s_min, "
+        "s1.max_dur AS s_max, r1.ts, r1.te "
+        "FROM (r ALIGN s ON r.cat = s.cat) r1 LEFT OUTER JOIN (s ALIGN r ON s.cat = r.cat) s1 "
+        "ON r1.cat = s1.cat AND r1.ts = s1.ts AND r1.te = s1.te"
+    ),
+    "self-normalize-aggregate": (
+        "SELECT cat, COUNT(*) c, ts, te FROM (r r1 NORMALIZE r r2 USING(cat)) x "
+        "GROUP BY cat, ts, te"
+    ),
+    "normalize-unkeyed": "SELECT * FROM (r r1 NORMALIZE s s1 USING()) x",
+    "two-keys": "SELECT * FROM (r ALIGN s ON r.cat = s.cat AND r.min_dur = s.min_dur) x",
+}
+
+FILTERED_CTE = (
+    "WITH a AS (SELECT * FROM r WHERE cat = 'C0001') "
+    "SELECT * FROM (a ALIGN s ON a.cat = s.cat) x"
+)
+
+
+@needs_numpy
+class TestFrameInput:
+    """Bare scans of current relation snapshots read the relations' cached
+    frames; everything else is drained.  Same kernel, same rows, same order."""
+
+    @pytest.mark.parametrize("shape", sorted(KEYED_SQL))
+    def test_frame_equals_drained_equals_row_pipeline_in_order(self, shape, monkeypatch):
+        connection = _sql_database()
+        database = connection.database
+        logical = connection.logical_plan(KEYED_SQL[shape])
+        static = database.plan(logical, COLUMNAR).explain()
+
+        frame_rows, inputs, _ = _traced(database.plan(logical, COLUMNAR))
+        assert inputs and set(inputs) == {"frame"}
+        row_rows = database.execute(logical, ROW).rows
+        assert frame_rows == row_rows
+
+        monkeypatch.setattr(ColumnarAdjustmentNode, "_frame_arrays", lambda self: None)
+        drained_rows, inputs, _ = _traced(database.plan(logical, COLUMNAR))
+        assert set(inputs) == {"rows"}
+        assert drained_rows == frame_rows
+        # Which source ran is a trace fact; the static plan text never moves.
+        assert database.plan(logical, COLUMNAR).explain() == static
+        assert "input=" not in static
+
+    def test_bypassed_children_render_never_executed(self):
+        connection = _sql_database()
+        logical = connection.logical_plan(KEYED_SQL["normalize-aliased"])
+        physical = connection.database.plan(logical, COLUMNAR)
+        _, inputs, trace = _traced(physical)
+        assert inputs == ["frame"]
+        (node,) = _columnar_nodes(physical)
+        below = [span for span in trace.span_for(node).walk()][1:]
+        assert len(below) == 6  # scan, union, two projections over one scan each
+        assert all(not span.executed for span in below)
+        assert trace.render().count("(never executed)") == 6
+        assert "executed=numpy input=frame" in trace.render()
+
+    def test_filtered_cte_takes_the_row_input_and_builds_no_frame(self):
+        # The read shape of ``served_mixed``: a selection under the argument.
+        connection = _sql_database()
+        database = connection.database
+        logical = connection.logical_plan(FILTERED_CTE)
+        rows, inputs, trace = _traced(database.plan(logical, COLUMNAR))
+        assert inputs == ["rows"]
+        assert rows == database.execute(logical, ROW).rows
+        assert all(span.executed for span in trace.spans())
+        for name in ("r", "s"):
+            relation = database.get_relation(name)
+            assert relation.peek_derived(("columnar", "endpoints", "np")) is None
+            assert relation.peek_derived(("columnar", "row_order", "np")) is None
+
+    def test_second_execution_only_hits_the_relation_caches(self):
+        connection = _sql_database()
+        database = connection.database
+        logical = connection.logical_plan(KEYED_SQL["align"])
+        first = database.plan(logical, COLUMNAR).execute()
+        hits, misses = _derived_counts()
+        second = database.plan(logical, COLUMNAR).execute()
+        later_hits, later_misses = _derived_counts()
+        assert second == first
+        assert later_misses == misses
+        assert later_hits > hits
+
+    def test_without_numpy_the_frame_input_declines(self):
+        connection = _sql_database(size=120)
+        database = connection.database
+        logical = connection.logical_plan(KEYED_SQL["align"])
+        physical = database.plan(logical, COLUMNAR)
+        with forced_python():
+            rows, inputs, trace = _traced(physical)
+        assert inputs == ["rows"]
+        (node,) = _columnar_nodes(physical)
+        assert trace.span_for(node).attributes["executed"] == "python"
+        assert rows == database.execute(logical, ROW).rows
+        assert database.get_relation("r").peek_derived(("columnar", "endpoints", "py")) is None
+
+    def test_old_plan_over_a_mutated_relation_answers_from_its_snapshot(self):
+        # A physical plan keeps the Table it was planned over; the cached
+        # frames follow the live relation.  The generation guard keeps the
+        # two apart.
+        connection = _sql_database()
+        database = connection.database
+        logical = connection.logical_plan(KEYED_SQL["align"])
+        old_plan = database.plan(logical, COLUMNAR)
+        before = database.execute(logical, ROW).rows
+        assert old_plan.execute() == before  # frames are now cached on r and s
+
+        database.update_rows("r", {"cat": "C0001"}, predicate=lambda t: t["cat"] == "C0002")
+        rows, inputs, _ = _traced(old_plan)
+        assert inputs == ["rows"]
+        assert rows == before
+
+        fresh_rows, inputs, _ = _traced(database.plan(logical, COLUMNAR))
+        assert inputs == ["frame"]
+        assert fresh_rows == database.execute(logical, ROW).rows
+        assert fresh_rows != before
+
+    def test_stale_reference_side_alone_declines_too(self):
+        connection = _sql_database()
+        database = connection.database
+        logical = connection.logical_plan(KEYED_SQL["normalize-aliased"])
+        old_plan = database.plan(logical, COLUMNAR)
+        before = old_plan.execute()
+        longest = max(database.get_relation("r"), key=lambda t: t.end - t.start)
+        new_point = (longest.start + 1, longest.start + 2)  # strictly inside it
+        database.insert_rows("s", [((longest["cat"], 1, 5), new_point)])
+        rows, inputs, _ = _traced(old_plan)
+        assert inputs == ["rows"] and rows == before
+        fresh = database.plan(logical, COLUMNAR).execute()
+        assert fresh == database.execute(logical, ROW).rows and fresh != before
+
+    def test_keys_on_the_timestamp_columns_take_the_row_input(self):
+        database = _database()
+        plan = align_plan(
+            scan(database, "l", "l"),
+            scan(database, "r", "r"),
+            Comparison("=", Column("l.ts"), Column("r.ts")),
+        )
+        physical = database.plan(plan, COLUMNAR)
+        assert isinstance(physical, ColumnarAdjustmentNode)
+        rows, inputs, _ = _traced(physical)
+        assert inputs == ["rows"]
+        assert rows == database.execute(plan, ROW).rows
+
+    def test_other_boundary_columns_take_the_row_input(self):
+        from repro.engine import plan as logical
+
+        database = _database()
+        plan = logical.Align(
+            scan(database, "l", "l"),
+            scan(database, "r", "r"),
+            Comparison("=", Column("l.cat"), Column("r.cat")),
+            left_start="l.min_dur",
+            left_end="l.max_dur",
+        )
+        physical = database.plan(plan, COLUMNAR)
+        assert isinstance(physical, ColumnarAdjustmentNode)
+        rows, inputs, _ = _traced(physical)
+        assert inputs == ["rows"]
+        assert rows == database.execute(plan, ROW).rows
+
+    def test_tables_without_a_relation_take_the_row_input(self):
+        from repro.engine.table import Table
+
+        database = Database()
+        database.register_table(Table("l", ["cat", "ts", "te"], [("a", 0, 10), ("b", 3, 4)]))
+        database.register_table(Table("r", ["cat", "ts", "te"], [("a", 2, 5)]))
+        plan = _align(database)
+        rows, inputs, _ = _traced(database.plan(plan, COLUMNAR))
+        assert inputs == ["rows"]
+        assert rows == database.execute(plan, ROW).rows
+
+    def test_transaction_snapshots_are_relations_of_their_own(self):
+        # In a transaction the planner sees a private copy of each relation
+        # (own writes overlaid); its frames describe that copy, never the
+        # committed relation.
+        connection = _sql_database(size=150)
+        database = connection.database
+        session = database.session()
+        committed = database.execute(connection.logical_plan(KEYED_SQL["align"]), ROW).rows
+        session.execute("BEGIN")
+        session.execute("DELETE FROM r WHERE cat = 'C0001'")
+        inside = session.execute(KEYED_SQL["align"], settings=COLUMNAR).rows
+        assert inside == session.execute(KEYED_SQL["align"], settings=ROW).rows
+        assert inside != committed
+        session.execute("ROLLBACK")
+        assert session.execute(KEYED_SQL["align"], settings=COLUMNAR).rows == committed
+
+    def test_null_keys_on_both_sides_stay_dangling(self):
+        # ω = ω is false in a θ: the two ω-keyed rows must not meet, although
+        # the relations' dictionaries give them one shared code.
+        from repro import Interval, Schema, TemporalRelation
+        from repro.relation.tuple import NULL
+
+        left = TemporalRelation(Schema(["cat", "n"]))
+        right = TemporalRelation(Schema(["cat", "n"]))
+        for cat, start, end in [(NULL, 0, 10), ("a", 0, 10), ("a", 0, 10), (7, 2, 2)]:
+            left.insert((cat, 1), Interval(start, end))
+        for cat, start, end in [(NULL, 3, 5), ("a", 4, 6), (NULL, 4, 4)]:
+            right.insert((cat, 2), Interval(start, end))
+        database = Database()
+        database.register_relation("l", left)
+        database.register_relation("r", right)
+        for plan in (
+            _align(database),
+            normalize_plan(scan(database, "l", "l"), scan(database, "r", "r"), ["cat"]),
+        ):
+            rows, inputs, _ = _traced(database.plan(plan, COLUMNAR))
+            assert inputs == ["frame"]
+            assert rows == database.execute(plan, ROW).rows
+            assert (NULL, 1, 0, 10) in rows

@@ -230,3 +230,199 @@ class TestSetOpsAndAbsorb:
         child = values(["ts", "v", "te"], [(1, "a", 9), (3, "a", 7)])
         node = AbsorbNode(child, start_index=0, end_index=2)
         assert node.execute() == [(1, "a", 9)]
+
+
+class TestColumnOnlyProject:
+    """A projection of bare column references picks positions instead of
+    evaluating; it must be indistinguishable from the evaluated path."""
+
+    ROWS = [("a", 1, 5, NULL), ("b", 2, 6, "x"), ("a", 1, 5, NULL)]
+    COLUMNS = ["t.k", "t.x", "ts", "u"]
+
+    def both(self, expressions):
+        child = values(self.COLUMNS, self.ROWS)
+        node = ProjectNode(child, expressions)
+        assert node._positions is not None
+        evaluated = [tuple(b(row) for b in node._bound) for row in self.ROWS]
+        return node.execute(), evaluated, node
+
+    def test_single_column_keeps_row_shape(self):
+        actual, evaluated, node = self.both([(Column("x"), "x")])
+        assert actual == evaluated == [(1,), (2,), (1,)]
+        assert node.columns == ["x"]
+
+    def test_repeated_and_reordered_columns(self):
+        expressions = [(Column("ts"), "a"), (Column("k"), "b"), (Column("ts"), "c")]
+        actual, evaluated, _ = self.both(expressions)
+        assert actual == evaluated == [(5, "a", 5), (6, "b", 6), (5, "a", 5)]
+
+    def test_qualified_names_and_index_columns(self):
+        from repro.engine.expressions import IndexColumn
+
+        expressions = [(Column("t.x"), "x"), (IndexColumn(3), "u"), (Column("t.k"), "k")]
+        actual, evaluated, _ = self.both(expressions)
+        assert actual == evaluated == [(1, NULL, "a"), (2, "x", "b"), (1, NULL, "a")]
+
+    def test_restartable_and_lazy(self):
+        node = ProjectNode(values(self.COLUMNS, self.ROWS), [(Column("k"), "k")])
+        assert node.execute() == node.execute() == [("a",), ("b",), ("a",)]
+        assert next(iter(node)) == ("a",)
+
+    def test_any_computed_expression_takes_the_evaluated_path(self):
+        node = ProjectNode(
+            values(self.COLUMNS, self.ROWS), [(Column("k"), "k"), (Literal(1), "one")]
+        )
+        assert node._positions is None
+        assert node.execute() == [("a", 1), ("b", 1), ("a", 1)]
+
+    def test_unknown_column_still_rejected_at_build_time(self):
+        from repro.relation.errors import QueryError
+
+        with pytest.raises(QueryError):
+            ProjectNode(values(self.COLUMNS, self.ROWS), [(Column("nope"), "n")])
+
+
+class TestHashJoinResidual:
+    """The residual re-check is skipped exactly when the condition is the
+    key equalities, and the result never depends on whether it ran."""
+
+    LEFT_ROWS = [("a", 1, 7), ("a", 2, 7), (NULL, 3, 7), ("b", NULL, 7), ("c", 1, 9)]
+    RIGHT_ROWS = [("a", 1, 5), ("a", 1, 6), (NULL, 3, 5), ("b", NULL, 5), ("d", 4, 5)]
+    KINDS = ["inner", "left", "right", "full", "semi", "anti"]
+
+    def inputs(self):
+        return (
+            values(["l.k", "l.n", "l.v"], self.LEFT_ROWS),
+            values(["r.k", "r.n", "r.w"], self.RIGHT_ROWS),
+        )
+
+    def pure(self):
+        from repro.engine.expressions import And
+
+        return And(
+            Comparison("=", Column("l.k"), Column("r.k")),
+            Comparison("=", Column("r.n"), Column("l.n")),  # sides swapped on purpose
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pure_key_condition_skips_the_residual_with_equal_rows(self, kind):
+        left, right = self.inputs()
+        keys = [(0, 0), (1, 1)]
+        node = HashJoinNode(left, right, kind, self.pure(), keys)
+        assert node._residual is None
+        expected = NestedLoopJoinNode(left, right, kind, self.pure()).execute()
+        assert node.execute() == expected
+        # ω keys (scalar and inside a composite key) pad or anti-match.
+        if kind == "left":
+            assert ((NULL, 3, 7) + (NULL,) * 3) in expected
+            assert (("b", NULL, 7) + (NULL,) * 3) in expected
+        if kind == "anti":
+            assert (NULL, 3, 7) in expected and ("b", NULL, 7) in expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_key_column_with_null_keys(self, kind):
+        left, right = self.inputs()
+        condition = Comparison("=", Column("l.k"), Column("r.k"))
+        node = HashJoinNode(left, right, kind, condition, [(0, 0)])
+        assert node._residual is None
+        assert node.execute() == NestedLoopJoinNode(left, right, kind, condition).execute()
+
+    def test_no_condition_means_no_residual(self):
+        left, right = self.inputs()
+        node = HashJoinNode(left, right, "inner", None, [(0, 0)])
+        assert node._residual is None
+        assert len(node.execute()) == 5  # the key column alone decides
+
+    def test_keys_that_cover_only_part_of_the_condition_keep_it(self):
+        left, right = self.inputs()
+        node = HashJoinNode(left, right, "inner", self.pure(), [(0, 0)])
+        assert node._residual is not None
+        assert node.execute() == [("a", 1, 7, "a", 1, 5), ("a", 1, 7, "a", 1, 6)]
+
+    def test_keys_on_other_columns_than_the_condition_keep_it(self):
+        left, right = self.inputs()
+        condition = Comparison("=", Column("l.k"), Column("r.k"))
+        node = HashJoinNode(left, right, "inner", condition, [(1, 1)])
+        assert node._residual is not None
+        assert node.execute() == [("a", 1, 7, "a", 1, 5), ("a", 1, 7, "a", 1, 6)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inequality_conjunct_still_applies(self, kind):
+        # The shape of an ALIGN θ such as ``r.cat = s.cat AND r.min_dur < s.max_dur``.
+        from repro.engine.expressions import And
+
+        left, right = self.inputs()
+        condition = And(
+            Comparison("=", Column("l.k"), Column("r.k")),
+            Comparison("<", Column("l.n"), Column("r.w")),
+            Comparison("<", Column("r.w"), Literal(6)),
+        )
+        node = HashJoinNode(left, right, kind, condition, [(0, 0)])
+        assert node._residual is not None
+        assert node.execute() == NestedLoopJoinNode(left, right, kind, condition).execute()
+
+
+def _reference_absorb(rows, start_index, end_index):
+    """The absorb algorithm as first written: key tuples, a parallel order
+    list, ``sorted(set(...))`` for every group, rows rebuilt by insertion."""
+    groups, order = {}, []
+    for row in rows:
+        key = tuple(v for i, v in enumerate(row) if i not in (start_index, end_index))
+        if key not in groups:
+            order.append(key)
+            groups[key] = []
+        groups[key].append((row[start_index], row[end_index]))
+    output = []
+    for key in order:
+        max_end = None
+        for start, end in sorted(set(groups[key]), key=lambda iv: (iv[0], -iv[1])):
+            if max_end is not None and end <= max_end:
+                continue
+            max_end = end if max_end is None else max(max_end, end)
+            out = list(key)
+            first, second = sorted((start_index, end_index))
+            out.insert(first, None)
+            out.insert(second, None)
+            out[start_index] = start
+            out[end_index] = end
+            output.append(tuple(out))
+    return output
+
+
+class TestAbsorbMatchesReference:
+    @pytest.mark.parametrize("layout", [(2, 3), (0, 3), (3, 1), (0, 1)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_and_order_on_random_input(self, layout, seed):
+        import random
+
+        rng = random.Random(seed)
+        start_index, end_index = layout
+        rows = []
+        for _ in range(300):
+            start = rng.randrange(0, 12)
+            # Few distinct starts/ends: duplicates, nested and equal-start
+            # intervals are the common case, not the exception.
+            row = [rng.choice(["a", "b", NULL]), rng.choice([1, NULL])]
+            pair = {start_index: start, end_index: start + rng.randrange(0, 6)}
+            for position in sorted(pair):
+                row.insert(position, pair[position])
+            rows.append(tuple(row))
+        node = AbsorbNode(values(["c0", "c1", "c2", "c3"], rows), start_index, end_index)
+        assert node.execute() == _reference_absorb(rows, start_index, end_index)
+
+    def test_interval_only_and_single_value_rows(self):
+        rows = [(1, 9), (3, 7), (1, 9), (8, 12)]
+        assert AbsorbNode(values(["ts", "te"], rows), 0, 1).execute() == _reference_absorb(
+            rows, 0, 1
+        )
+        rows = [("a", 1, 9), ("a", 1, 4), ("b", 1, 4), ("a", 0, 1)]
+        assert AbsorbNode(values(["v", "ts", "te"], rows), 1, 2).execute() == [
+            ("a", 0, 1),
+            ("a", 1, 9),
+            ("b", 1, 4),
+        ]
+
+    def test_single_row_groups_pass_through_unchanged(self):
+        rows = [("a", NULL, 1, 9), ("b", NULL, 1, 9)]
+        out = AbsorbNode(values(["v", "w", "ts", "te"], rows), 2, 3).execute()
+        assert out == rows and all(a is b for a, b in zip(out, rows))

@@ -59,6 +59,23 @@ class TestTable:
         back = table.to_relation()
         assert back == relation
 
+    def test_snapshot_knows_whether_it_still_mirrors_its_relation(self):
+        relation = TemporalRelation(Schema(["n"]))
+        relation.insert(("Ann",), Interval(0, 7))
+        table = Table.from_relation("r", relation)
+        assert table.current_source_relation() is relation
+        assert Table("t", ["n", "ts", "te"]).current_source_relation() is None
+        # A row appended to the table alone: the copy no longer matches.
+        table.append(("Bob", 1, 2))
+        assert table.current_source_relation() is None
+        # A mutation of the relation: the old snapshot is stale, a new one is not,
+        # even when the row count happens to be the same again.
+        table = Table.from_relation("r", relation)
+        relation.update({"n": "Zoe"})
+        assert len(relation) == len(table)
+        assert table.current_source_relation() is None
+        assert Table.from_relation("r", relation).current_source_relation() is relation
+
     def test_pretty(self):
         table = Table("t", ["a"], [(i,) for i in range(30)])
         rendered = table.pretty(limit=3)

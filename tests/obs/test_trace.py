@@ -146,6 +146,50 @@ class TestSpanTreeMatchesExplain:
         assert scan_spans and all(s.executed for s in scan_spans)
         assert trace.root_span.attributes["ship"] in ("shm", "pickle")
 
+    @needs_numpy
+    @pytest.mark.parametrize("kind", ["align", "normalize"])
+    def test_columnar_input_is_a_span_fact_with_bypassed_scans_unexecuted(self, kind):
+        # Over current relation snapshots the columnar batch reads cached
+        # frames and never pulls its children (like the exchange bypass
+        # above); over plain tables it drains them.  One plan text, two
+        # honest traces, both line-for-line the EXPLAIN tree.
+        from repro.engine.table import Table
+        from repro.engine.temporal_plans import normalize_plan
+
+        def build(database):
+            left, right = scan(database, "l", "l"), scan(database, "r", "r")
+            logical = _plan(database) if kind == "align" else normalize_plan(left, right, ["cat"])
+            return database.plan(logical, STRATEGIES["columnar"])
+
+        backed = _database()
+        plain = Database()
+        for name in ("l", "r"):
+            snapshot = backed.get_table(name)
+            plain.register_table(Table(name, snapshot.columns, snapshot.rows))
+
+        rendered = {}
+        for source, database in (("frame", backed), ("rows", plain)):
+            physical = build(database)
+            explain_lines = physical.explain().splitlines()
+            with obs_trace.collect(physical) as trace:
+                rendered[source] = physical.execute()
+            lines = trace.root_span.render().splitlines()
+            assert len(lines) == len(explain_lines)
+            for span_line, explain_line in zip(lines, explain_lines):
+                assert span_line.startswith(explain_line + " ")
+            assert trace.root_span.attributes["input"] == source
+            assert f"executed=numpy input={source})" in lines[0]
+            below = trace.spans()[1:]
+            if source == "frame":
+                assert below and not any(span.executed for span in below)
+                assert all("(never executed)" in line for line in lines[1:])
+            else:
+                # (NORMALIZE's two split-point projections share one scan
+                # node, hence one span: only the direct inputs are asserted.)
+                assert all(span.executed for span in trace.root_span.children)
+        assert rendered["frame"] == rendered["rows"]
+        assert build(backed).explain() == build(plain).explain()
+
     def test_interval_strategy_is_visible_in_both_trees(self):
         database = _database()
         for strategy, expected in (("sweep", "strategy=sweep"), ("index", "strategy=probe")):

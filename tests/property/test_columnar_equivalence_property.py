@@ -14,16 +14,18 @@ from __future__ import annotations
 import os
 from typing import List, Tuple
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Interval, Schema, TemporalRelation, predicates
-from repro.columnar.runtime import forced_python
+from repro.columnar.runtime import forced_python, numpy_available
 from repro.core.alignment import align_relation
 from repro.core.normalization import normalize
+from repro.engine import plan as logical
 from repro.engine.database import Database
 from repro.engine.executor import ExchangeNode
-from repro.engine.expressions import Column, Comparison
+from repro.engine.expressions import Column, Comparison, conjunction
 from repro.engine.optimizer.settings import Settings as EngineSettings
 from repro.engine.temporal_plans import align_plan, normalize_plan, scan
 from repro.workloads.synthetic import (
@@ -242,3 +244,128 @@ class TestNormalizationStrategyEquivalence:
         expected = normalize(left, left, ("cat",), strategy="sweep")
         columnar = normalize(left, left, ("cat",), strategy="columnar")
         assert columnar == expected
+
+
+# -- engine: cached-frame input ≡ drained-row input ≡ row pipeline ---------------------
+
+WILD_SCHEMA = Schema(["a", "b", "c"])
+
+#: Equality keys as (argument attribute, reference attribute) pairs: none,
+#: one, several, and pairs that sit at different positions on the two sides.
+KEY_CHOICES = [
+    [],
+    [("a", "a")],
+    [("a", "a"), ("b", "b")],
+    [("a", "b")],
+    [("b", "a"), ("a", "b")],
+]
+
+
+@st.composite
+def wild_relations(draw) -> Tuple[TemporalRelation, TemporalRelation]:
+    """What a dynamically typed engine may be handed: ω in key columns, mixed
+    value types within one column (the plain tuple sort raises and the
+    executor's total order takes over), exact duplicate tuples, empty
+    intervals — on either side, in relations that may be empty."""
+    from repro.relation.tuple import NULL
+
+    def relation() -> TemporalRelation:
+        rows = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["C0", "C1", 7, NULL]),
+                    st.sampled_from([1, 2, "C0", NULL]),
+                    st.integers(min_value=0, max_value=12),
+                    st.integers(min_value=0, max_value=3),
+                ),
+                max_size=12,
+            )
+        )
+        result = TemporalRelation(WILD_SCHEMA)  # duplicates allowed
+        for a, b, start, length in rows:
+            result.insert((a, b, 5), Interval(start, start + length))
+        return result
+
+    return relation(), relation()
+
+
+def _keyed_pairs():
+    cat = st.just([("cat", "cat")])
+    return st.one_of(
+        st.tuples(relation_pairs(), st.one_of(cat, st.just([]))),
+        st.tuples(wild_relations(), st.sampled_from(KEY_CHOICES)),
+    )
+
+
+class TestFrameInputEquivalence:
+    """The columnar node's two array sources and the row pipeline agree as
+    *ordered lists*, whatever the relations hold."""
+
+    COLUMNAR = EngineSettings(
+        parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0
+    )
+    ROW = EngineSettings(parallel_workers=0, enable_columnar=False)
+
+    def _check(self, database, plan):
+        from repro.columnar.rows import adjust_rows_columnar
+        from repro.engine.executor import ColumnarAdjustmentNode
+        from repro.obs import trace as obs_trace
+
+        physical = database.plan(plan, self.COLUMNAR)
+        assert isinstance(physical, ColumnarAdjustmentNode)
+        with obs_trace.collect(physical) as trace:
+            frame = physical.execute()
+        assert trace.span_for(physical).attributes["input"] == "frame"
+        drained = adjust_rows_columnar(
+            physical.task, list(physical.left), list(physical.right)
+        )
+        assert frame == drained
+        assert frame == database.execute(plan, self.ROW).rows
+        # A second run serves every structure from the relations' caches.
+        assert physical.execute() == frame
+
+    @staticmethod
+    def _database(left, right):
+        database = Database()
+        database.register_relation("l", left)
+        database.register_relation("r", right)
+        return database
+
+    @pytest.mark.skipif(not numpy_available(), reason="frames are NumPy arrays")
+    @SETTINGS
+    @given(_keyed_pairs())
+    def test_align(self, case):
+        (left, right), keys = case
+        database = self._database(left, right)
+        condition = conjunction(
+            [Comparison("=", Column(f"l.{x}"), Column(f"r.{y}")) for x, y in keys]
+        )
+        self._check(
+            database, align_plan(scan(database, "l", "l"), scan(database, "r", "r"), condition)
+        )
+
+    @pytest.mark.skipif(not numpy_available(), reason="frames are NumPy arrays")
+    @SETTINGS
+    @given(_keyed_pairs())
+    def test_normalize(self, case):
+        (left, right), keys = case
+        database = self._database(left, right)
+        self._check(
+            database,
+            logical.Normalize(scan(database, "l", "l"), scan(database, "r", "r"), keys),
+        )
+
+    @pytest.mark.skipif(not numpy_available(), reason="frames are NumPy arrays")
+    @SETTINGS
+    @given(_keyed_pairs(), st.sampled_from(["align", "normalize"]))
+    def test_self_adjustment_through_two_aliases(self, case, kind):
+        (left, _), keys = case
+        database = self._database(left, left)
+        first, second = scan(database, "l", "l1"), scan(database, "l", "l2")
+        if kind == "align":
+            condition = conjunction(
+                [Comparison("=", Column(f"l1.{x}"), Column(f"l2.{y}")) for x, y in keys]
+            )
+            self._check(database, align_plan(first, second, condition))
+        else:
+            self._check(database, logical.Normalize(first, second, keys))

@@ -179,6 +179,29 @@ class TestCacheInvalidation:
         r.update({"v": 1}, predicate=lambda t: False)
         assert r.has_interval_index()
 
+    @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked"])
+    def test_every_mutation_path_advances_the_generation(self, tracked):
+        # The generation is what a copy of the rows (an engine Table) checks
+        # before reading a derived structure of the live relation: it must
+        # move whenever the caches are dropped, with or without change
+        # tracking, and stay put when nothing changed.
+        r = make([("a", 1, 0, 10), ("b", 2, 2, 6)])
+        if tracked:
+            r.enable_change_tracking()
+        seen = [r.generation]
+        for mutate in (
+            lambda: r.insert(("z", 0), Interval(50, 60)),
+            lambda: r.delete(period=Interval(1, 2)),
+            lambda: r.update({"v": 7}, predicate=lambda t: t["n"] == "b"),
+            lambda: r.apply_effects([], [r.tuples()[0].with_interval(Interval(70, 80))]),
+        ):
+            mutate()
+            assert r.generation > seen[-1]
+            seen.append(r.generation)
+        r.delete(predicate=lambda t: False)
+        r.derived("marker", lambda: "cached")
+        assert r.generation == seen[-1]
+
     def test_stale_index_is_rebuilt_after_mutation(self):
         r = make([("a", 1, 0, 10)])
         index = r.interval_index()
