@@ -33,6 +33,7 @@ from repro.columnar.kernels import (
     normalize_pieces,
     normalize_pieces_from_intervals,
     overlap_pairs,
+    pieces_from_pairs,
 )
 from repro.columnar.rows import ColumnarUnsupported, adjust_rows_columnar, kernel_mode
 from repro.columnar.runtime import forced_python, numpy_available
@@ -52,5 +53,6 @@ __all__ = [
     "normalize_pieces_from_intervals",
     "overlap_pairs",
     "peek_endpoint_arrays",
+    "pieces_from_pairs",
     "remap_codes",
 ]

@@ -10,7 +10,7 @@ operators have no cost model to consult:
   and for explicit ``strategy="columnar"`` requests, but they do not beat
   the tuned row sweep — auto-dispatching to them would be a pessimisation);
 * θ must be absent or reduced to an equality key — an opaque predicate
-  forces per-pair Python calls, so those groups run in row mode;
+  forces a Python call per candidate pair;
 * the combined input must clear a crossover below which encoding overhead
   dominates (``REPRO_COLUMNAR_MIN_TUPLES``, default 512).
 """

@@ -42,12 +42,18 @@ interpreter.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.runtime import numpy_or_none, resolve_use_numpy
 
 #: Kernel output: parallel lists ``(left row position, start, end)``.
 Pieces = Tuple[List[int], List[int], List[int]]
+
+#: Keeps some candidate pairs between the two steps of :func:`align_pieces`:
+#: called with the ``(left, right)`` position arrays in the backend's own
+#: form (``int64`` arrays under NumPy, lists otherwise), returns the kept
+#: pairs in the same form.
+PairFilter = Callable[[Any, Any], Tuple[Any, Any]]
 
 
 # -- public entry points ---------------------------------------------------------------
@@ -65,9 +71,9 @@ def overlap_pairs(
 ) -> Tuple[List[int], List[int]]:
     """Matching ``(left position, right position)`` pairs of the overlap join.
 
-    Used directly by the relation-level aligner when a residual θ predicate
-    must be applied per pair (the "row mode per group" fallback for opaque
-    θ); :func:`align_pieces` embeds the same enumeration.
+    The first step of :func:`align_pieces`, exposed for the relation-level
+    aligner: it filters the pairs with an opaque θ and hands the survivors
+    to :func:`pieces_from_pairs`, the second step.
     """
     if resolve_use_numpy(use_numpy):
         np = numpy_or_none()
@@ -77,8 +83,7 @@ def overlap_pairs(
             include_empty=include_empty,
         )
         return li.tolist(), ri.tolist()
-    pairs = _py_pairs(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty)
-    return [i for i, _ in pairs], [j for _, j in pairs]
+    return _py_pairs(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty)
 
 
 def align_pieces(
@@ -90,8 +95,13 @@ def align_pieces(
     r_codes,
     use_numpy: Optional[bool] = None,
     include_empty: bool = False,
+    pair_filter: Optional[PairFilter] = None,
 ) -> Pieces:
     """The temporal aligner, batched: intersections and gaps per left row.
+
+    The composition of the two steps — candidate pairs (key codes +
+    overlap), then pieces from pairs — with ``pair_filter``, when given,
+    deciding between them which candidates stay (a residual θ).
 
     Output pieces appear grouped by left row (ascending position) and, within
     a row, in plane-sweep order — exactly the stream the row-at-a-time
@@ -101,12 +111,60 @@ def align_pieces(
     """
     if resolve_use_numpy(use_numpy):
         np = numpy_or_none()
-        return _np_align(
-            np,
-            *_np_inputs(np, l_starts, l_ends, l_codes, r_starts, r_ends, r_codes),
-            include_empty=include_empty,
+        ls, le, lc, rs, re, rc = _np_inputs(
+            np, l_starts, l_ends, l_codes, r_starts, r_ends, r_codes
         )
-    return _py_align(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty)
+        if len(ls) == 0:
+            return [], [], []
+        # One distinct-endpoint array serves both steps (the dominant sort).
+        vals = np.unique(np.concatenate([ls, le, rs, re]))
+        li, ri = _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=vals)
+        if pair_filter is not None:
+            li, ri = pair_filter(li, ri)
+        return _np_pieces(np, ls, le, rs, re, li, ri, include_empty, vals=vals)
+    ls, le = list(l_starts), list(l_ends)
+    rs, re = list(r_starts), list(r_ends)
+    if not ls:
+        return [], [], []
+    li, ri = _py_pairs(ls, le, l_codes, rs, re, r_codes, include_empty)
+    if pair_filter is not None:
+        li, ri = pair_filter(li, ri)
+    return _py_pieces(ls, le, rs, re, li, ri, include_empty)
+
+
+def pieces_from_pairs(
+    l_starts,
+    l_ends,
+    r_starts,
+    r_ends,
+    li,
+    ri,
+    use_numpy: Optional[bool] = None,
+    include_empty: bool = False,
+) -> Pieces:
+    """The aligner's second step: pieces from already-chosen matching pairs.
+
+    ``(li[k], ri[k])`` are the ``(left, right)`` positions of the pairs that
+    make up each left row's group, in any order; they must overlap (or be
+    degenerate pairs under ``include_empty``), as :func:`overlap_pairs`
+    guarantees.  The output is :func:`align_pieces`' for exactly those
+    groups.
+    """
+    if resolve_use_numpy(use_numpy):
+        np = numpy_or_none()
+
+        def ints(values: Any) -> Any:
+            return np.asarray(values, dtype=np.int64)
+
+        ls = ints(l_starts)
+        if len(ls) == 0:
+            return [], [], []
+        return _np_pieces(
+            np, ls, ints(l_ends), ints(r_starts), ints(r_ends), ints(li), ints(ri), include_empty
+        )
+    return _py_pieces(
+        list(l_starts), list(l_ends), list(r_starts), list(r_ends), li, ri, include_empty
+    )
 
 
 def normalize_pieces(
@@ -203,7 +261,7 @@ def _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=None):
     the largest rank) make a single ``searchsorted`` respect the
     lexicographic ``(code, point)`` order without overflow concerns.
     ``vals`` lets a caller that already holds the distinct-endpoint array
-    (``_np_align``) share it instead of paying the dominant sort twice.
+    (:func:`align_pieces`) share it instead of paying the dominant sort twice.
     """
     empty = np.empty(0, dtype=np.int64)
     if len(ls) == 0 or len(rs) == 0:
@@ -263,14 +321,13 @@ def _ragged_positions(np, offsets, counts):
     return np.repeat(offsets, counts) + within
 
 
-def _np_align(np, ls, le, lc, rs, re, rc, include_empty):
-    n = len(ls)
-    if n == 0:
-        return [], [], []
-    vals = np.unique(np.concatenate([ls, le, rs, re]))
-    M = np.int64(vals.size + 1)
-    li, ri = _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=vals)
+def _np_pieces(np, ls, le, rs, re, li, ri, include_empty, vals=None):
+    """Pieces of every left row from its matching pairs ``(li, ri)``.
 
+    ``vals`` must hold every intersection end ``min(le[i], re[j])``; without
+    it the distinct ends of the given pairs are ranked.
+    """
+    n = len(ls)
     out_rows: List = []
     out_starts: List = []
     out_ends: List = []
@@ -279,6 +336,9 @@ def _np_align(np, ls, le, lc, rs, re, rc, include_empty):
     if li.size:
         p1 = np.maximum(ls[li], rs[ri])
         p2 = np.minimum(le[li], re[ri])
+        if vals is None:
+            vals = np.unique(p2)
+        M = np.int64(vals.size + 1)
         order = np.lexsort((p2, p1, li))
         gi, q1, q2 = li[order], p1[order], p2[order]
         K = gi.size
@@ -403,7 +463,7 @@ def _np_normalize(np, ls, le, lc, pts, pc):
 
 def _py_pairs(
     l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty
-) -> List[Tuple[int, int]]:
+) -> Tuple[List[int], List[int]]:
     """The bisect twin of :func:`_np_pairs` (same classes, same predicate)."""
     ls, le, lc = list(l_starts), list(l_ends), list(l_codes)
     rs, re, rc = list(r_starts), list(r_ends), list(r_codes)
@@ -423,7 +483,8 @@ def _py_pairs(
     for entries in by_code_left.values():
         entries.sort()
 
-    pairs: List[Tuple[int, int]] = []
+    li: List[int] = []
+    ri: List[int] = []
     for code, left_entries in by_code_left.items():
         right_entries = by_code_right.get(code)
         if not right_entries:
@@ -433,7 +494,8 @@ def _py_pairs(
             for k in range(
                 bisect_right(starts_only, start), bisect_left(starts_only, le[i])
             ):
-                pairs.append((i, right_entries[k][1]))
+                li.append(i)
+                ri.append(right_entries[k][1])
     for code, right_entries in by_code_right.items():
         left_entries = by_code_left.get(code)
         if not left_entries:
@@ -445,17 +507,24 @@ def _py_pairs(
             ):
                 i = left_entries[k][1]
                 if start < le[i]:
-                    pairs.append((i, j))
-    return pairs
+                    li.append(i)
+                    ri.append(j)
+    return li, ri
 
 
-def _py_align(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty) -> Pieces:
-    ls, le = list(l_starts), list(l_ends)
-    rs, re = list(r_starts), list(r_ends)
-    pairs = _py_pairs(ls, le, l_codes, rs, re, r_codes, include_empty)
+def _py_pieces(
+    ls: List[int],
+    le: List[int],
+    rs: List[int],
+    re: List[int],
+    li: Sequence[int],
+    ri: Sequence[int],
+    include_empty: bool,
+) -> Pieces:
+    """The twin of :func:`_np_pieces`: a plane sweep per left row's group."""
     emit_empty_dangling = include_empty  # engine mode, see the NumPy twin
     by_left: Dict[int, List[Tuple[int, int]]] = {}
-    for i, j in pairs:
+    for i, j in zip(li, ri):
         by_left.setdefault(i, []).append((max(ls[i], rs[j]), min(le[i], re[j])))
 
     rows: List[int] = []

@@ -19,7 +19,12 @@ The work is split in two.  *Obtaining the arrays* has two sources:
   no per-row Python work.
 
 *Kernel → rows* (:func:`rows_from_arrays`) is shared: one kernel call, one
-row builder.  The sources differ in cost only, never in output.
+row builder.  The sources differ in cost only, never in output.  Both carry
+the reference rows, so an alignment whose θ is more than its key
+equalities filters the kernel's candidate pairs with the rest of θ (the
+*residual*) between the pair and piece steps — as one NumPy mask where the
+expression compiles, else per pair with the row pipeline's own bound
+expression.
 
 :exc:`ColumnarUnsupported` signals inputs the encoding cannot batch
 (non-integer interval bounds); callers then fall back to the row pipeline,
@@ -29,6 +34,7 @@ so adopting a columnar plan can never change a query's result.
 from __future__ import annotations
 
 import functools
+from itertools import compress
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.columnar import kernels
@@ -53,13 +59,15 @@ class AdjustmentArrays(NamedTuple):
     duplicates collapsed); ``l_*`` are parallel to them.  The reference side
     is either intervals (``r_starts``/``r_ends``) or, for a normalization
     fed the split-point projection, a point column in ``r_starts`` with
-    ``r_ends`` ``None``.
+    ``r_ends`` ``None``; ``r_rows`` are the rows the ``r_*`` entries
+    describe, which a residual θ reads.
     """
 
     rows: Sequence[Row]
     l_starts: Any
     l_ends: Any
     l_codes: Any
+    r_rows: Sequence[Row]
     r_starts: Any
     r_ends: Optional[Any]
     r_codes: Any
@@ -188,6 +196,7 @@ def arrays_from_rows(
             l_starts,
             l_ends,
             l_codes,
+            usable,
             _bound_column(usable, right_ts),
             _bound_column(usable, right_te),
             r_codes,
@@ -196,7 +205,14 @@ def arrays_from_rows(
     usable = [row for row in right_rows if not is_null(row[point_index])]
     l_codes, r_codes = _key_codes(unique, usable, task.key_pairs)
     return AdjustmentArrays(
-        unique, l_starts, l_ends, l_codes, _bound_column(usable, point_index), None, r_codes
+        unique,
+        l_starts,
+        l_ends,
+        l_codes,
+        usable,
+        _bound_column(usable, point_index),
+        None,
+        r_codes,
     )
 
 
@@ -204,13 +220,15 @@ def arrays_from_frames(
     rows: Sequence[Row],
     argument: TemporalRelation,
     argument_keys: Sequence[str],
+    reference_rows: Sequence[Row],
     reference: TemporalRelation,
     reference_keys: Sequence[str],
 ) -> AdjustmentArrays:
     """Read both sides off the relations' cached columnar frames.
 
     ``rows`` must be ``argument``'s tuples as engine rows, position for
-    position (a current :class:`~repro.engine.table.Table` snapshot); the
+    position (a current :class:`~repro.engine.table.Table` snapshot), and
+    ``reference_rows`` likewise ``reference``'s; the
     key attribute lists are positionally paired.  Nothing here walks rows in
     Python after the first call: the frames and the argument's sorted-unique
     row order are cached on the relations and dropped by their mutation
@@ -243,22 +261,75 @@ def arrays_from_frames(
         left.starts[order],
         left.ends[order],
         l_codes,
+        reference_rows,
         right.starts,
         right.ends,
         r_codes,
     )
 
 
-def rows_from_arrays(task: Any, arrays: AdjustmentArrays) -> List[Row]:
+def _residual_filter(
+    task: Any, arrays: AdjustmentArrays, facts: Dict[str, Any]
+) -> kernels.PairFilter:
+    """``task.residual`` over the candidate pairs of ``arrays``.
+
+    NumPy pairs get one mask when the expression compiles and the batch's
+    values fit it (:func:`~repro.engine.expressions.compile_pair_mask`);
+    otherwise the bound expression runs per pair — the predicate the row
+    pipeline's join evaluates, over the same combined row.
+    """
+    from repro.engine.expressions import compile_pair_mask
+
+    residual = task.residual
+    left_rows, right_rows = arrays.rows, arrays.r_rows
+    program = compile_pair_mask(residual, task.left_columns, task.right_columns)
+
+    def keep(li: Any, ri: Any) -> Tuple[Any, Any]:
+        numpy_pairs = not isinstance(li, list)
+        mask: Any = None
+        if numpy_pairs and program is not None:
+            mask = program(left_rows, right_rows, li, ri)
+        how = "pairs" if mask is None else "numpy"
+        if mask is None:
+            bound = residual.bind(task.left_columns + task.right_columns)
+            pairs = zip(li.tolist(), ri.tolist()) if numpy_pairs else zip(li, ri)
+            flags = [bool(bound(left_rows[i] + right_rows[j])) for i, j in pairs]
+            mask = numpy_or_none().asarray(flags, dtype=bool) if numpy_pairs else flags
+        candidates = len(li)
+        if numpy_pairs:
+            li, ri = li[mask], ri[mask]
+        else:
+            li, ri = list(compress(li, mask)), list(compress(ri, mask))
+        facts.update(residual=how, pairs=candidates, kept=len(li))
+        return li, ri
+
+    return keep
+
+
+def rows_from_arrays(
+    task: Any, arrays: AdjustmentArrays, facts: Optional[Dict[str, Any]] = None
+) -> List[Row]:
     """Run the kernel of ``task`` over ``arrays`` and build the output rows.
+
+    An alignment with a residual θ (``task.residual``) keeps the candidate
+    pairs θ accepts; ``facts``, when given, then receives how θ ran
+    (``residual=numpy|pairs``) and how many pairs it saw and kept.
 
     Returns:
         The rows the serial row pipeline would produce, in its order.
     """
     left = arrays.l_starts, arrays.l_ends, arrays.l_codes
     if task.isalign:
+        pair_filter = None
+        if task.residual is not None:
+            pair_filter = _residual_filter(task, arrays, {} if facts is None else facts)
         rows_idx, starts, ends = kernels.align_pieces(
-            *left, arrays.r_starts, arrays.r_ends, arrays.r_codes, include_empty=True
+            *left,
+            arrays.r_starts,
+            arrays.r_ends,
+            arrays.r_codes,
+            include_empty=True,
+            pair_filter=pair_filter,
         )
     elif arrays.r_ends is None:
         rows_idx, starts, ends = kernels.normalize_pieces(
@@ -287,7 +358,10 @@ def rows_from_arrays(task: Any, arrays: AdjustmentArrays) -> List[Row]:
 
 
 def adjust_rows_columnar(
-    task: Any, left_rows: Sequence[Row], right_rows: Sequence[Row]
+    task: Any,
+    left_rows: Sequence[Row],
+    right_rows: Sequence[Row],
+    facts: Optional[Dict[str, Any]] = None,
 ) -> List[Row]:
     """Run one adjustment task (align or normalize) over drained rows.
 
@@ -297,4 +371,4 @@ def adjust_rows_columnar(
     Raises:
         ColumnarUnsupported: When a bound column cannot be batch-encoded.
     """
-    return rows_from_arrays(task, arrays_from_rows(task, left_rows, right_rows))
+    return rows_from_arrays(task, arrays_from_rows(task, left_rows, right_rows), facts)

@@ -78,8 +78,9 @@ def align_relation(
         (:func:`repro.columnar.dispatch.auto_columnar`): NumPy importable, θ
         absent or an equality key, and the combined input above the
         crossover.  An opaque θ never auto-dispatches — with an explicit
-        ``"columnar"`` request the overlap join still runs vectorized and
-        the θ filter plus per-group aligner fall back to row mode.
+        ``"columnar"`` request the overlap join and the piece generation
+        still run vectorized, with θ called once per candidate pair between
+        them.
     workers:
         Pool size for the ``"parallel"`` strategy (default: the
         ``REPRO_PARALLEL_WORKERS`` environment variable, else the CPU
@@ -166,9 +167,9 @@ def _align_columnar(
     the ``_after_mutation`` funnel) and the whole alignment — overlap join,
     intersection/gap generation, deduplication — runs as array kernels;
     tuples materialise only here, at the boundary.  An opaque θ cannot be
-    vectorized: the kernel then only enumerates the candidate pairs and each
-    group is filtered and aligned in row mode, which preserves the exact
-    semantics of the sweep strategies.
+    vectorized: it is called once per candidate pair between the kernel's
+    two steps (:func:`~repro.columnar.kernels.overlap_pairs`, then
+    :func:`~repro.columnar.kernels.pieces_from_pairs`).
     """
     from repro.columnar import encoding, kernels
 
@@ -176,24 +177,7 @@ def _align_columnar(
     right_frame = encoding.encode_relation(reference, reference_equi_attributes)
     left_codes = encoding.remap_codes(left_frame, right_frame)
     left_tuples = relation.tuples()
-
-    result = TemporalRelation(relation.schema)
-    if theta is None:
-        rows, starts, ends = kernels.align_pieces(
-            left_frame.starts,
-            left_frame.ends,
-            left_codes,
-            right_frame.starts,
-            right_frame.ends,
-            right_frame.codes,
-        )
-        add = result.add
-        for i, start, end in zip(rows, starts, ends):
-            add(left_tuples[i].with_interval(Interval(start, end)))
-        return result
-
-    # Opaque θ: vectorized candidate enumeration, row mode per group.
-    li, ri = kernels.overlap_pairs(
+    arrays = (
         left_frame.starts,
         left_frame.ends,
         left_codes,
@@ -201,14 +185,27 @@ def _align_columnar(
         right_frame.ends,
         right_frame.codes,
     )
-    right_tuples = reference.tuples()
-    groups: List[List[Interval]] = [[] for _ in left_tuples]
-    for i, j in zip(li, ri):
-        if theta(left_tuples[i], right_tuples[j]):
-            groups[i].append(right_tuples[j].interval)
-    for r, group in zip(left_tuples, groups):
-        for piece in align_tuple(r.interval, group):
-            result.add(r.with_interval(piece))
+
+    if theta is None:
+        rows, starts, ends = kernels.align_pieces(*arrays)
+    else:
+        li, ri = kernels.overlap_pairs(*arrays)
+        right_tuples = reference.tuples()
+        kept = [
+            (i, j) for i, j in zip(li, ri) if theta(left_tuples[i], right_tuples[j])
+        ]
+        rows, starts, ends = kernels.pieces_from_pairs(
+            left_frame.starts,
+            left_frame.ends,
+            right_frame.starts,
+            right_frame.ends,
+            [i for i, _ in kept],
+            [j for _, j in kept],
+        )
+    result = TemporalRelation(relation.schema)
+    add = result.add
+    for i, start, end in zip(rows, starts, ends):
+        add(left_tuples[i].with_interval(Interval(start, end)))
     return result
 
 

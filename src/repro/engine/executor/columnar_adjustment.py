@@ -4,11 +4,13 @@ Where the serial plan streams a group-construction join through project,
 sort and the plane sweep (Fig. 12(b)), :class:`ColumnarAdjustmentNode`
 takes both inputs as arrays — interval bounds plus dictionary-encoded
 equality keys — and produces the full output in one batched kernel pass
-(:mod:`repro.columnar`).  The node is chosen cost-based by the planner —
-only for conditions that are pure equalities (anything else needs per-row
-evaluation) and inputs past the columnar crossover — and appears in
+(:mod:`repro.columnar`).  The node is chosen cost-based by the planner for
+inputs past the columnar crossover, whatever θ is, and appears in
 ``EXPLAIN`` as ``ColumnarAdjustment(...)``, so the row/column dispatch is as
-visible as the join-strategy choice.
+visible as the join-strategy choice.  The part of an alignment's θ beyond
+its key equalities — the *residual*, flagged ``, residual`` in EXPLAIN —
+filters the kernel's candidate pairs: as a NumPy mask where it compiles,
+else per pair with the bound expression the row join would evaluate.
 
 The arrays have two sources (see :mod:`repro.columnar.rows`).  When both
 inputs are bare scans of relation-backed tables that still mirror their
@@ -27,7 +29,7 @@ partition-parallel executor falls back in-process.  A traced execution
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.columnar.rows import (
     AdjustmentArrays,
@@ -140,31 +142,35 @@ class ColumnarAdjustmentNode(PhysicalNode):
         if other is None:
             return None
         rows, relation, keys = argument
-        return arrays_from_frames(rows, relation, keys, other[1], other[2])
+        return arrays_from_frames(rows, relation, keys, *other)
 
     def rows(self) -> Iterator[Row]:
         # Runtime facts go on the trace span (``executed=numpy|python|
-        # row-fallback``, ``input=frame|rows``), never on the node, so a
+        # row-fallback``, ``input=frame|rows``, and for a residual θ
+        # ``residual=numpy|pairs pairs=… kept=…``), never on the node, so a
         # silently degraded batch is visible in EXPLAIN ANALYZE without
         # leaking state between executions.
+        facts: Dict[str, Any] = {}
         arrays = self._frame_arrays()
         if arrays is not None:
-            obs_trace.annotate(self, executed=kernel_mode(), input="frame")
-            yield from rows_from_arrays(self.task, arrays)
+            result = rows_from_arrays(self.task, arrays, facts)
+            obs_trace.annotate(self, executed=kernel_mode(), input="frame", **facts)
+            yield from result
             return
         left_rows = list(self.left)
         right_rows = list(self.right)
         try:
             mode = kernel_mode()
-            result = adjust_rows_columnar(self.task, left_rows, right_rows)
+            result = adjust_rows_columnar(self.task, left_rows, right_rows, facts)
         except ColumnarUnsupported:
             mode = "row-fallback"
             result = run_adjustment_task(
                 replace(self.task, use_columnar=False), left_rows, right_rows
             )
-        obs_trace.annotate(self, executed=mode, input="rows")
+        obs_trace.annotate(self, executed=mode, input="rows", **facts)
         yield from result
 
     def describe(self) -> str:
         kind = "align" if self.task.isalign else "normalize"
-        return f"ColumnarAdjustment({kind}, keys={len(self.task.key_pairs)})"
+        residual = ", residual" if self.task.residual is not None else ""
+        return f"ColumnarAdjustment({kind}, keys={len(self.task.key_pairs)}{residual})"

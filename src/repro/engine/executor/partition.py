@@ -138,11 +138,17 @@ class AdjustmentTask:
     te_index: int
     isalign: bool
     #: Execute the partition through the columnar batch kernels instead of
-    #: the row pipeline (set by the planner when the condition is a pure
-    #: equality and the columnar layer is enabled).  The row pipeline stays
-    #: the fallback for rows the encoding cannot batch — either way the
-    #: partition's output is identical.
+    #: the row pipeline (set by the planner when the columnar layer is
+    #: enabled).  The row pipeline stays the fallback for rows the encoding
+    #: cannot batch — either way the partition's output is identical.
     use_columnar: bool = False
+    #: The part of an alignment's θ that key codes and the overlap do not
+    #: capture (``None``: nothing), bound like ``condition`` against
+    #: ``left_columns + right_columns``.  The columnar kernels evaluate it
+    #: per candidate pair; the shared-memory exchange cannot (it ships no
+    #: values), so inside an ``Exchange`` such a task stays on the row
+    #: pipeline (``use_columnar`` off).
+    residual: Optional[Expression] = None
 
 
 def run_adjustment_task(

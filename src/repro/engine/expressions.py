@@ -9,11 +9,17 @@ returns a plain Python closure — row evaluation then performs no name lookups.
 Null semantics follow the pragmatic subset PostgreSQL users rely on for the
 paper's queries: any comparison involving ``NULL`` is false, arithmetic with
 ``NULL`` yields ``NULL``, and ``IS NULL`` tests for it explicitly.
+
+:func:`compile_pair_mask` is the batch twin of ``bind`` for the columnar
+adjustment: the common integer grammar as one NumPy boolean mask over a
+batch of candidate row pairs, with the same null semantics.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import functools
+import operator
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.relation.errors import QueryError
 from repro.relation.tuple import NULL, is_null
@@ -421,6 +427,248 @@ class PythonPredicate(Expression):
         return list(self.used_columns or [])
 
 
+# -- the same predicates as NumPy masks over candidate pairs ----------------------------
+
+#: ``(left rows, right rows, left positions, right positions) -> mask``: the
+#: predicate over the combined rows ``left_rows[li[k]] + right_rows[ri[k]]``
+#: as a boolean array, or ``None`` when this batch cannot be evaluated
+#: exactly in ``int64`` (then the bound expression runs per pair instead).
+PairMask = Callable[[Sequence[Row], Sequence[Row], Any, Any], Optional[Any]]
+
+_INT64_MAX = 2**63 - 1
+
+_MASK_COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+class _Declined(Exception):
+    """This batch's values cannot be evaluated exactly in ``int64``."""
+
+
+class _Ints(NamedTuple):
+    """An integer expression over the pairs: values, ``ω`` flags, size bound.
+
+    ``nulls`` is ``None`` when no pair is null; where it is set, ``values``
+    holds an arbitrary in-range number.  ``bound`` caps ``|value|`` over the
+    whole input, so ``+``/``−`` can prove they do not wrap before running.
+    """
+
+    values: Any
+    nulls: Any
+    bound: int
+
+
+class _PairBatch:
+    """The candidate pairs of one execution; each referenced column is
+    gathered once, over the side's rows, then indexed by the positions."""
+
+    def __init__(self, np: Any, left_rows: Sequence[Row], right_rows: Sequence[Row],
+                 li: Any, ri: Any, left_width: int):
+        self.np = np
+        self.size = len(li)
+        self._sides = ((left_rows, li), (right_rows, ri))
+        self._left_width = left_width
+        self._columns: Dict[int, _Ints] = {}
+
+    def column(self, index: int) -> _Ints:
+        gathered = self._columns.get(index)
+        if gathered is None:
+            gathered = self._columns[index] = self._gather(index)
+        return gathered
+
+    def _gather(self, index: int) -> _Ints:
+        np = self.np
+        side = 0 if index < self._left_width else 1
+        rows, positions = self._sides[side]
+        values = [row[index - side * self._left_width] for row in rows]
+        nulls = None
+        others = set(map(type, values)) - {int}
+        if others:
+            if others - {type(NULL), type(None)}:
+                raise _Declined  # str, float, bool, ...: Python semantics differ
+            flags = [is_null(v) for v in values]
+            values = [0 if flag else v for v, flag in zip(values, flags)]
+            nulls = np.asarray(flags, dtype=bool)[positions]
+        try:
+            array = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            raise _Declined from None
+        bound = max(-int(array.min()), int(array.max())) if array.size else 0
+        return _Ints(array[positions], nulls, bound)
+
+
+def compile_pair_mask(expression: Expression, left_columns: Sequence[str],
+                      right_columns: Sequence[str]) -> Optional[PairMask]:
+    """Compile ``expression`` — bound against ``left_columns + right_columns``,
+    like a join condition — into a :data:`PairMask`.
+
+    The grammar: ``Column``/``IndexColumn``, ``int`` literals, ``+``, ``−``
+    and unary ``−``, two-argument ``DUR``, the six comparisons, ``BETWEEN``,
+    ``AND``/``OR``/``NOT`` and ``IS [NOT] NULL``, with the engine's null
+    semantics (a null operand makes a comparison or ``BETWEEN`` false and
+    propagates through arithmetic).  Anything else — ``*``, ``/``, ``%``,
+    other functions, other literals, :class:`PythonPredicate` — returns
+    ``None``; so does the mask itself, at run time, for a column holding
+    anything but ``int``/``ω`` or magnitudes where ``int64`` arithmetic could
+    wrap.  Either way ``expression.bind`` is the exact per-pair twin.
+    """
+    columns = list(left_columns) + list(right_columns)
+    try:
+        predicate = _mask_predicate(expression, columns)
+    except QueryError:
+        return None
+    if predicate is None:
+        return None
+    left_width = len(left_columns)
+
+    def mask(left_rows: Sequence[Row], right_rows: Sequence[Row], li: Any, ri: Any) -> Any:
+        from repro.columnar.runtime import numpy_or_none
+
+        np = numpy_or_none()
+        if np is None:
+            return None
+        try:
+            return predicate(_PairBatch(np, left_rows, right_rows, li, ri, left_width))
+        except _Declined:
+            return None
+
+    return mask
+
+
+_Mask = Callable[[_PairBatch], Any]
+_IntsOf = Callable[[_PairBatch], _Ints]
+
+
+def _mask_predicate(expression: Expression, columns: Sequence[str]) -> Optional[_Mask]:
+    """A boolean-valued expression as a mask builder (``None``: not compiled)."""
+    if isinstance(expression, Comparison):
+        compare = _MASK_COMPARISONS[expression.operator]
+        operands = _mask_ints_all([expression.left, expression.right], columns)
+        if operands is None:
+            return None
+        a, b = operands
+
+        def comparison(batch: _PairBatch) -> Any:
+            left, right = a(batch), b(batch)
+            return _non_null(compare(left.values, right.values), left, right)
+
+        return comparison
+    if isinstance(expression, Between):
+        operands = _mask_ints_all([expression.value, expression.low, expression.high], columns)
+        if operands is None:
+            return None
+        v, lo, hi = operands
+
+        def between(batch: _PairBatch) -> Any:
+            value, low, high = v(batch), lo(batch), hi(batch)
+            inside = (low.values <= value.values) & (value.values <= high.values)
+            return _non_null(inside, value, low, high)
+
+        return between
+    if isinstance(expression, (And, Or)):
+        parts = [_mask_predicate(o, columns) for o in expression.operands]
+        if not parts or any(part is None for part in parts):
+            return None
+        combine = operator.and_ if isinstance(expression, And) else operator.or_
+        return lambda batch: functools.reduce(combine, [part(batch) for part in parts])
+    if isinstance(expression, Not):
+        inner = _mask_predicate(expression.operand, columns)
+        if inner is None:
+            return None
+        return lambda batch: ~inner(batch)
+    if isinstance(expression, IsNull):
+        operand = _mask_ints(expression.operand, columns)
+        if operand is None:
+            return None
+        negated = expression.negated
+
+        def null_test(batch: _PairBatch) -> Any:
+            nulls = operand(batch).nulls
+            if nulls is None:
+                nulls = batch.np.zeros(batch.size, dtype=bool)
+            return ~nulls if negated else nulls
+
+        return null_test
+    return None
+
+
+def _mask_ints_all(expressions: Sequence[Expression],
+                   columns: Sequence[str]) -> Optional[List[_IntsOf]]:
+    compiled: List[_IntsOf] = []
+    for expression in expressions:
+        builder = _mask_ints(expression, columns)
+        if builder is None:
+            return None
+        compiled.append(builder)
+    return compiled
+
+
+def _mask_ints(expression: Expression, columns: Sequence[str]) -> Optional[_IntsOf]:
+    """An integer-valued expression as an :class:`_Ints` builder."""
+    if isinstance(expression, (Column, IndexColumn)):
+        if isinstance(expression, Column):
+            index = resolve_column(expression.name, columns)
+        elif expression.index < len(columns):
+            index = expression.index
+        else:
+            return None
+        return lambda batch: batch.column(index)
+    if isinstance(expression, Literal):
+        value = expression.value
+        if type(value) is not int or abs(value) > _INT64_MAX:
+            return None
+        return lambda batch: _Ints(batch.np.full(batch.size, value, dtype=batch.np.int64),
+                                   None, abs(value))
+    if isinstance(expression, Arithmetic) and expression.operator in ("+", "-"):
+        operands = _mask_ints_all([expression.left, expression.right], columns)
+        if operands is None:
+            return None
+        a, b = operands
+        plus = expression.operator == "+"
+        return lambda batch: _add(a(batch), b(batch), plus)
+    if isinstance(expression, FunctionCall) and expression.name == "DUR":
+        operands = _mask_ints_all(expression.arguments, columns)
+        if operands is None or len(operands) != 2:
+            return None
+        start, end = operands
+        return lambda batch: _add(end(batch), start(batch), plus=False)
+    if isinstance(expression, Negate):
+        operand = _mask_ints(expression.operand, columns)
+        if operand is None:
+            return None
+        zero = _Ints(0, None, 0)
+        return lambda batch: _add(zero, operand(batch), plus=False)
+    return None
+
+
+def _add(a: _Ints, b: _Ints, plus: bool) -> _Ints:
+    """``a + b`` or ``a − b``, declined unless provably free of wrap-around."""
+    bound = a.bound + b.bound
+    if bound > _INT64_MAX:
+        raise _Declined
+    values = a.values + b.values if plus else a.values - b.values
+    if a.nulls is None or b.nulls is None:
+        nulls = b.nulls if a.nulls is None else a.nulls
+    else:
+        nulls = a.nulls | b.nulls
+    return _Ints(values, nulls, bound)
+
+
+def _non_null(mask: Any, *operands: _Ints) -> Any:
+    """``mask`` with every pair that has a null operand switched off."""
+    for operand in operands:
+        if operand.nulls is not None:
+            mask = mask & ~operand.nulls
+    return mask
+
+
 # -- helpers used by plan builders ----------------------------------------------------
 
 
@@ -451,21 +699,25 @@ def conjuncts_of(condition: Expression) -> List[Expression]:
     return [condition]
 
 
-def equijoin_only(condition: Optional[Expression],
-                  left_columns: Sequence[str],
-                  right_columns: Sequence[str]) -> bool:
-    """Whether ``condition`` is *nothing but* cross-side equality conjuncts.
+def equijoin_residual(condition: Optional[Expression],
+                      left_columns: Sequence[str],
+                      right_columns: Sequence[str]) -> Optional[Expression]:
+    """``condition`` without the conjuncts :func:`equijoin_keys` extracts.
 
-    ``True`` for ``None`` and for any top-level conjunction in which every
-    conjunct is a ``left column = right column`` comparison (in either
-    order).  This is the eligibility test of the columnar adjustment plans:
-    such a condition is fully captured by dictionary-encoded key codes,
-    whereas any residual predicate would need per-row evaluation.
+    ``None`` when nothing is left — no condition, or nothing but cross-side
+    equalities, which dictionary-encoded key codes capture completely.
+    What remains is the residual θ the columnar adjustment evaluates per
+    candidate pair.
     """
     if condition is None:
-        return True
-    keys = equijoin_keys(condition, left_columns, right_columns)
-    return len(keys) == len(conjuncts_of(condition))
+        return None
+    return conjunction(
+        [
+            conjunct
+            for conjunct in conjuncts_of(condition)
+            if _equijoin_pair(conjunct, left_columns, right_columns) is None
+        ]
+    )
 
 
 def equijoin_keys(condition: Optional[Expression],
@@ -479,6 +731,18 @@ def equijoin_keys(condition: Optional[Expression],
     """
     if condition is None:
         return []
+    pairs = (_equijoin_pair(c, left_columns, right_columns) for c in conjuncts_of(condition))
+    return [pair for pair in pairs if pair is not None]
+
+
+def _equijoin_pair(conjunct: Expression,
+                   left_columns: Sequence[str],
+                   right_columns: Sequence[str]) -> Optional[Tuple[str, str]]:
+    """``(left name, right name)`` when ``conjunct`` is a cross-side equality."""
+    if not isinstance(conjunct, Comparison) or conjunct.operator != "=":
+        return None
+    if not isinstance(conjunct.left, Column) or not isinstance(conjunct.right, Column):
+        return None
 
     def side(reference: str) -> Optional[str]:
         try:
@@ -492,16 +756,10 @@ def equijoin_keys(condition: Optional[Expression],
         except QueryError:
             return None
 
-    keys: List[Tuple[str, str]] = []
-    for conjunct in conjuncts_of(condition):
-        if not isinstance(conjunct, Comparison) or conjunct.operator != "=":
-            continue
-        if not isinstance(conjunct.left, Column) or not isinstance(conjunct.right, Column):
-            continue
-        left_side = side(conjunct.left.name)
-        right_side = side(conjunct.right.name)
-        if left_side == "left" and right_side == "right":
-            keys.append((conjunct.left.name, conjunct.right.name))
-        elif left_side == "right" and right_side == "left":
-            keys.append((conjunct.right.name, conjunct.left.name))
-    return keys
+    left_side = side(conjunct.left.name)
+    right_side = side(conjunct.right.name)
+    if left_side == "left" and right_side == "right":
+        return conjunct.left.name, conjunct.right.name
+    if left_side == "right" and right_side == "left":
+        return conjunct.right.name, conjunct.left.name
+    return None

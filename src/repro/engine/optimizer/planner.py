@@ -54,7 +54,7 @@ from repro.engine.expressions import (
     IndexColumn,
     conjunction,
     equijoin_keys,
-    equijoin_only,
+    equijoin_residual,
     resolve_column,
 )
 from repro.engine.optimizer import cost
@@ -254,9 +254,9 @@ class Planner:
             isalign=True,
             serial=adjustment,
             serial_estimate=estimate,
-            # Columnar encoding captures equality keys and the overlap itself;
-            # any further residual θ forces per-row evaluation (row mode).
-            pure_equality=equijoin_only(node.condition, left_columns, right_columns),
+            # Key codes and the overlap kernel capture the equalities and the
+            # overlap; the columnar node filters candidate pairs with the rest.
+            residual=equijoin_residual(node.condition, left_columns, right_columns),
         )
 
     def _plan_normalize(self, node: logical.Normalize) -> PhysicalNode:
@@ -353,9 +353,6 @@ class Planner:
             isalign=False,
             serial=adjustment,
             serial_estimate=estimate,
-            # The normalize condition is equality on B plus the split-point
-            # window — fully captured by the columnar encoding.
-            pure_equality=True,
             # The split points are a projection of ``right``: a columnar node
             # that can read ``right`` as a cached frame takes them from there.
             reference=ReferenceInput(right, tuple(using_right_indexes), right_ts, right_te),
@@ -573,7 +570,7 @@ class Planner:
         isalign: bool,
         serial: PhysicalNode,
         serial_estimate: Estimate,
-        pure_equality: bool,
+        residual: Optional[Expression] = None,
         reference: Optional[ReferenceInput] = None,
     ) -> PhysicalNode:
         """Row/column dispatch over an adjustment: pick among the serial row
@@ -582,12 +579,14 @@ class Planner:
 
         The parallel plan keeps its cost gate against the serial estimate;
         when it is not adopted, a ``ColumnarAdjustment`` batch replaces the
-        serial pipeline if the condition is a pure equality, the combined
-        input clears ``columnar_min_rows`` and
+        serial pipeline — for any θ, ``residual`` being what the batch
+        evaluates per candidate pair — if the larger of the combined input
+        and the estimated group-construction join clears
+        ``columnar_min_rows`` and
         :func:`~repro.engine.optimizer.cost.columnar_adjustment_cost`
         undercuts the serial estimate.
         """
-        columnar_ok = pure_equality and self._columnar_enabled()
+        columnar_ok = self._columnar_enabled()
         parallel = self._parallel_adjustment_plan(
             left,
             right,
@@ -602,6 +601,7 @@ class Planner:
             te_index=te_index,
             isalign=isalign,
             serial_estimate=serial_estimate,
+            residual=residual,
             use_columnar=columnar_ok,
         )
         if parallel is not None:
@@ -611,19 +611,21 @@ class Planner:
             settings = self.settings
             left_estimate = self._estimate(left)
             right_estimate = self._estimate(right)
-            if left_estimate.rows + right_estimate.rows >= settings.columnar_min_rows:
+            if overlap:
+                rows = cost.overlap_join_rows(
+                    settings, left_estimate, right_estimate, "left", selectivity
+                )
+            else:
+                rows = cost.join_output_rows(
+                    settings, left_estimate, right_estimate, bool(keys), "left"
+                )
+            # Small inputs can still make a large join (an unkeyed θ).
+            work_rows = max(left_estimate.rows + right_estimate.rows, rows)
+            if work_rows >= settings.columnar_min_rows:
                 columnar_estimate = cost.columnar_adjustment_cost(
                     settings, left_estimate, right_estimate, serial_estimate
                 )
                 if columnar_estimate.cost < serial_estimate.cost:
-                    if overlap:
-                        rows = cost.overlap_join_rows(
-                            settings, left_estimate, right_estimate, "left", selectivity
-                        )
-                    else:
-                        rows = cost.join_output_rows(
-                            settings, left_estimate, right_estimate, bool(keys), "left"
-                        )
                     candidates = self._join_candidates(
                         left_estimate, right_estimate, rows, keys, overlap=overlap
                     )
@@ -643,6 +645,7 @@ class Planner:
                         te_index=te_index,
                         isalign=isalign,
                         use_columnar=True,
+                        residual=residual,
                     )
                     _STRATEGY_COUNTER.inc(label="columnar")
                     return self._estimated(
@@ -667,6 +670,7 @@ class Planner:
         te_index: int,
         isalign: bool,
         serial_estimate: Estimate,
+        residual: Optional[Expression] = None,
         use_columnar: bool = False,
     ) -> Optional[PhysicalNode]:
         """Partition-parallel alternative to a serial adjustment plan.
@@ -682,6 +686,9 @@ class Planner:
         workers = settings.parallel_workers
         if workers < 2 or not keys:
             return None
+        # The shm transport ships key codes and endpoints, never the values
+        # a residual θ reads: with one, the workers run the row pipeline.
+        use_columnar = use_columnar and residual is None
         left_estimate = self._estimate(left)
         right_estimate = self._estimate(right)
         if left_estimate.rows + right_estimate.rows < settings.parallel_min_rows:
@@ -737,6 +744,7 @@ class Planner:
             te_index=te_index,
             isalign=isalign,
             use_columnar=use_columnar,
+            residual=residual,
         )
         exchange = ExchangeNode(
             left_partition,

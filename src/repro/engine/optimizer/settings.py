@@ -77,12 +77,12 @@ class Settings:
     #: Allow columnar batch execution of ALIGN/NORMALIZE: a
     #: ``ColumnarAdjustment`` node replacing the serial row pipeline, and
     #: columnar kernels inside partition-parallel workers.  Requires NumPy
-    #: (the planner falls back to row plans without it) and a θ that is
-    #: absent or a pure equality — an opaque residual predicate cannot be
-    #: batch-evaluated.
+    #: (the planner falls back to row plans without it); any θ qualifies —
+    #: what its key equalities leave over filters the candidate pairs.
     enable_columnar: bool = True
-    #: Minimum combined input cardinality before a columnar plan is
-    #: considered; below it the encoding overhead dominates.
+    #: Minimum work before a columnar plan is considered — the larger of the
+    #: combined input cardinality and the estimated group-construction join
+    #: rows; below it the encoding overhead dominates.
     columnar_min_rows: float = 1024.0
     #: Fixed cost of a columnar execution (encoding both inputs, building
     #: the dictionaries) — the analogue of ``parallel_setup_cost``.

@@ -12,6 +12,7 @@ from repro.columnar import (
     normalize_pieces_from_intervals,
     overlap_pairs,
     peek_endpoint_arrays,
+    pieces_from_pairs,
     remap_codes,
 )
 from repro.columnar.runtime import forced_python, numpy_available, resolve_use_numpy
@@ -169,6 +170,49 @@ class TestKernels:
     def test_empty_inputs(self, use_numpy):
         assert align_pieces([], [], [], [], [], [], use_numpy=use_numpy) == ([], [], [])
         assert normalize_pieces([], [], [], [], [], use_numpy=use_numpy) == ([], [], [])
+        assert pieces_from_pairs([], [], [], [], [], [], use_numpy=use_numpy) == ([], [], [])
+
+    def test_align_is_pairs_then_pieces_with_a_filter_between(self, use_numpy):
+        # Randomised: the pair step, any subset of its pairs in any order,
+        # then the piece step — standalone (ranking only the given ends)
+        # equals the composition with the same subset kept by a filter.
+        import random
+
+        rng = random.Random(7)
+        seen = []
+
+        def drop_every_third(li, ri):
+            seen.append(isinstance(li, list))
+            keep = [k for k in range(len(li)) if k % 3]
+            if isinstance(li, list):
+                return [li[k] for k in keep], [ri[k] for k in keep]
+            return li[keep], ri[keep]
+
+        for _ in range(20):
+            n, m = rng.randrange(0, 25), rng.randrange(0, 25)
+            ls = [rng.randrange(0, 40) for _ in range(n)]
+            le = [s + rng.randrange(0, 6) for s in ls]
+            rs = [rng.randrange(0, 40) for _ in range(m)]
+            re = [s + rng.randrange(0, 6) for s in rs]
+            lc = [rng.randrange(-1, 3) for _ in range(n)]
+            rc = [rng.randrange(-1, 3) for _ in range(m)]
+            for include_empty in (False, True):
+                args = (ls, le, lc, rs, re, rc)
+                options = dict(use_numpy=use_numpy, include_empty=include_empty)
+                li, ri = overlap_pairs(*args, **options)
+                assert pieces_from_pairs(ls, le, rs, re, li, ri, **options) == align_pieces(
+                    *args, **options
+                )
+                kept = [(i, j) for k, (i, j) in enumerate(zip(li, ri)) if k % 3]
+                rng.shuffle(kept)
+                standalone = pieces_from_pairs(
+                    ls, le, rs, re, [i for i, _ in kept], [j for _, j in kept], **options
+                )
+                assert standalone == align_pieces(
+                    *args, pair_filter=drop_every_third, **options
+                )
+        # The filter sees the backend's own form of the pair arrays.
+        assert seen and all(on_lists != use_numpy for on_lists in seen)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")

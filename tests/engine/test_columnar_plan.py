@@ -7,10 +7,11 @@ import pytest
 from repro.columnar.runtime import forced_python, numpy_available
 from repro.engine.database import Database
 from repro.engine.executor import ColumnarAdjustmentNode, ExchangeNode
-from repro.engine.expressions import Column, Comparison, PythonPredicate
+from repro.engine.expressions import And, Column, Comparison, PythonPredicate
 from repro.engine.optimizer.settings import Settings
 from repro.engine.temporal_plans import align_plan, normalize_plan, scan
 from repro.obs import trace as obs_trace
+from repro.relation.tuple import NULL
 from repro.workloads.synthetic import SyntheticConfig, generate_random
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
@@ -60,10 +61,15 @@ class TestPlannerDispatch:
         assert isinstance(physical, ColumnarAdjustmentNode)
         assert "ColumnarAdjustment(normalize" in physical.explain()
 
-    def test_opaque_theta_stays_in_row_mode(self):
+    def test_opaque_theta_plans_columnar_with_a_residual(self):
+        # A PythonPredicate compiles to no mask, but runs per candidate pair
+        # inside the batch: no θ forces the row pipeline.
         database = _database()
         physical = database.plan(_align(database, condition="opaque"), COLUMNAR)
-        assert not isinstance(physical, ColumnarAdjustmentNode)
+        assert isinstance(physical, ColumnarAdjustmentNode) == numpy_available()
+        if numpy_available():
+            assert physical.task.residual is not None
+            assert physical.describe() == "ColumnarAdjustment(align, keys=0, residual)"
 
     def test_disabled_switch_stays_in_row_mode(self):
         database = _database()
@@ -472,3 +478,189 @@ class TestFrameInput:
             assert inputs == ["frame"]
             assert rows == database.execute(plan, ROW).rows
             assert (NULL, 1, 0, 10) in rows
+
+
+# -- a residual θ on the columnar path ----------------------------------------------
+
+#: ``perf/``'s ``analytic_theta`` shapes: an equality key plus an inequality
+#: (T1, read off cached frames), and a duration θ with no key over a
+#: projected argument (T2, drained rows).
+THETA_SQL = {
+    "T1": "SELECT * FROM (r ALIGN s ON r.cat = s.cat AND r.min_dur < s.max_dur) x",
+    "T2": (
+        "WITH ru AS (SELECT ts us, te ue, * FROM r) SELECT * FROM "
+        "(ru ALIGN s ON DUR(us, ue) BETWEEN s.min_dur AND s.max_dur) x"
+    ),
+}
+
+
+@pytest.fixture
+def columnar_planner(monkeypatch):
+    """Let the planner emit ``ColumnarAdjustment`` without NumPy too: the node
+    then runs the pure-Python kernels and the per-pair θ twin, so these
+    tests exercise the same contract in the no-NumPy job instead of
+    skipping there."""
+    from repro.engine.optimizer.planner import Planner
+
+    monkeypatch.setattr(Planner, "_columnar_enabled", lambda self: self.settings.enable_columnar)
+
+
+def _theta_connection(size, family=generate_random, categories=12, seed=3):
+    from repro.sql.interface import Connection
+
+    left, right = family(config=SyntheticConfig(size=size, categories=categories, seed=seed))
+    connection = Connection(Database())
+    connection.register_relation("r", left)
+    connection.register_relation("s", right)
+    return connection
+
+
+class TestResidualThetaPlans:
+    """Default ``Settings()``: θ no longer decides row vs column, size does."""
+
+    @pytest.mark.parametrize("shape", sorted(THETA_SQL))
+    def test_theta_shapes_plan_columnar(self, shape):
+        connection = _theta_connection(size=1_000)
+        physical = connection.database.plan(connection.logical_plan(THETA_SQL[shape]))
+        nodes = _columnar_nodes(physical)
+        assert len(nodes) == int(numpy_available())
+        if nodes:
+            assert nodes[0].task.residual is not None
+            assert "ColumnarAdjustment(align, keys=" in physical.explain()
+            assert ", residual)" in physical.explain()
+
+    def test_tiny_theta_align_stays_row(self):
+        connection = _theta_connection(size=5)
+        physical = connection.database.plan(connection.logical_plan(THETA_SQL["T1"]))
+        assert _columnar_nodes(physical) == []
+        assert "Adjustment(align" in physical.explain()
+
+    def test_small_inputs_with_a_large_join_go_columnar(self):
+        # T2eq: 250 + 250 input rows are below ``columnar_min_rows``, but the
+        # unkeyed group-construction join is estimated far above it.
+        from repro.workloads.synthetic import generate_equal
+
+        connection = _theta_connection(size=250, family=generate_equal)
+        database = connection.database
+        physical = database.plan(connection.logical_plan(THETA_SQL["T2"]))
+        input_rows = len(database.get_table("r")) + len(database.get_table("s"))
+        assert input_rows < Settings().columnar_min_rows
+        assert len(_columnar_nodes(physical)) == int(numpy_available())
+        if numpy_available():
+            (node,) = _columnar_nodes(physical)
+            assert node.estimated_rows >= Settings().columnar_min_rows
+
+    def test_keyed_explain_is_unchanged_without_a_residual(self):
+        connection = _theta_connection(size=1_000)
+        explain = connection.database.plan(connection.logical_plan(KEYED_SQL["align"])).explain()
+        assert "residual" not in explain
+        if numpy_available():
+            assert "ColumnarAdjustment(align, keys=1)  (" in explain
+
+    def test_parallel_plan_keeps_a_residual_on_the_row_kernel(self):
+        # The shm Exchange ships key codes and endpoints only: a residual θ
+        # needs the values, so the Exchange runs the pickled row pipeline.
+        connection = _theta_connection(size=400)
+        database = connection.database
+        logical = connection.logical_plan(THETA_SQL["T1"])
+        parallel = Settings(
+            parallel_workers=2,
+            parallel_setup_cost=0.0,
+            parallel_min_rows=0.0,
+            parallel_pickle_cost=0.0,
+        )
+        physical = database.plan(logical, parallel)
+        (exchange,) = [n for n in _walk(physical) if isinstance(n, ExchangeNode)]
+        assert exchange.task.residual is not None
+        assert not exchange.task.use_columnar and not exchange.use_shm
+        assert "kernel=columnar" not in exchange.describe()
+        exchange.inprocess_threshold = 10**9  # no fork needed to compare rows
+        with obs_trace.collect(physical) as trace:
+            rows = physical.execute()
+        assert trace.span_for(exchange).attributes["ship"] == "pickle"
+        # Partition order, not the serial order: the same relation.
+        assert sorted(rows) == sorted(database.execute(logical).rows)
+
+
+def _walk(node):
+    yield node
+    for child in node.children:
+        yield from _walk(child)
+
+
+@pytest.mark.usefixtures("columnar_planner")
+class TestResidualThetaExecution:
+    """Columnar ≡ row ``Adjustment`` as ordered lists, whichever evaluator ran."""
+
+    def _run(self, connection, sql):
+        database = connection.database
+        logical = connection.logical_plan(sql)
+        physical = database.plan(logical, COLUMNAR)
+        (node,) = _columnar_nodes(physical)
+        with obs_trace.collect(physical) as trace:
+            rows = physical.execute()
+        return rows, trace.span_for(node).attributes, database.execute(logical, ROW).rows
+
+    @pytest.mark.parametrize("shape", sorted(THETA_SQL))
+    def test_theta_shapes_equal_the_row_pipeline_in_order(self, shape):
+        connection = _theta_connection(size=300)
+        rows, facts, expected = self._run(connection, THETA_SQL[shape])
+        assert rows == expected
+        assert facts["residual"] == ("numpy" if numpy_available() else "pairs")
+        assert facts["input"] == ("frame" if shape == "T1" and numpy_available() else "rows")
+        assert 0 < facts["kept"] < facts["pairs"]
+
+    @pytest.mark.parametrize("shape", sorted(THETA_SQL))
+    def test_per_pair_twin_equals_the_mask(self, shape, monkeypatch):
+        connection = _theta_connection(size=300)
+        masked, _, expected = self._run(connection, THETA_SQL[shape])
+        monkeypatch.setattr("repro.engine.expressions.compile_pair_mask", lambda *a: None)
+        twin, facts, _ = self._run(connection, THETA_SQL[shape])
+        assert facts["residual"] == "pairs"
+        assert twin == masked == expected
+
+    def test_python_kernels_use_the_per_pair_twin(self):
+        connection = _theta_connection(size=200)
+        with forced_python():
+            rows, facts, expected = self._run(connection, THETA_SQL["T1"])
+        assert (facts["executed"], facts["residual"]) == ("python", "pairs")
+        assert rows == expected
+
+    def test_opaque_theta_runs_per_pair(self):
+        database = _database(size=150)
+        plan = align_plan(
+            scan(database, "l", "l"),
+            scan(database, "r", "r"),
+            PythonPredicate(lambda env: env["min_dur"] % 3 == 0),
+        )
+        physical = database.plan(plan, COLUMNAR)
+        with obs_trace.collect(physical) as trace:
+            rows = physical.execute()
+        assert trace.span_for(physical).attributes["residual"] == "pairs"
+        assert rows == database.execute(plan, ROW).rows
+
+    def test_null_theta_operands_leave_rows_dangling(self):
+        from repro.engine.table import Table
+
+        database = Database()
+        database.register_table(
+            Table("l", ["cat", "n", "ts", "te"], [("a", 1, 0, 10), ("a", NULL, 0, 10), ("b", 5, 2, 4)])
+        )
+        database.register_table(
+            Table("r", ["cat", "n", "ts", "te"], [("a", 3, 2, 5), ("a", NULL, 6, 8), ("b", 9, 0, 9)])
+        )
+        plan = align_plan(
+            scan(database, "l", "l"),
+            scan(database, "r", "r"),
+            And(
+                Comparison("=", Column("l.cat"), Column("r.cat")),
+                Comparison("<", Column("l.n"), Column("r.n")),
+            ),
+        )
+        physical = database.plan(plan, COLUMNAR)
+        with obs_trace.collect(physical) as trace:
+            rows = physical.execute()
+        assert rows == database.execute(plan, ROW).rows
+        assert ("a", NULL, 0, 10) in rows  # ω < anything is false: no group
+        facts = trace.span_for(physical).attributes
+        assert (facts["pairs"], facts["kept"]) == (5, 2)

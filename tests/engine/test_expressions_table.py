@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.columnar.runtime import numpy_available, numpy_or_none
 from repro.engine.expressions import (
     And,
     Arithmetic,
@@ -16,8 +17,10 @@ from repro.engine.expressions import (
     Not,
     Or,
     PythonPredicate,
+    compile_pair_mask,
     conjunction,
     equijoin_keys,
+    equijoin_residual,
     resolve_column,
 )
 from repro.engine.statistics import StatisticsCatalog, TableStatistics
@@ -200,6 +203,99 @@ class TestExpressions:
         assert equijoin_keys(flipped, left, right) == [("r.a", "s.b")]
         assert equijoin_keys(None, left, right) == []
 
+    def test_equijoin_residual_drops_exactly_the_key_equalities(self):
+        left = ["r.a", "r.ts"]
+        right = ["s.b", "s.ts"]
+        key = Comparison("=", Column("r.a"), Column("s.b"))
+        inequality = Comparison("<", Column("r.ts"), Column("s.ts"))
+        same_side = Comparison("=", Column("r.a"), Column("r.ts"))
+        assert equijoin_residual(None, left, right) is None
+        assert equijoin_residual(key, left, right) is None
+        assert equijoin_residual(And(key, inequality), left, right) is inequality
+        rest = equijoin_residual(And(key, inequality, same_side), left, right)
+        assert isinstance(rest, And) and rest.operands == [inequality, same_side]
+
     def test_references(self):
         condition = And(Comparison("=", Column("a"), Literal(1)), Between(Column("b"), Literal(0), Column("c")))
         assert set(condition.references()) == {"a", "b", "c"}
+
+
+class TestPairMask:
+    """``compile_pair_mask`` against ``bind``, pair for pair.
+
+    Without NumPy every mask declines (``None``) and the per-pair twin is
+    the only evaluator; the assertions say so rather than skipping.
+    """
+
+    LEFT = ["r.a", "r.s", "r.ts", "r.te"]
+    RIGHT = ["s.b", "s.f", "s.ts", "s.te"]
+    LEFT_ROWS = [(1, "x", 0, 10), (NULL, "y", 5, 6), (-7, "x", 2, 3)]
+    RIGHT_ROWS = [(3, 1.5, 1, 4), (NULL, 2.0, 0, 9), (-7, 0.5, 5, 8)]
+
+    def _pairs(self):
+        li = [i for i in range(len(self.LEFT_ROWS)) for _ in self.RIGHT_ROWS]
+        ri = [j for _ in self.LEFT_ROWS for j in range(len(self.RIGHT_ROWS))]
+        np = numpy_or_none()
+        if np is None:
+            return li, ri
+        return np.asarray(li, dtype=np.int64), np.asarray(ri, dtype=np.int64)
+
+    def _evaluate(self, expression, left_rows=None, right_rows=None):
+        """``(mask as a list or None, the per-pair twin's flags)``."""
+        left_rows = self.LEFT_ROWS if left_rows is None else left_rows
+        right_rows = self.RIGHT_ROWS if right_rows is None else right_rows
+        li, ri = self._pairs()
+        bound = expression.bind(self.LEFT + self.RIGHT)
+        flags = [bool(bound(left_rows[i] + right_rows[j])) for i, j in zip(list(li), list(ri))]
+        program = compile_pair_mask(expression, self.LEFT, self.RIGHT)
+        mask = None if program is None else program(left_rows, right_rows, li, ri)
+        if not numpy_available():
+            assert mask is None
+        return (None if mask is None else mask.tolist()), flags
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            Comparison("<", Column("r.a"), Column("s.b")),
+            Comparison("<>", Column("r.a"), Literal(1)),
+            Between(FunctionCall("DUR", [Column("r.ts"), Column("r.te")]), Column("s.ts"), Literal(6)),
+            Not(Comparison(">=", Arithmetic("+", Column("r.a"), Column("s.b")), Literal(0))),
+            Or(IsNull(Column("r.a")), IsNull(Negate(Column("s.b")), negated=True)),
+            And(Comparison("=", IndexColumn(0), IndexColumn(4)), Comparison("<", Column("r.ts"), Literal(3))),
+            IsNull(Arithmetic("-", Column("r.a"), Column("s.b"))),
+        ],
+    )
+    def test_compiled_grammar_matches_bind_with_null_semantics(self, expression):
+        mask, flags = self._evaluate(expression)
+        if numpy_available():
+            assert mask == flags
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            Comparison("=", Column("r.s"), Literal("x")),  # str literal
+            Comparison("<", Column("s.f"), Column("r.a")),  # float column
+            Comparison("<", Column("r.s"), Column("r.s")),  # str column
+            Comparison("=", Column("r.a"), Literal(True)),  # bool literal
+            Comparison("<", Arithmetic("*", Column("r.a"), Column("s.b")), Literal(4)),
+            Comparison("<", Arithmetic("%", Column("r.a"), Literal(2)), Literal(1)),
+            Comparison("<", FunctionCall("ABS", [Column("r.a")]), Literal(4)),
+            PythonPredicate(lambda env: env["a"] == 1),
+        ],
+    )
+    def test_everything_else_declines_to_the_per_pair_twin(self, expression):
+        mask, flags = self._evaluate(expression)
+        assert mask is None
+        assert len(flags) == len(self.LEFT_ROWS) * len(self.RIGHT_ROWS)
+
+    def test_magnitudes_that_could_wrap_decline_comparisons_do_not(self):
+        huge = [(2**62 + 1, "x", 0, 10)] * 3
+        total = Comparison(">", Arithmetic("+", Column("r.a"), Column("r.a")), Literal(0))
+        mask, flags = self._evaluate(total, left_rows=huge)
+        assert mask is None and all(flags)
+        compare = Comparison(">", Column("r.a"), Column("s.b"))
+        mask, flags = self._evaluate(compare, left_rows=huge)
+        if numpy_available():
+            assert mask == flags and flags.count(True) == 6  # s.b = ω: false
+        beyond = [(2**64, "x", 0, 10)] * 3  # no int64 at all
+        assert self._evaluate(compare, left_rows=beyond)[0] is None

@@ -172,6 +172,10 @@ class TestIntervalJoinNode:
 
 
 class TestPlannerIntervalStrategy:
+    #: The join strategies of the row pipeline (an unkeyed ALIGN this size
+    #: is otherwise a columnar batch).
+    ROW = Settings(enable_columnar=False)
+
     def _database(self):
         database = Database()
         relation = generate_incumben(config=IncumbenConfig(size=150, seed=9))
@@ -186,14 +190,14 @@ class TestPlannerIntervalStrategy:
 
     def test_align_group_join_uses_interval_strategy(self):
         database = self._database()
-        explain = database.plan(self._align_plan(database)).explain()
+        explain = database.plan(self._align_plan(database), self.ROW).explain()
         assert "IntervalJoin" in explain
         assert "strategy=" in explain  # the choice is exposed in EXPLAIN
 
     def test_disabling_interval_join_falls_back(self):
         database = self._database()
         explain = database.plan(
-            self._align_plan(database), Settings(enable_intervaljoin=False)
+            self._align_plan(database), self.ROW.copy(enable_intervaljoin=False)
         ).explain()
         assert "IntervalJoin" not in explain
         assert "NestedLoopJoin" in explain

@@ -16,7 +16,7 @@ from repro.columnar.runtime import numpy_available
 from repro.engine.database import Database
 from repro.engine.executor import ExchangeNode
 from repro.engine.executor.interval_join import IntervalJoinNode
-from repro.engine.expressions import Column, Comparison
+from repro.engine.expressions import And, Column, Comparison
 from repro.engine.optimizer.settings import Settings
 from repro.engine.temporal_plans import align_plan, scan
 from repro.obs import trace as obs_trace
@@ -198,6 +198,55 @@ class TestSpanTreeMatchesExplain:
             with obs_trace.collect(physical) as trace:
                 physical.execute()
             assert trace.find(expected), trace.render()
+
+    @pytest.mark.parametrize("source", ["frame", "rows"])
+    def test_residual_theta_selectivity_is_a_span_fact(self, source, monkeypatch):
+        # A θ beyond its key equalities: EXPLAIN flags the residual, the span
+        # says how it ran and how many candidate pairs it kept — still line
+        # for line the EXPLAIN tree.  (Without NumPy the planner is let
+        # through, so the node runs the Python kernels and the per-pair twin.)
+        from repro.engine.executor import ColumnarAdjustmentNode
+        from repro.engine.optimizer.planner import Planner
+        from repro.engine.table import Table
+
+        monkeypatch.setattr(Planner, "_columnar_enabled", lambda self: True)
+        database = _database()
+        if source == "rows":
+            plain = Database()
+            for name in ("l", "r"):
+                snapshot = database.get_table(name)
+                plain.register_table(Table(name, snapshot.columns, snapshot.rows))
+            database = plain
+        theta = And(
+            Comparison("=", Column("l.cat"), Column("r.cat")),
+            Comparison(">", Column("l.min_dur"), Column("r.min_dur")),
+        )
+        logical = align_plan(scan(database, "l", "l"), scan(database, "r", "r"), theta)
+        physical = database.plan(logical, STRATEGIES["columnar"])
+        assert isinstance(physical, ColumnarAdjustmentNode)
+        explain_lines = physical.explain().splitlines()
+        assert explain_lines[0].startswith("ColumnarAdjustment(align, keys=1, residual)  (")
+        with obs_trace.collect(physical) as trace:
+            rows = physical.execute()
+        lines = trace.root_span.render().splitlines()
+        assert len(lines) == len(explain_lines)
+        for span_line, explain_line in zip(lines, explain_lines):
+            assert span_line.startswith(explain_line + " ")
+        facts = trace.root_span.attributes
+        numpy_ran = numpy_available()
+        assert facts["input"] == ("frame" if numpy_ran and source == "frame" else "rows")
+        assert facts["residual"] == ("numpy" if numpy_ran else "pairs")
+        assert 0 < facts["kept"] < facts["pairs"]
+        assert f"residual={facts['residual']} pairs={facts['pairs']} kept={facts['kept']})" in lines[0]
+        assert rows == database.execute(logical, INTERVAL_ONLY).rows
+
+    def test_no_residual_means_no_residual_facts(self):
+        database = _database()
+        physical = database.plan(_plan(database), STRATEGIES["columnar"])
+        assert "residual" not in physical.explain()
+        with obs_trace.collect(physical) as trace:
+            physical.execute()
+        assert "residual" not in trace.render()
 
 
 class TestDisabledPath:

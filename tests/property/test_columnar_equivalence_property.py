@@ -12,22 +12,42 @@ off-by-one bugs in ``searchsorted`` boundaries would hide.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import List, Tuple
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Interval, Schema, TemporalRelation, predicates
-from repro.columnar.runtime import forced_python, numpy_available
+from repro.columnar.runtime import forced_python, numpy_available, numpy_or_none
 from repro.core.alignment import align_relation
 from repro.core.normalization import normalize
 from repro.engine import plan as logical
 from repro.engine.database import Database
 from repro.engine.executor import ExchangeNode
-from repro.engine.expressions import Column, Comparison, conjunction
+from repro.engine.expressions import (
+    And,
+    Arithmetic,
+    Between,
+    Column,
+    Comparison,
+    Expression,
+    FunctionCall,
+    IndexColumn,
+    IsNull,
+    Literal,
+    Negate,
+    Not,
+    Or,
+    PythonPredicate,
+    compile_pair_mask,
+    conjunction,
+)
 from repro.engine.optimizer.settings import Settings as EngineSettings
 from repro.engine.temporal_plans import align_plan, normalize_plan, scan
+from repro.relation.tuple import NULL
 from repro.workloads.synthetic import (
     SyntheticConfig,
     generate_disjoint,
@@ -267,7 +287,6 @@ def wild_relations(draw) -> Tuple[TemporalRelation, TemporalRelation]:
     value types within one column (the plain tuple sort raises and the
     executor's total order takes over), exact duplicate tuples, empty
     intervals — on either side, in relations that may be empty."""
-    from repro.relation.tuple import NULL
 
     def relation() -> TemporalRelation:
         rows = draw(
@@ -369,3 +388,183 @@ class TestFrameInputEquivalence:
             self._check(database, align_plan(first, second, condition))
         else:
             self._check(database, logical.Normalize(first, second, keys))
+
+
+# -- engine: a residual θ — NumPy mask ≡ per-pair twin ≡ row pipeline ------------------
+
+#: The synthetic schema widened with the column types a θ may meet: a
+#: float, an int with ω in every third row, and ints at or above 2**62.
+THETA_ATTRIBUTES = ["cat", "min_dur", "max_dur", "f", "n", "big"]
+THETA_COLUMNS = THETA_ATTRIBUTES + ["ts", "te"]
+INT_COLUMNS = ["min_dur", "max_dur", "n", "ts", "te"]
+
+
+def _widen(relation: TemporalRelation) -> TemporalRelation:
+    wide = TemporalRelation(Schema(THETA_ATTRIBUTES))
+    for k, t in enumerate(relation):
+        cat, low, high = t.values
+        nullable = NULL if k % 3 == 0 else high - k
+        wide.insert((cat, low, high, low / 2, nullable, 2**62 + k), t.interval)
+    return wide
+
+
+@dataclass(frozen=True)
+class Theta:
+    """A generated θ and what the mask compiler must make of it."""
+
+    expression: Expression
+    #: Contains a leaf outside the compiled grammar: the mask must decline.
+    declines: bool = False
+    #: Reads a column at or above 2**62: arithmetic on it may decline.
+    big: bool = False
+
+    def over(self, expression: Expression, *others: "Theta", declines: bool = False) -> "Theta":
+        parts = (self, *others)
+        return Theta(
+            expression,
+            declines or any(p.declines for p in parts),
+            any(p.big for p in parts),
+        )
+
+
+SIDES = st.sampled_from(["l", "r"])
+
+
+def _int_leaves():
+    width = len(THETA_COLUMNS)
+    positions = [THETA_COLUMNS.index(name) for name in INT_COLUMNS]
+    return st.one_of(
+        st.builds(lambda side, name: Theta(Column(f"{side}.{name}")), SIDES,
+                  st.sampled_from(INT_COLUMNS)),
+        st.builds(lambda i, offset: Theta(IndexColumn(i + offset)),
+                  st.sampled_from(positions), st.sampled_from([0, width])),
+        st.builds(lambda v: Theta(Literal(v)), st.integers(min_value=-5, max_value=400)),
+        st.builds(lambda side: Theta(Column(f"{side}.big"), big=True), SIDES),
+        # Outside the grammar: a float column, bool/float/ω literals.
+        st.builds(lambda side: Theta(Column(f"{side}.f"), declines=True), SIDES),
+        st.builds(lambda v: Theta(Literal(v), declines=True),
+                  st.sampled_from([True, False, 2.5, NULL])),
+    )
+
+
+def _ints(depth: int):
+    leaves = _int_leaves()
+    if depth == 0:
+        return leaves
+    sub = _ints(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(lambda op, a, b: a.over(Arithmetic(op, a.expression, b.expression), b),
+                  st.sampled_from(["+", "-"]), sub, sub),
+        st.builds(lambda a: a.over(Negate(a.expression)), sub),
+        st.builds(lambda a, b: a.over(FunctionCall("DUR", [a.expression, b.expression]), b),
+                  sub, sub),
+        # Outside the grammar: *, / and % (by a non-zero literal: the row
+        # pipeline evaluates θ on pairs the kernel never offers, so neither
+        # side may raise), other functions.
+        st.builds(lambda a, b: a.over(Arithmetic("*", a.expression, b.expression), b,
+                                      declines=True), sub, sub),
+        st.builds(lambda op, a, k: a.over(Arithmetic(op, a.expression, Literal(k)), declines=True),
+                  st.sampled_from(["/", "%"]), sub, st.integers(min_value=1, max_value=3)),
+        st.builds(lambda a: a.over(FunctionCall("ABS", [a.expression]), declines=True), sub),
+    )
+
+
+COMPARISONS = st.sampled_from(["=", "<>", "!=", "<", "<=", ">", ">="])
+
+
+def _predicates(depth: int):
+    ints = _ints(1)
+    base = st.one_of(
+        st.builds(lambda op, a, b: a.over(Comparison(op, a.expression, b.expression), b),
+                  COMPARISONS, ints, ints),
+        st.builds(lambda v, lo, hi: v.over(Between(v.expression, lo.expression, hi.expression),
+                                           lo, hi), ints, ints, ints),
+        st.builds(lambda a, negated: a.over(IsNull(a.expression, negated)), ints, st.booleans()),
+        # Outside the grammar: string columns and literals, opaque callables.
+        st.builds(lambda op, other: Theta(Comparison(op, Column("l.cat"), other), declines=True),
+                  COMPARISONS, st.sampled_from([Column("r.cat"), Literal("C0002")])),
+        st.just(Theta(PythonPredicate(lambda env: env["min_dur"] % 2 == 0), declines=True)),
+    )
+    if depth == 0:
+        return base
+    sub = _predicates(depth - 1)
+    return st.one_of(
+        base,
+        st.builds(lambda a, b: a.over(And(a.expression, b.expression), b), sub, sub),
+        st.builds(lambda a, b: a.over(Or(a.expression, b.expression), b), sub, sub),
+        st.builds(lambda a: a.over(Not(a.expression)), sub),
+    )
+
+
+THETAS = _predicates(2)
+
+
+def _rows(relation: TemporalRelation) -> List[Tuple]:
+    return [t.values + (t.start, t.end) for t in relation]
+
+
+class TestResidualThetaEquivalence:
+    """Generated θ over all three synthetic families and the edge family."""
+
+    COLUMNAR = EngineSettings(
+        parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0
+    )
+    ROW = EngineSettings(parallel_workers=0, enable_columnar=False)
+
+    @SETTINGS
+    @given(relation_pairs(), THETAS)
+    def test_mask_equals_the_per_pair_twin_on_every_pair(self, pair, theta):
+        left, right = (_rows(_widen(relation)) for relation in pair)
+        left_columns = [f"l.{c}" for c in THETA_COLUMNS]
+        right_columns = [f"r.{c}" for c in THETA_COLUMNS]
+        bound = theta.expression.bind(left_columns + right_columns)
+        li = [i for i in range(len(left)) for _ in right]
+        ri = [j for _ in left for j in range(len(right))]
+        flags = [bool(bound(left[i] + right[j])) for i, j in zip(li, ri)]
+
+        program = compile_pair_mask(theta.expression, left_columns, right_columns)
+        np = numpy_or_none()
+        if np is None:
+            assert program is None or program(left, right, li, ri) is None
+            return
+        mask = None
+        if program is not None:
+            mask = program(left, right, np.asarray(li, dtype=np.int64),
+                           np.asarray(ri, dtype=np.int64))
+        if theta.declines and li:
+            assert mask is None, theta.expression
+        if not theta.declines and not theta.big:
+            assert mask is not None, theta.expression
+        if mask is not None:
+            assert mask.tolist() == flags, theta.expression
+
+    @SETTINGS
+    @given(relation_pairs(), THETAS, st.booleans())
+    def test_columnar_equals_row_adjustment_in_order(self, pair, theta, keyed):
+        from repro.columnar.rows import adjust_rows_columnar
+        from repro.engine.executor import ColumnarAdjustmentNode
+        from repro.engine.optimizer.planner import Planner
+
+        left, right = (_widen(relation) for relation in pair)
+        database = Database()
+        database.register_relation("l", left)
+        database.register_relation("r", right)
+        key = [Comparison("=", Column("l.cat"), Column("r.cat"))] if keyed else []
+        plan = align_plan(
+            scan(database, "l", "l"), scan(database, "r", "r"),
+            conjunction(key + [theta.expression]),
+        )
+        expected = database.execute(plan, self.ROW).rows
+        # Planned columnar without NumPy too: Python kernels + per-pair twin.
+        with patch.object(Planner, "_columnar_enabled", lambda self: True):
+            physical = database.plan(plan, self.COLUMNAR)
+        assert isinstance(physical, ColumnarAdjustmentNode)
+
+        assert physical.execute() == expected
+        with patch("repro.engine.expressions.compile_pair_mask", lambda *a: None):
+            assert physical.execute() == expected
+        drained = adjust_rows_columnar(physical.task, list(physical.left), list(physical.right))
+        assert drained == expected
+        with forced_python():
+            assert physical.execute() == expected
