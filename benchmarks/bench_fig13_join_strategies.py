@@ -23,9 +23,10 @@ from repro.engine.temporal_plans import KernelTemporalAlgebra
 SIZES = scaled([250, 500, 1000])
 
 # The experiment reads the *join strategy* off the plan, so the row pipeline
-# is pinned: with the columnar dispatch left on, large inputs would take the
-# ColumnarAdjustment batch and there would be no group-construction join to
-# observe (that comparison lives in the columnar_adjustment bench scenario).
+# is pinned: with the columnar switch on, every input takes the
+# ColumnarAdjustment batch and there is no group-construction join to observe
+# (that comparison lives in the columnar_adjustment bench scenario).  The
+# switch is part of ``Settings.describe()``, the recorded setting label.
 SETTINGS = {
     "merge_hash_nestloop": Settings(enable_columnar=False),
     "hash_nestloop": Settings(enable_mergejoin=False, enable_columnar=False),

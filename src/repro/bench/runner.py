@@ -78,8 +78,8 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
 #: Per-family input sizes before scaling; every size yields one scenario.
 DEFAULT_SIZES = (1000, 2000)
 
-#: Sizes of the columnar scenario: the vectorized kernels only show their
-#: headline win on inputs past the row/column crossover.
+#: Sizes of the columnar scenario: the vectorized kernels show their
+#: headline win over the row pipeline on inputs of a few thousand rows.
 COLUMNAR_SIZES = (2000, 4000)
 
 FAMILIES: Dict[str, Callable] = {
@@ -146,9 +146,8 @@ def _timed_execution(database: Database, plan: LogicalPlan, settings: Settings, 
 def _row_settings() -> Settings:
     """Settings pinning the serial row pipeline (no parallel, no columnar).
 
-    The serial baseline of every strategy comparison: with the columnar
-    dispatch enabled by default, an unpinned "serial" execution of a large
-    input would silently become a columnar batch and the scenario would
+    The serial baseline of every strategy comparison: the planner plans a
+    columnar batch by default, so an unpinned "serial" execution would
     compare columnar against itself.
     """
     return Settings(parallel_workers=0, enable_columnar=False)
@@ -171,25 +170,17 @@ def _parallel_settings(workers: int) -> Settings:
         parallel_min_rows=0.0,
         parallel_pickle_cost=0.0,  # lift the transport gate too: adoption is
         parallel_shm_cost=0.0,  # forced; the executor still picks the real ship
-        columnar_min_rows=0.0,
-        columnar_setup_cost=0.0,
     )
 
 
 def _columnar_settings() -> Settings:
-    """Settings that adopt the columnar batch plan whenever it is eligible."""
-    return Settings(parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0)
+    """Serial settings: every adjustment plans one ``ColumnarAdjustment`` node."""
+    return Settings(parallel_workers=0)
 
 
 def _partition_columnar_settings(workers: int) -> Settings:
     """Partition-parallel plan with columnar kernels inside the workers."""
-    return Settings(
-        parallel_workers=workers,
-        parallel_setup_cost=0.0,
-        parallel_min_rows=0.0,
-        columnar_min_rows=0.0,
-        columnar_setup_cost=0.0,
-    )
+    return Settings(parallel_workers=workers, parallel_setup_cost=0.0, parallel_min_rows=0.0)
 
 
 #: The headline speedup bar of the parallel scenarios: serial row pipeline

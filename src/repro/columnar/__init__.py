@@ -20,7 +20,7 @@ Everything here is bound by one hard contract: row mode and columnar mode
 produce the identical relation on every input.
 """
 
-from repro.columnar.dispatch import auto_columnar, min_columnar_tuples
+from repro.columnar.dispatch import auto_columnar
 from repro.columnar.encoding import (
     ColumnarFrame,
     encode_keys,
@@ -48,7 +48,6 @@ __all__ = [
     "encode_relation",
     "forced_python",
     "kernel_mode",
-    "min_columnar_tuples",
     "normalize_pieces",
     "normalize_pieces_from_intervals",
     "overlap_pairs",

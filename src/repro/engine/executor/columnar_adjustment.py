@@ -4,10 +4,11 @@ Where the serial plan streams a group-construction join through project,
 sort and the plane sweep (Fig. 12(b)), :class:`ColumnarAdjustmentNode`
 takes both inputs as arrays — interval bounds plus dictionary-encoded
 equality keys — and produces the full output in one batched kernel pass
-(:mod:`repro.columnar`).  The node is chosen cost-based by the planner for
-inputs past the columnar crossover, whatever θ is, and appears in
-``EXPLAIN`` as ``ColumnarAdjustment(...)``, so the row/column dispatch is as
-visible as the join-strategy choice.  The part of an alignment's θ beyond
+(:mod:`repro.columnar`).  The planner plans this node for every serial
+adjustment — at any input size, whatever θ is, with NumPy kernels or their
+pure-Python twins (:func:`~repro.columnar.rows.kernel_mode`) — unless
+``enable_columnar`` is off, and it appears in ``EXPLAIN`` as
+``ColumnarAdjustment(...)``.  The part of an alignment's θ beyond
 its key equalities — the *residual*, flagged ``, residual`` in EXPLAIN —
 filters the kernel's candidate pairs: as a NumPy mask where it compiles,
 else per pair with the bound expression the row join would evaluate.

@@ -270,28 +270,6 @@ def parallel_adjustment_cost(
     return Estimate(rows=serial.rows, cost=total)
 
 
-def columnar_adjustment_cost(
-    settings: Settings, left: Estimate, right: Estimate, serial: Estimate
-) -> Estimate:
-    """Cost of running an adjustment as one columnar batch.
-
-    The inputs are still produced row-at-a-time (their cost is unchanged);
-    the adjustment work above them — group-construction join, projection,
-    sort, sweep, which is what ``serial`` charges on top of its inputs — is
-    executed as whole-array kernels and therefore discounted by
-    ``columnar_cost_factor``, plus a fixed encoding cost.  Because the row
-    estimates feeding ``serial`` come from :func:`overlap_join_rows` (i.e.
-    from interval statistics where available), better statistics sharpen
-    this gate exactly like they sharpen join choice.
-    """
-    input_cost = left.cost + right.cost
-    work = max(0.0, serial.cost - input_cost)
-    return Estimate(
-        rows=serial.rows,
-        cost=input_cost + settings.columnar_setup_cost + work * settings.columnar_cost_factor,
-    )
-
-
 def view_scan_cost(settings: Settings, rows: float) -> Estimate:
     """Scanning a materialized view: emit the stored tuples, nothing else.
 

@@ -8,8 +8,10 @@ estimates their costs and picks the cheapest.  Disabling strategies through
 :class:`~repro.engine.optimizer.settings.Settings` therefore changes the plan
 exactly like ``SET enable_mergejoin = false`` does in the paper's Fig. 13.
 
-The two temporal logical nodes are expanded here into the plan shape of
-Fig. 12(b):
+The two temporal logical nodes become one ``ColumnarAdjustment`` node over
+their arguments (or a partition-parallel ``Exchange`` when that plan wins
+its cost gate).  With ``enable_columnar`` off they expand into the plan
+shape of Fig. 12(b):
 
     Adjustment ← Sort ← Project ← (left outer) Join ← arguments
 
@@ -18,6 +20,7 @@ with the join planned like any other join.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import plan as logical
@@ -208,7 +211,7 @@ class Planner:
             self._scan_interval_statistics(node.left, node.left_start, node.left_end),
             self._scan_interval_statistics(node.right, node.right_start, node.right_end),
         )
-        join = self._choose_overlap_join(left, right, "left", condition, keys, bounds, selectivity)
+        join = self._choose_join(left, right, "left", condition, keys, bounds, selectivity)
 
         # Project to the r tuple plus the intersection bounds P1/P2.
         expressions: List[Tuple[Expression, str]] = [
@@ -245,7 +248,6 @@ class Planner:
             keys=keys,
             condition=condition,
             bounds=bounds,
-            overlap=True,
             selectivity=selectivity,
             projections=expressions,
             group_width=left_width,
@@ -344,7 +346,6 @@ class Planner:
             keys=keys,
             condition=condition,
             bounds=None,
-            overlap=False,
             selectivity=None,
             projections=expressions,
             group_width=left_width,
@@ -448,37 +449,46 @@ class Planner:
             )
         return indexes
 
-    def _join_candidates(
+    def _cheapest_join(
         self,
         left_estimate: Estimate,
         right_estimate: Estimate,
-        rows: float,
+        kind: str,
         keys: Sequence[Tuple[int, int]],
-        overlap: bool = False,
-    ) -> List[Tuple[Estimate, str]]:
-        """Enumerate enabled join strategies with their cost estimates.
+        bounds: Optional[Tuple[int, int, int, int]] = None,
+        selectivity: Optional[float] = None,
+    ) -> Tuple[Estimate, str]:
+        """The cheapest enabled join strategy and its estimate.
 
-        ``overlap`` admits the interval strategies (indexed probe, event
-        sweep) that exploit an overlap-shaped condition.  Shared by the
-        serial choosers and the per-partition strategy choice of the
-        parallel plans.
+        ``bounds`` marks the overlap-shaped group-construction join of
+        ``ALIGN``: its rows come from the overlap selectivity, and it admits
+        the two interval strategies that exploit the overlap predicate
+        itself — the indexed probe (build an interval index over the
+        reference side, probe per argument row — streams the outer input) and
+        the event plane sweep (sort both sides once).  Shared by the serial
+        join choice, the task of a ``ColumnarAdjustment`` (its row-pipeline
+        fallback) and the per-partition choice of the parallel plans.
         """
         settings = self.settings
         candidates: List[Tuple[Estimate, str]] = []
-        if overlap and settings.enable_intervaljoin:
-            candidates.append(
-                (cost.interval_probe_join_cost(settings, left_estimate, right_estimate, rows), "probe")
-            )
-            candidates.append(
-                (cost.interval_sweep_join_cost(settings, left_estimate, right_estimate, rows), "sweep")
-            )
+        if bounds is not None:
+            rows = cost.overlap_join_rows(settings, left_estimate, right_estimate, kind, selectivity)
+            if settings.enable_intervaljoin:
+                candidates.append(
+                    (cost.interval_probe_join_cost(settings, left_estimate, right_estimate, rows), "probe")
+                )
+                candidates.append(
+                    (cost.interval_sweep_join_cost(settings, left_estimate, right_estimate, rows), "sweep")
+                )
+        else:
+            rows = cost.join_output_rows(settings, left_estimate, right_estimate, bool(keys), kind)
         if keys and settings.enable_hashjoin:
             candidates.append((cost.hash_join_cost(settings, left_estimate, right_estimate, rows), "hash"))
         if keys and settings.enable_mergejoin:
             candidates.append((cost.merge_join_cost(settings, left_estimate, right_estimate, rows), "merge"))
         if settings.enable_nestloop or not candidates:
             candidates.append((cost.nested_loop_cost(settings, left_estimate, right_estimate, rows), "nestloop"))
-        return candidates
+        return min(candidates, key=lambda item: item[0].cost)
 
     def _choose_join(
         self,
@@ -487,53 +497,20 @@ class Planner:
         kind: str,
         condition: Optional[Expression],
         keys: Sequence[Tuple[int, int]],
+        bounds: Optional[Tuple[int, int, int, int]] = None,
+        selectivity: Optional[float] = None,
     ) -> PhysicalNode:
-        settings = self.settings
-        left_estimate = self._estimate(left)
-        right_estimate = self._estimate(right)
-        rows = cost.join_output_rows(settings, left_estimate, right_estimate, bool(keys), kind)
+        """Plan a join with the cheapest strategy (:meth:`_cheapest_join`).
 
-        candidates = self._join_candidates(left_estimate, right_estimate, rows, keys)
-        estimate, strategy = min(candidates, key=lambda item: item[0].cost)
+        The chosen operator is visible in ``EXPLAIN`` output, mirroring how
+        the paper's Fig. 13 experiment reads the strategy off the PostgreSQL
+        plan.
+        """
+        estimate, strategy = self._cheapest_join(
+            self._estimate(left), self._estimate(right), kind, keys, bounds, selectivity
+        )
         # The full condition is evaluated as a residual predicate by every
         # strategy, so correctness never depends on the choice.
-        combined_condition = condition
-        if strategy == "hash":
-            physical: PhysicalNode = HashJoinNode(left, right, kind, combined_condition, list(keys))
-        elif strategy == "merge":
-            physical = MergeJoinNode(left, right, kind, combined_condition, list(keys))
-        else:
-            physical = NestedLoopJoinNode(left, right, kind, combined_condition)
-        return self._estimated(physical, estimate)
-
-    def _choose_overlap_join(
-        self,
-        left: PhysicalNode,
-        right: PhysicalNode,
-        kind: str,
-        condition: Optional[Expression],
-        keys: Sequence[Tuple[int, int]],
-        bounds: Tuple[int, int, int, int],
-        selectivity: Optional[float],
-    ) -> PhysicalNode:
-        """Pick a strategy for the overlap-shaped group-construction join.
-
-        Candidates are the generic strategies (hash/merge when θ has an
-        equality part, nested loop as fallback) plus the two interval
-        strategies that exploit the overlap predicate itself: the indexed
-        probe (build an interval index over the reference side, probe per
-        argument row — streams the outer input) and the event plane sweep
-        (sort both sides once).  The cheapest estimate wins and the chosen
-        operator is visible in ``EXPLAIN`` output, mirroring how the paper's
-        Fig. 13 experiment reads the strategy off the PostgreSQL plan.
-        """
-        settings = self.settings
-        left_estimate = self._estimate(left)
-        right_estimate = self._estimate(right)
-        rows = cost.overlap_join_rows(settings, left_estimate, right_estimate, kind, selectivity)
-
-        candidates = self._join_candidates(left_estimate, right_estimate, rows, keys, overlap=True)
-        estimate, strategy = min(candidates, key=lambda item: item[0].cost)
         if strategy in ("probe", "sweep"):
             physical: PhysicalNode = IntervalJoinNode(
                 left, right, kind, condition, bounds, strategy=strategy
@@ -546,14 +523,6 @@ class Planner:
             physical = NestedLoopJoinNode(left, right, kind, condition)
         return self._estimated(physical, estimate)
 
-    def _columnar_enabled(self) -> bool:
-        """Whether columnar plans may be considered at all (switch + NumPy)."""
-        if not self.settings.enable_columnar:
-            return False
-        from repro.columnar.runtime import numpy_available
-
-        return numpy_available()
-
     def _dispatch_adjustment(
         self,
         left: PhysicalNode,
@@ -561,7 +530,6 @@ class Planner:
         keys: Sequence[Tuple[int, int]],
         condition: Optional[Expression],
         bounds: Optional[Tuple[int, int, int, int]],
-        overlap: bool,
         selectivity: Optional[float],
         projections: Sequence[Tuple[Expression, str]],
         group_width: int,
@@ -573,105 +541,58 @@ class Planner:
         residual: Optional[Expression] = None,
         reference: Optional[ReferenceInput] = None,
     ) -> PhysicalNode:
-        """Row/column dispatch over an adjustment: pick among the serial row
-        pipeline, a single columnar batch, and the partition-parallel plan
-        (with columnar kernels inside the workers when eligible).
+        """The physical plan of one adjustment.
 
-        The parallel plan keeps its cost gate against the serial estimate;
-        when it is not adopted, a ``ColumnarAdjustment`` batch replaces the
-        serial pipeline — for any θ, ``residual`` being what the batch
-        evaluates per candidate pair — if the larger of the combined input
-        and the estimated group-construction join clears
-        ``columnar_min_rows`` and
-        :func:`~repro.engine.optimizer.cost.columnar_adjustment_cost`
-        undercuts the serial estimate.
+        The partition-parallel plan comes first and keeps its cost gate
+        against the serial estimate.  Otherwise the adjustment is one
+        ``ColumnarAdjustment`` node — at every input size, for any θ
+        (``residual`` being what the batch evaluates per candidate pair),
+        with or without NumPy (:func:`~repro.columnar.rows.kernel_mode`) —
+        unless ``enable_columnar`` is off, which keeps the ``serial`` row
+        pipeline of Fig. 12(b).  The node carries the row pipeline's
+        estimate: its rows are the same, and no plan choice above it depends
+        on its cost.
         """
-        columnar_ok = self._columnar_enabled()
-        parallel = self._parallel_adjustment_plan(
-            left,
-            right,
-            keys=keys,
+        use_columnar = self.settings.enable_columnar
+        _, strategy = self._cheapest_join(
+            self._estimate(left), self._estimate(right), "left", keys, bounds, selectivity
+        )
+        task = AdjustmentTask(
+            left_columns=tuple(left.columns),
+            right_columns=tuple(right.columns),
+            join_strategy=strategy,
+            join_kind="left",
             condition=condition,
+            key_pairs=tuple(keys),
             bounds=bounds,
-            overlap=overlap,
-            selectivity=selectivity,
-            projections=projections,
+            projections=tuple(projections),
+            sort_width=len(projections),
             group_width=group_width,
             ts_index=ts_index,
             te_index=te_index,
             isalign=isalign,
-            serial_estimate=serial_estimate,
+            use_columnar=use_columnar,
             residual=residual,
-            use_columnar=columnar_ok,
         )
+        parallel = self._parallel_adjustment_plan(left, right, task, selectivity, serial_estimate)
         if parallel is not None:
             _STRATEGY_COUNTER.inc(label="exchange")
             return parallel
-        if columnar_ok:
-            settings = self.settings
-            left_estimate = self._estimate(left)
-            right_estimate = self._estimate(right)
-            if overlap:
-                rows = cost.overlap_join_rows(
-                    settings, left_estimate, right_estimate, "left", selectivity
-                )
-            else:
-                rows = cost.join_output_rows(
-                    settings, left_estimate, right_estimate, bool(keys), "left"
-                )
-            # Small inputs can still make a large join (an unkeyed θ).
-            work_rows = max(left_estimate.rows + right_estimate.rows, rows)
-            if work_rows >= settings.columnar_min_rows:
-                columnar_estimate = cost.columnar_adjustment_cost(
-                    settings, left_estimate, right_estimate, serial_estimate
-                )
-                if columnar_estimate.cost < serial_estimate.cost:
-                    candidates = self._join_candidates(
-                        left_estimate, right_estimate, rows, keys, overlap=overlap
-                    )
-                    _, strategy = min(candidates, key=lambda item: item[0].cost)
-                    task = AdjustmentTask(
-                        left_columns=tuple(left.columns),
-                        right_columns=tuple(right.columns),
-                        join_strategy=strategy,
-                        join_kind="left",
-                        condition=condition,
-                        key_pairs=tuple(keys),
-                        bounds=bounds,
-                        projections=tuple(projections),
-                        sort_width=len(projections),
-                        group_width=group_width,
-                        ts_index=ts_index,
-                        te_index=te_index,
-                        isalign=isalign,
-                        use_columnar=True,
-                        residual=residual,
-                    )
-                    _STRATEGY_COUNTER.inc(label="columnar")
-                    return self._estimated(
-                        ColumnarAdjustmentNode(left, right, task, reference),
-                        columnar_estimate,
-                    )
-        _STRATEGY_COUNTER.inc(label="row")
-        return serial
+        if not use_columnar:
+            _STRATEGY_COUNTER.inc(label="row")
+            return serial
+        _STRATEGY_COUNTER.inc(label="columnar")
+        return self._estimated(
+            ColumnarAdjustmentNode(left, right, task, reference), serial_estimate
+        )
 
     def _parallel_adjustment_plan(
         self,
         left: PhysicalNode,
         right: PhysicalNode,
-        keys: Sequence[Tuple[int, int]],
-        condition: Optional[Expression],
-        bounds: Optional[Tuple[int, int, int, int]],
-        overlap: bool,
+        task: AdjustmentTask,
         selectivity: Optional[float],
-        projections: Sequence[Tuple[Expression, str]],
-        group_width: int,
-        ts_index: int,
-        te_index: int,
-        isalign: bool,
         serial_estimate: Estimate,
-        residual: Optional[Expression] = None,
-        use_columnar: bool = False,
     ) -> Optional[PhysicalNode]:
         """Partition-parallel alternative to a serial adjustment plan.
 
@@ -684,11 +605,12 @@ class Planner:
         """
         settings = self.settings
         workers = settings.parallel_workers
+        keys = task.key_pairs
         if workers < 2 or not keys:
             return None
         # The shm transport ships key codes and endpoints, never the values
         # a residual θ reads: with one, the workers run the row pipeline.
-        use_columnar = use_columnar and residual is None
+        use_columnar = task.use_columnar and task.residual is None
         left_estimate = self._estimate(left)
         right_estimate = self._estimate(right)
         if left_estimate.rows + right_estimate.rows < settings.parallel_min_rows:
@@ -713,43 +635,19 @@ class Planner:
         # bucket sees roughly 1/partitions of either input.
         bucket_left = Estimate(rows=max(1.0, left_estimate.rows / partitions), cost=0.0)
         bucket_right = Estimate(rows=max(1.0, right_estimate.rows / partitions), cost=0.0)
-        if overlap:
-            bucket_rows = cost.overlap_join_rows(
-                settings, bucket_left, bucket_right, "left", selectivity
-            )
-        else:
-            bucket_rows = cost.join_output_rows(settings, bucket_left, bucket_right, True, "left")
-        candidates = self._join_candidates(
-            bucket_left, bucket_right, bucket_rows, keys, overlap=overlap
+        _, strategy = self._cheapest_join(
+            bucket_left, bucket_right, "left", keys, task.bounds, selectivity
         )
-        _, strategy = min(candidates, key=lambda item: item[0].cost)
 
         left_partition = PartitionNode(left, [i for i, _ in keys], partitions)
         self._estimated(left_partition, cost.partition_cost(settings, left_estimate, ship=ship))
         right_partition = PartitionNode(right, [j for _, j in keys], partitions)
         self._estimated(right_partition, cost.partition_cost(settings, right_estimate, ship=ship))
 
-        task = AdjustmentTask(
-            left_columns=tuple(left.columns),
-            right_columns=tuple(right.columns),
-            join_strategy=strategy,
-            join_kind="left",
-            condition=condition,
-            key_pairs=tuple(keys),
-            bounds=bounds,
-            projections=tuple(projections),
-            sort_width=len(projections),
-            group_width=group_width,
-            ts_index=ts_index,
-            te_index=te_index,
-            isalign=isalign,
-            use_columnar=use_columnar,
-            residual=residual,
-        )
         exchange = ExchangeNode(
             left_partition,
             right_partition,
-            task,
+            replace(task, join_strategy=strategy, use_columnar=use_columnar),
             workers=workers,
             inprocess_threshold=int(settings.parallel_min_rows),
             use_shm=use_shm,

@@ -74,24 +74,13 @@ class Settings:
     #: published once per side, workers attach without copying.
     parallel_shm_cost: float = 0.0005
 
-    #: Allow columnar batch execution of ALIGN/NORMALIZE: a
-    #: ``ColumnarAdjustment`` node replacing the serial row pipeline, and
-    #: columnar kernels inside partition-parallel workers.  Requires NumPy
-    #: (the planner falls back to row plans without it); any θ qualifies —
-    #: what its key equalities leave over filters the candidate pairs.
+    #: Plan every serial ALIGN/NORMALIZE as one ``ColumnarAdjustment`` node
+    #: (and run columnar kernels inside partition-parallel workers), at any
+    #: input size and for any θ — what its key equalities leave over filters
+    #: the candidate pairs.  NumPy is a kernel detail: without it the node
+    #: runs the pure-Python kernels.  Off plans the Fig. 12(b) row pipeline
+    #: (join → project → sort → sweep), the paper's reference plan.
     enable_columnar: bool = True
-    #: Minimum work before a columnar plan is considered — the larger of the
-    #: combined input cardinality and the estimated group-construction join
-    #: rows; below it the encoding overhead dominates.
-    columnar_min_rows: float = 1024.0
-    #: Fixed cost of a columnar execution (encoding both inputs, building
-    #: the dictionaries) — the analogue of ``parallel_setup_cost``.
-    columnar_setup_cost: float = 24.0
-    #: Fraction of the serial per-row adjustment work a vectorized batch
-    #: pays; the cost model multiplies the serial work above the inputs by
-    #: this factor.  Smaller values make the optimizer adopt columnar plans
-    #: earlier.
-    columnar_cost_factor: float = 0.12
 
     #: Allow the planner to substitute matching materialized views
     #: (``ViewScan`` nodes) for ALIGN/NORMALIZE subtrees and view-name scans.
@@ -115,9 +104,9 @@ class Settings:
         return replace(self, **overrides)
 
     def describe(self) -> str:
-        """One-line summary of the join switches (used in benchmark output)."""
+        """One-line summary of the plan switches (used in benchmark output)."""
         parts = []
-        for name in ("nestloop", "hashjoin", "mergejoin", "intervaljoin"):
+        for name in ("nestloop", "hashjoin", "mergejoin", "intervaljoin", "columnar"):
             parts.append(f"{name}={'on' if getattr(self, 'enable_' + name) else 'off'}")
         parts.append(f"parallel_workers={self.parallel_workers}")
         return ", ".join(parts)

@@ -27,13 +27,7 @@ from repro.columnar import shm  # noqa: E402  (module import is NumPy-free)
 from repro.columnar.rows import adjust_rows_columnar  # noqa: E402
 
 #: Adopt the Exchange plan for tiny test relations (no cost gates).
-PARALLEL = Settings(
-    parallel_workers=2,
-    parallel_setup_cost=0.0,
-    parallel_min_rows=0.0,
-    columnar_min_rows=0.0,
-    columnar_setup_cost=0.0,
-)
+PARALLEL = Settings(parallel_workers=2, parallel_setup_cost=0.0, parallel_min_rows=0.0)
 
 
 def _exchange(kind: str = "align", size: int = 120) -> ExchangeNode:

@@ -122,12 +122,15 @@ class TestPlanner:
         assert results[0] == results[1] == results[2]
 
     def test_normalize_plan_group_join_follows_settings(self):
+        # The Fig. 12(b) row pipeline shows its group-construction join.
         database = self._database()
         database.register_relation("inc", hotel_reservations())
         plan = normalize_plan(scan(database, "inc", "x"), scan(database, "inc", "y"), ["n"])
-        with_hash = database.plan(plan, Settings(enable_mergejoin=False)).explain()
+        with_hash = database.plan(
+            plan, Settings(enable_columnar=False, enable_mergejoin=False)
+        ).explain()
         assert "HashJoin" in with_hash
-        nl_only = database.plan(plan, Settings(enable_mergejoin=False,
+        nl_only = database.plan(plan, Settings(enable_columnar=False, enable_mergejoin=False,
                                                enable_hashjoin=False)).explain()
         assert "NestedLoopJoin" in nl_only
 
@@ -135,7 +138,7 @@ class TestPlanner:
         database = self._database()
         plan = Align(Scan("r", database.get_table("r").columns, alias="a"),
                      Scan("p", database.get_table("p").columns, alias="b"), None)
-        assert "Adjustment(align)" in database.explain(plan)
+        assert "Adjustment(align)" in database.explain(plan, Settings(enable_columnar=False))
 
     def test_unknown_table(self):
         database = Database()

@@ -1,4 +1,4 @@
-"""Planner dispatch and execution of columnar adjustment plans."""
+"""Planning and execution of columnar adjustment plans."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.columnar.runtime import forced_python, numpy_available
 from repro.engine.database import Database
-from repro.engine.executor import ColumnarAdjustmentNode, ExchangeNode
+from repro.engine.executor import AdjustmentNode, ColumnarAdjustmentNode, ExchangeNode
 from repro.engine.expressions import And, Column, Comparison, PythonPredicate
 from repro.engine.optimizer.settings import Settings
 from repro.engine.temporal_plans import align_plan, normalize_plan, scan
@@ -16,8 +16,9 @@ from repro.workloads.synthetic import SyntheticConfig, generate_random
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 
-#: Lifts the crossover/cost gates so even test-sized inputs dispatch columnar.
-COLUMNAR = Settings(columnar_min_rows=0.0, columnar_setup_cost=0.0)
+#: Plain settings plan the ``ColumnarAdjustment`` node; the switch off plans
+#: the Fig. 12(b) row pipeline every result is compared against.
+COLUMNAR = Settings()
 ROW = Settings(enable_columnar=False)
 
 
@@ -40,20 +41,17 @@ def _align(database, condition="equi"):
 
 
 class TestPlannerDispatch:
-    @needs_numpy
     def test_equality_theta_dispatches_columnar(self):
         database = _database()
         physical = database.plan(_align(database), COLUMNAR)
         assert isinstance(physical, ColumnarAdjustmentNode)
         assert "ColumnarAdjustment(align" in physical.explain()
 
-    @needs_numpy
     def test_absent_theta_dispatches_columnar(self):
         database = _database()
         physical = database.plan(_align(database, condition=None), COLUMNAR)
         assert isinstance(physical, ColumnarAdjustmentNode)
 
-    @needs_numpy
     def test_normalize_dispatches_columnar(self):
         database = _database()
         plan = normalize_plan(scan(database, "l", "l"), scan(database, "r", "r"), ["cat"])
@@ -66,34 +64,25 @@ class TestPlannerDispatch:
         # inside the batch: no θ forces the row pipeline.
         database = _database()
         physical = database.plan(_align(database, condition="opaque"), COLUMNAR)
-        assert isinstance(physical, ColumnarAdjustmentNode) == numpy_available()
-        if numpy_available():
-            assert physical.task.residual is not None
-            assert physical.describe() == "ColumnarAdjustment(align, keys=0, residual)"
+        assert isinstance(physical, ColumnarAdjustmentNode)
+        assert physical.task.residual is not None
+        assert physical.describe() == "ColumnarAdjustment(align, keys=0, residual)"
 
     def test_disabled_switch_stays_in_row_mode(self):
         database = _database()
-        physical = database.plan(_align(database), COLUMNAR.copy(enable_columnar=False))
-        assert not isinstance(physical, ColumnarAdjustmentNode)
-
-    @needs_numpy
-    def test_crossover_gates_small_inputs(self):
-        database = _database(size=40)
-        settings = Settings(columnar_min_rows=1_000_000.0)
+        settings = COLUMNAR.copy(enable_columnar=False)
         physical = database.plan(_align(database), settings)
         assert not isinstance(physical, ColumnarAdjustmentNode)
+        assert "columnar=off" in settings.describe()
 
-    def test_missing_numpy_stays_in_row_mode(self):
-        database = _database()
-        with forced_python():
-            physical = database.plan(_align(database), COLUMNAR)
-        assert not isinstance(physical, ColumnarAdjustmentNode)
-
-    @needs_numpy
     def test_parallel_plan_composes_columnar_kernels(self):
+        # (Without NumPy the partitions ship as pickled rows, at no cost here.)
         database = _database(size=400)
         settings = COLUMNAR.copy(
-            parallel_workers=2, parallel_setup_cost=0.0, parallel_min_rows=0.0
+            parallel_workers=2,
+            parallel_setup_cost=0.0,
+            parallel_min_rows=0.0,
+            parallel_pickle_cost=0.0,
         )
         physical = database.plan(_align(database), settings)
         assert isinstance(physical, ExchangeNode)
@@ -102,7 +91,6 @@ class TestPlannerDispatch:
 
 
 class TestColumnarExecution:
-    @needs_numpy
     def test_align_matches_row_pipeline(self):
         database = _database()
         plan = _align(database)
@@ -110,7 +98,6 @@ class TestColumnarExecution:
             database.execute(plan, COLUMNAR).rows
         )
 
-    @needs_numpy
     def test_normalize_matches_row_pipeline(self):
         database = _database()
         plan = normalize_plan(scan(database, "l", "l"), scan(database, "r", "r"), ["cat"])
@@ -118,7 +105,6 @@ class TestColumnarExecution:
             database.execute(plan, COLUMNAR).rows
         )
 
-    @needs_numpy
     def test_duplicate_left_rows_collapse_like_the_sort_group(self):
         # The serial pipeline's partition sort makes two identical argument
         # rows one sweep group; the columnar batch must collapse them too.
@@ -129,7 +115,6 @@ class TestColumnarExecution:
             database.execute(plan, COLUMNAR).rows
         )
 
-    @needs_numpy
     @pytest.mark.parametrize("use_python_kernels", [False, True])
     def test_degenerate_intervals_match_row_pipeline(self, use_python_kernels):
         # Regression (review finding): unmatched empty-interval argument rows
@@ -189,7 +174,6 @@ class TestColumnarExecution:
         # The static plan text never mutates — annotations live on the trace.
         assert "executed=" not in physical.explain()
 
-    @needs_numpy
     def test_unencodable_rows_fall_back_to_row_pipeline(self):
         from repro.engine.table import Table
 
@@ -213,14 +197,11 @@ class TestColumnarExecution:
         # bisect kernels, with identical output.
         database = _database(size=120)
         plan = _align(database)
-        if numpy_available():
-            physical = database.plan(plan, COLUMNAR)
-            with forced_python():
-                with obs_trace.collect(physical) as trace:
-                    columnar_rows = sorted(physical.execute())
-                assert trace.span_for(physical).attributes["executed"] == "python"
-        else:
-            pytest.skip("NumPy not installed; planner never emits the node")
+        physical = database.plan(plan, COLUMNAR)
+        with forced_python():
+            with obs_trace.collect(physical) as trace:
+                columnar_rows = sorted(physical.execute())
+            assert trace.span_for(physical).attributes["executed"] == "python"
         assert columnar_rows == sorted(database.execute(plan, ROW).rows)
 
 
@@ -286,11 +267,12 @@ FILTERED_CTE = (
 )
 
 
-@needs_numpy
 class TestFrameInput:
     """Bare scans of current relation snapshots read the relations' cached
-    frames; everything else is drained.  Same kernel, same rows, same order."""
+    frames; everything else is drained.  Same kernel, same rows, same order.
+    (Frames are NumPy arrays: without NumPy every input is drained.)"""
 
+    @needs_numpy
     @pytest.mark.parametrize("shape", sorted(KEYED_SQL))
     def test_frame_equals_drained_equals_row_pipeline_in_order(self, shape, monkeypatch):
         connection = _sql_database()
@@ -311,6 +293,7 @@ class TestFrameInput:
         assert database.plan(logical, COLUMNAR).explain() == static
         assert "input=" not in static
 
+    @needs_numpy
     def test_bypassed_children_render_never_executed(self):
         connection = _sql_database()
         logical = connection.logical_plan(KEYED_SQL["normalize-aliased"])
@@ -338,6 +321,7 @@ class TestFrameInput:
             assert relation.peek_derived(("columnar", "endpoints", "np")) is None
             assert relation.peek_derived(("columnar", "row_order", "np")) is None
 
+    @needs_numpy
     def test_second_execution_only_hits_the_relation_caches(self):
         connection = _sql_database()
         database = connection.database
@@ -363,6 +347,7 @@ class TestFrameInput:
         assert rows == database.execute(logical, ROW).rows
         assert database.get_relation("r").peek_derived(("columnar", "endpoints", "py")) is None
 
+    @needs_numpy
     def test_old_plan_over_a_mutated_relation_answers_from_its_snapshot(self):
         # A physical plan keeps the Table it was planned over; the cached
         # frames follow the live relation.  The generation guard keeps the
@@ -455,6 +440,7 @@ class TestFrameInput:
         session.execute("ROLLBACK")
         assert session.execute(KEYED_SQL["align"], settings=COLUMNAR).rows == committed
 
+    @needs_numpy
     def test_null_keys_on_both_sides_stay_dangling(self):
         # ω = ω is false in a θ: the two ω-keyed rows must not meet, although
         # the relations' dictionaries give them one shared code.
@@ -494,17 +480,6 @@ THETA_SQL = {
 }
 
 
-@pytest.fixture
-def columnar_planner(monkeypatch):
-    """Let the planner emit ``ColumnarAdjustment`` without NumPy too: the node
-    then runs the pure-Python kernels and the per-pair θ twin, so these
-    tests exercise the same contract in the no-NumPy job instead of
-    skipping there."""
-    from repro.engine.optimizer.planner import Planner
-
-    monkeypatch.setattr(Planner, "_columnar_enabled", lambda self: self.settings.enable_columnar)
-
-
 def _theta_connection(size, family=generate_random, categories=12, seed=3):
     from repro.sql.interface import Connection
 
@@ -516,46 +491,37 @@ def _theta_connection(size, family=generate_random, categories=12, seed=3):
 
 
 class TestResidualThetaPlans:
-    """Default ``Settings()``: θ no longer decides row vs column, size does."""
+    """Default ``Settings()``: neither θ nor input size decides row vs column."""
 
     @pytest.mark.parametrize("shape", sorted(THETA_SQL))
     def test_theta_shapes_plan_columnar(self, shape):
         connection = _theta_connection(size=1_000)
         physical = connection.database.plan(connection.logical_plan(THETA_SQL[shape]))
-        nodes = _columnar_nodes(physical)
-        assert len(nodes) == int(numpy_available())
-        if nodes:
-            assert nodes[0].task.residual is not None
-            assert "ColumnarAdjustment(align, keys=" in physical.explain()
-            assert ", residual)" in physical.explain()
-
-    def test_tiny_theta_align_stays_row(self):
-        connection = _theta_connection(size=5)
-        physical = connection.database.plan(connection.logical_plan(THETA_SQL["T1"]))
-        assert _columnar_nodes(physical) == []
-        assert "Adjustment(align" in physical.explain()
+        (node,) = _columnar_nodes(physical)
+        assert node.task.residual is not None
+        assert "ColumnarAdjustment(align, keys=" in physical.explain()
+        assert ", residual)" in physical.explain()
 
     def test_small_inputs_with_a_large_join_go_columnar(self):
-        # T2eq: 250 + 250 input rows are below ``columnar_min_rows``, but the
-        # unkeyed group-construction join is estimated far above it.
+        # T2eq: an unkeyed group-construction join over 250 + 250 input rows
+        # is estimated far above the inputs; the node carries the row
+        # pipeline's estimate, rows and cost.
         from repro.workloads.synthetic import generate_equal
 
         connection = _theta_connection(size=250, family=generate_equal)
         database = connection.database
-        physical = database.plan(connection.logical_plan(THETA_SQL["T2"]))
+        logical = connection.logical_plan(THETA_SQL["T2"])
+        (node,) = _columnar_nodes(database.plan(logical))
         input_rows = len(database.get_table("r")) + len(database.get_table("s"))
-        assert input_rows < Settings().columnar_min_rows
-        assert len(_columnar_nodes(physical)) == int(numpy_available())
-        if numpy_available():
-            (node,) = _columnar_nodes(physical)
-            assert node.estimated_rows >= Settings().columnar_min_rows
+        (serial,) = [n for n in _walk(database.plan(logical, ROW)) if isinstance(n, AdjustmentNode)]
+        assert node.estimated_rows == serial.estimated_rows > input_rows
+        assert node.estimated_cost == serial.estimated_cost
 
     def test_keyed_explain_is_unchanged_without_a_residual(self):
         connection = _theta_connection(size=1_000)
         explain = connection.database.plan(connection.logical_plan(KEYED_SQL["align"])).explain()
         assert "residual" not in explain
-        if numpy_available():
-            assert "ColumnarAdjustment(align, keys=1)  (" in explain
+        assert "ColumnarAdjustment(align, keys=1)  (" in explain
 
     def test_parallel_plan_keeps_a_residual_on_the_row_kernel(self):
         # The shm Exchange ships key codes and endpoints only: a residual θ
@@ -588,7 +554,37 @@ def _walk(node):
         yield from _walk(child)
 
 
-@pytest.mark.usefixtures("columnar_planner")
+#: Keyed ALIGN, NORMALIZE and an ALIGN with a residual θ.
+SMALL_SHAPES = {
+    "align": KEYED_SQL["align"],
+    "normalize": KEYED_SQL["normalize-aliased"],
+    "residual": THETA_SQL["T1"],
+}
+
+
+class TestEverySizePlansTheKernelNode:
+    """No crossover and no NumPy check: one plan at every input size."""
+
+    @pytest.mark.parametrize("size", [0, 1, 8])
+    @pytest.mark.parametrize("shape", sorted(SMALL_SHAPES))
+    def test_small_inputs_plan_columnar_with_either_backend(self, shape, size):
+        connection = _theta_connection(size=size)
+        database = connection.database
+        logical = connection.logical_plan(SMALL_SHAPES[shape])
+        physical = database.plan(logical, Settings())
+        with forced_python():
+            python_physical = database.plan(logical, Settings())
+        for plan in (physical, python_physical):
+            assert len(_columnar_nodes(plan)) == 1
+            assert not any(isinstance(n, AdjustmentNode) for n in _walk(plan))
+        assert python_physical.explain() == physical.explain()
+
+        expected = database.execute(logical, ROW).rows
+        assert physical.execute() == expected
+        with forced_python():
+            assert python_physical.execute() == expected
+
+
 class TestResidualThetaExecution:
     """Columnar ≡ row ``Adjustment`` as ordered lists, whichever evaluator ran."""
 

@@ -172,8 +172,8 @@ class TestIntervalJoinNode:
 
 
 class TestPlannerIntervalStrategy:
-    #: The join strategies of the row pipeline (an unkeyed ALIGN this size
-    #: is otherwise a columnar batch).
+    #: The join strategies of the row pipeline (ALIGN is otherwise a
+    #: columnar batch).
     ROW = Settings(enable_columnar=False)
 
     def _database(self):
@@ -205,8 +205,8 @@ class TestPlannerIntervalStrategy:
     def test_alignment_result_identical_across_strategies(self):
         database = self._database()
         plan = self._align_plan(database)
-        with_interval = database.execute(plan, Settings())
-        without = database.execute(plan, Settings(enable_intervaljoin=False))
+        with_interval = database.execute(plan, self.ROW)
+        without = database.execute(plan, self.ROW.copy(enable_intervaljoin=False))
         assert sorted(with_interval.rows, key=repr) == sorted(without.rows, key=repr)
 
 

@@ -75,13 +75,15 @@ class TestThreeImplementationsAgree:
 
 class TestJoinStrategySettingsEndToEnd:
     def test_normalization_identical_under_all_settings(self, assignments):
+        # The join switches act on the Fig. 12(b) row pipeline.
+        row = Settings(enable_columnar=False)
         results = []
-        for settings in (Settings(), Settings(enable_mergejoin=False),
-                         Settings(enable_mergejoin=False, enable_hashjoin=False)):
+        for settings in (row, row.copy(enable_mergejoin=False),
+                         row.copy(enable_mergejoin=False, enable_hashjoin=False), Settings()):
             kernel = KernelTemporalAlgebra(settings=settings)
             normalized = kernel.normalize(assignments, assignments, ["ssn"])
             results.append({(t.values, t.interval) for t in normalized})
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1] == results[2] == results[3]
 
 
 class TestApplicationScenario:

@@ -44,16 +44,8 @@ STRATEGIES = {
         parallel_min_rows=0.0,
         parallel_pickle_cost=0.0,  # the row exchange must win adoption
     ),
-    "columnar": Settings(
-        parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0
-    ),
-    "shm": Settings(
-        parallel_workers=2,
-        parallel_setup_cost=0.0,
-        parallel_min_rows=0.0,
-        columnar_min_rows=0.0,
-        columnar_setup_cost=0.0,
-    ),
+    "columnar": Settings(parallel_workers=0),
+    "shm": Settings(parallel_workers=2, parallel_setup_cost=0.0, parallel_min_rows=0.0),
 }
 
 
@@ -97,7 +89,7 @@ class TestSpanTreeMatchesExplain:
             "sweep",
             "index",
             "parallel",
-            pytest.param("columnar", marks=needs_numpy),
+            "columnar",
             pytest.param("shm", marks=needs_numpy),
         ],
     )
@@ -200,16 +192,14 @@ class TestSpanTreeMatchesExplain:
             assert trace.find(expected), trace.render()
 
     @pytest.mark.parametrize("source", ["frame", "rows"])
-    def test_residual_theta_selectivity_is_a_span_fact(self, source, monkeypatch):
+    def test_residual_theta_selectivity_is_a_span_fact(self, source):
         # A θ beyond its key equalities: EXPLAIN flags the residual, the span
         # says how it ran and how many candidate pairs it kept — still line
-        # for line the EXPLAIN tree.  (Without NumPy the planner is let
-        # through, so the node runs the Python kernels and the per-pair twin.)
+        # for line the EXPLAIN tree.  (Without NumPy the node runs the Python
+        # kernels and the per-pair twin.)
         from repro.engine.executor import ColumnarAdjustmentNode
-        from repro.engine.optimizer.planner import Planner
         from repro.engine.table import Table
 
-        monkeypatch.setattr(Planner, "_columnar_enabled", lambda self: True)
         database = _database()
         if source == "rows":
             plain = Database()

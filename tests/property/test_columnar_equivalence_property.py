@@ -167,13 +167,12 @@ class TestShmExchangeEquivalence:
     parallel plan shipping shared-memory columnar frames must produce the
     relation of the pinned serial row pipeline and of the serial columnar
     batch, at every pool size, and under both forced fallbacks (NumPy
-    hidden → row transport; ``REPRO_SHM=0`` → pickled-row transport).
+    hidden → pickled rows into the Python kernels; ``REPRO_SHM=0`` →
+    pickled-row transport).
     """
 
     SERIAL_ROW = EngineSettings(parallel_workers=0, enable_columnar=False)
-    SERIAL_COLUMNAR = EngineSettings(
-        parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0
-    )
+    SERIAL_COLUMNAR = EngineSettings(parallel_workers=0)
 
     @staticmethod
     def _parallel(workers: int) -> EngineSettings:
@@ -182,8 +181,6 @@ class TestShmExchangeEquivalence:
             parallel_setup_cost=0.0,
             parallel_tuple_cost=0.0,
             parallel_min_rows=0.0,
-            columnar_min_rows=0.0,
-            columnar_setup_cost=0.0,
         )
 
     @staticmethod
@@ -320,9 +317,7 @@ class TestFrameInputEquivalence:
     """The columnar node's two array sources and the row pipeline agree as
     *ordered lists*, whatever the relations hold."""
 
-    COLUMNAR = EngineSettings(
-        parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0
-    )
+    COLUMNAR = EngineSettings(parallel_workers=0)
     ROW = EngineSettings(parallel_workers=0, enable_columnar=False)
 
     def _check(self, database, plan):
@@ -507,9 +502,7 @@ def _rows(relation: TemporalRelation) -> List[Tuple]:
 class TestResidualThetaEquivalence:
     """Generated θ over all three synthetic families and the edge family."""
 
-    COLUMNAR = EngineSettings(
-        parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0
-    )
+    COLUMNAR = EngineSettings(parallel_workers=0)
     ROW = EngineSettings(parallel_workers=0, enable_columnar=False)
 
     @SETTINGS
@@ -544,7 +537,6 @@ class TestResidualThetaEquivalence:
     def test_columnar_equals_row_adjustment_in_order(self, pair, theta, keyed):
         from repro.columnar.rows import adjust_rows_columnar
         from repro.engine.executor import ColumnarAdjustmentNode
-        from repro.engine.optimizer.planner import Planner
 
         left, right = (_widen(relation) for relation in pair)
         database = Database()
@@ -557,8 +549,7 @@ class TestResidualThetaEquivalence:
         )
         expected = database.execute(plan, self.ROW).rows
         # Planned columnar without NumPy too: Python kernels + per-pair twin.
-        with patch.object(Planner, "_columnar_enabled", lambda self: True):
-            physical = database.plan(plan, self.COLUMNAR)
+        physical = database.plan(plan, self.COLUMNAR)
         assert isinstance(physical, ColumnarAdjustmentNode)
 
         assert physical.execute() == expected

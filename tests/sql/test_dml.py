@@ -4,6 +4,7 @@ import pytest
 
 from repro import Interval
 from repro.engine.database import Database
+from repro.engine.optimizer.settings import Settings
 from repro.relation.errors import QueryError, SchemaError, SQLSyntaxError
 from repro.sql import Connection, parse
 from repro.sql import ast
@@ -133,11 +134,12 @@ class TestMaterializedViewsThroughSQL:
         connection.execute(
             "CREATE MATERIALIZED VIEW av AS SELECT * FROM (r ALIGN p ON r.ts < p.te) a"
         )
-        plan = connection.explain("SELECT * FROM (r ALIGN p ON r.ts < p.te) q")
+        row = Settings(enable_columnar=False)
+        plan = connection.explain("SELECT * FROM (r ALIGN p ON r.ts < p.te) q", row)
         assert "ViewScan(av" in plan
         assert "Adjustment(align)" not in plan
         # a different θ keeps the real adjustment pipeline
-        other = connection.explain("SELECT * FROM (r ALIGN p ON r.ts < p.ts) q")
+        other = connection.explain("SELECT * FROM (r ALIGN p ON r.ts < p.ts) q", row)
         assert "ViewScan" not in other
 
     def test_view_query_results_match_direct_query(self, connection):

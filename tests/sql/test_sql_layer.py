@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.expressions import Comparison, Not
+from repro.engine.optimizer.settings import Settings
 from repro.relation.errors import QueryError, SQLSyntaxError
 from repro.sql import Connection, parse
 from repro.sql import ast
@@ -222,7 +223,7 @@ class TestPaperQueries:
         assert connection.query_relation(self.Q2) == expected_q2_result()
 
     def test_q1_plan_contains_temporal_nodes(self, connection):
-        plan = connection.explain(self.Q1)
+        plan = connection.explain(self.Q1, Settings(enable_columnar=False))
         assert plan.count("Adjustment(align)") == 2
         assert "Absorb" in plan
 

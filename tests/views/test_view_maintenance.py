@@ -208,7 +208,9 @@ class TestPlannerSubstitution:
         plan = align_plan(scan(database, "l", "l"), scan(database, "r", "r"), equi_cat())
         explained = database.explain(plan)
         assert "ViewScan" in explained
-        disabled = database.plan(plan, Settings(enable_viewscan=False)).explain()
+        disabled = database.plan(
+            plan, Settings(enable_viewscan=False, enable_columnar=False)
+        ).explain()
         assert "ViewScan" not in disabled
         assert "Adjustment(align)" in disabled
 
