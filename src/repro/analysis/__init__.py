@@ -2,8 +2,7 @@
 
 Eight PRs of engine growth rest on hand-enforced contracts: mutations funnel
 through ``_after_mutation``, executors annotate traces instead of node
-state, shared-memory segments are registry-owned, pool payloads pickle,
-the asyncio server never blocks its loop, metrics registration is literal
+state, the asyncio server never blocks its loop, metrics registration is literal
 and module-scope, settings knobs exist, and storage/server code never
 swallows errors silently.  This package makes those contracts *machine
 checkable*: an AST-level rule per contract, inline

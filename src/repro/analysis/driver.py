@@ -7,7 +7,7 @@ fact), and cross-module lookups such as the declared ``Settings`` fields.
 
 Running an analysis is pure: no module under analysis is ever imported —
 everything is read from source, which is what lets the checker lint code
-whose import would have side effects (servers, multiprocessing workers).
+whose import would have side effects (servers, storage engines).
 """
 
 from __future__ import annotations

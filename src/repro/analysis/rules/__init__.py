@@ -5,8 +5,6 @@ One module per contract; the rule ids, in catalog order:
 ========================  =====================================================
 ``mutation-funnel``       R1 — relation state mutates only via the funnel
 ``trace-only-annotations``  R2 — executors annotate traces, not node state
-``shm-lifecycle``         R3 — shared-memory segments are registry-owned
-``pool-payload``          R4 — pool payloads stay picklable and server-free
 ``no-blocking-in-async``  R5 — no blocking calls on the event loop
 ``metrics-discipline``    R6 — literal, module-scope metric registration
 ``settings-knob``         R7 — every Settings read names a declared field
@@ -23,8 +21,6 @@ from repro.analysis.rules import (  # noqa: F401 - registration side effects
     fault_sites,
     metrics_discipline,
     mutation_funnel,
-    pool_payloads,
     settings_knobs,
-    shm_lifecycle,
     trace_annotations,
 )

@@ -2,8 +2,5 @@
 
 from repro.bench.runner import main
 
-# The guard matters: on spawn-based multiprocessing platforms, worker
-# processes re-import the parent's main module, and an unguarded main() call
-# would recursively relaunch the whole benchmark run in every worker.
 if __name__ == "__main__":
     raise SystemExit(main())

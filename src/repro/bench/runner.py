@@ -1,18 +1,13 @@
 """Benchmark runner: timed scenarios with hard correctness gates.
 
-The strategy scenarios run one adjustment plan under several execution
-settings — the pinned serial row pipeline against the partition-parallel
-plan (``parallel_*``) or against the columnar batch and partition+columnar
-plans (``columnar_adjustment``) — over one synthetic family at one size,
-and record:
+The strategy scenario (``columnar_adjustment``) runs one adjustment plan
+under two execution settings — the pinned row pipeline against the
+columnar batch — over one synthetic family at one size, and records:
 
 * wall-clock seconds for both executions (best of ``repeats`` runs);
-* rows pulled through the plan root, observed with
-  :class:`~repro.engine.executor.instrument.CountingNode`;
 * the trace-annotated root line of both plans, captured from one extra
-  traced run (so the report proves which physical plan actually ran — the
-  parallel one must show the ``Exchange``/``Partition`` pair and the
-  ``executed=``/``ship=`` transport its span recorded);
+  traced run (so the report proves which physical plan actually ran, with
+  the ``executed=``/``input=`` facts its span recorded);
 * whether the two executions produced the identical relation.
 
 Every report also embeds a snapshot of the process metrics registry
@@ -33,7 +28,6 @@ Reports are JSON files named ``BENCH_<name>.json`` written to the repo root
 Usage::
 
     PYTHONPATH=src python -m repro.bench                    # native scenarios
-    PYTHONPATH=src python -m repro.bench --workers 4
     PYTHONPATH=src python -m repro.bench --legacy benchmarks/bench_streaming_pipeline.py
     REPRO_BENCH_SCALE=0.2 PYTHONPATH=src python -m repro.bench   # CI scale
 """
@@ -57,7 +51,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro import faults as _faults
 from repro.core.alignment import align_relation
 from repro.engine.database import Database
-from repro.engine.executor import CountingNode
 from repro.engine.expressions import Column, Comparison
 from repro.engine.optimizer.settings import Settings
 from repro.engine.plan import LogicalPlan
@@ -119,203 +112,30 @@ def _best_of(repeats: int, action: Callable[[], object]):
 
 
 def _timed_execution(database: Database, plan: LogicalPlan, settings: Settings, repeats: int):
-    """Plan, instrument, and run; returns (seconds, sorted rows, pulled, plan root).
+    """Plan and run; returns (seconds, sorted rows, plan root).
 
     The timed runs execute *untraced* — the report's wall clock measures the
     engine, not the observability layer.  One extra traced run afterwards
-    captures the annotated root line: executor nodes that decide placement at
-    runtime (``Exchange``) record what actually happened on their trace span
-    (``executed=pool[n]``, ``ship=shm``), and the report must show the
-    executed transport, not the planned intent.
+    captures the annotated root line: the ``ColumnarAdjustment`` span records
+    which kernels and input actually ran (``executed=numpy``,
+    ``input=frame``), and the report must show that, not the planned intent.
     """
     physical = database.plan(plan, settings)
-    counter = CountingNode(physical)
-
-    def run():
-        counter.reset()
-        return list(counter)
-
-    seconds, rows = _best_of(repeats, run)
-    pulled = counter.pulled
+    seconds, rows = _best_of(repeats, lambda: list(physical))
     with obs_trace.collect(physical) as trace:
         list(physical)
     root_line = trace.root_span.render().splitlines()[0]
-    return seconds, sorted(rows), pulled, root_line
+    return seconds, sorted(rows), root_line
 
 
 def _row_settings() -> Settings:
-    """Settings pinning the serial row pipeline (no parallel, no columnar).
+    """Settings pinning the row pipeline (no columnar).
 
-    The serial baseline of every strategy comparison: the planner plans a
-    columnar batch by default, so an unpinned "serial" execution would
-    compare columnar against itself.
+    The baseline of the strategy comparison: the planner plans a columnar
+    batch by default, so an unpinned execution would compare columnar
+    against itself.
     """
-    return Settings(parallel_workers=0, enable_columnar=False)
-
-
-def _parallel_settings(workers: int) -> Settings:
-    """Settings that adopt the parallel plan whenever a partition key exists.
-
-    The comparison is strategy-vs-strategy (the Fig. 13 methodology): the
-    cost gate is lifted so both executions run even at benchmark-scale
-    inputs, and the report records which plan each side actually used.
-    Columnar kernels and the shared-memory transport stay enabled — the
-    parallel side runs the plan the planner would really pick at scale
-    (``Exchange(..., kernel=columnar, ship=shm)``); pickled-row shipping is
-    a fallback, not the thing the speedup gate measures.
-    """
-    return Settings(
-        parallel_workers=workers,
-        parallel_setup_cost=0.0,
-        parallel_min_rows=0.0,
-        parallel_pickle_cost=0.0,  # lift the transport gate too: adoption is
-        parallel_shm_cost=0.0,  # forced; the executor still picks the real ship
-    )
-
-
-def _columnar_settings() -> Settings:
-    """Serial settings: every adjustment plans one ``ColumnarAdjustment`` node."""
-    return Settings(parallel_workers=0)
-
-
-def _partition_columnar_settings(workers: int) -> Settings:
-    """Partition-parallel plan with columnar kernels inside the workers."""
-    return Settings(parallel_workers=workers, parallel_setup_cost=0.0, parallel_min_rows=0.0)
-
-
-#: The headline speedup bar of the parallel scenarios: serial row pipeline
-#: over partition-parallel execution, enforced on multi-core runners.
-PARALLEL_SPEEDUP_BAR = 2.0
-
-#: Inputs smaller than this never face the bar — at tiny sizes the pool
-#: start-up dominates and the measurement says nothing about the transport.
-PARALLEL_GATE_MIN_SIZE = 1000
-
-
-def parallel_speedup_gate(
-    speedup: float,
-    size: int,
-    cpu_count: int | None = None,
-    strict: bool | None = None,
-) -> str:
-    """Verdict of the parallel speedup gate for one scenario.
-
-    Returns ``"passed"``, ``"failed"``, or a ``"skipped(reason)"`` marker.
-    A parallel plan cannot beat serial execution on hardware with one core —
-    the pool's processes time-slice the same CPU — so single-core runners
-    record ``skipped(single-core)`` instead of a meaningless failure (the
-    committed report from such a machine documents exactly that).  The gate
-    also skips when ``REPRO_BENCH_STRICT=0`` (CI's low-scale smoke bench)
-    and below :data:`PARALLEL_GATE_MIN_SIZE`.  Callers treat ``"failed"``
-    as a hard :class:`BenchmarkError`; equality gates are *never* subject
-    to any of these skips.
-    """
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    if strict is None:
-        strict = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
-    if cpu_count < 2:
-        return "skipped(single-core)"
-    if not strict:
-        return "skipped(strict-off)"
-    if size < PARALLEL_GATE_MIN_SIZE:
-        return "skipped(small-input)"
-    return "passed" if speedup >= PARALLEL_SPEEDUP_BAR else "failed"
-
-
-def _adjustment_scenarios(
-    name: str,
-    build_plan: Callable[[Database], LogicalPlan],
-    sizes: Sequence[int],
-    workers: int,
-    repeats: int,
-) -> List[dict]:
-    scenarios = []
-    for family, generator in sorted(FAMILIES.items()):
-        for size in sizes:
-            left, right = generator(config=SyntheticConfig(size=size, categories=100, seed=42))
-            database = Database()
-            database.register_relation("l", left)
-            database.register_relation("r", right)
-            plan = build_plan(database)
-
-            serial_s, serial_rows, serial_pulled, serial_plan = _timed_execution(
-                database, plan, _row_settings(), repeats
-            )
-            parallel_s, parallel_rows, parallel_pulled, parallel_plan = _timed_execution(
-                database, plan, _parallel_settings(workers), repeats
-            )
-
-            identical = serial_rows == parallel_rows
-            speedup = serial_s / max(parallel_s, 1e-9)
-            gate = parallel_speedup_gate(speedup, size)
-            scenario = {
-                "scenario": name,
-                "family": family,
-                "size": size,
-                "serial_seconds": round(serial_s, 6),
-                "parallel_seconds": round(parallel_s, 6),
-                "speedup": round(speedup, 3),
-                "gate": gate,
-                "rows_pulled": {"serial": serial_pulled, "parallel": parallel_pulled},
-                "output_tuples": len(serial_rows),
-                "identical": identical,
-                "serial_plan": serial_plan,
-                "parallel_plan": parallel_plan,
-            }
-            scenarios.append(scenario)
-            print(
-                f"[{name}] {family} n={size}: serial={serial_s * 1e3:.1f}ms "
-                f"parallel={parallel_s * 1e3:.1f}ms ({speedup:.1f}x, gate={gate}) "
-                f"out={len(serial_rows)} identical={identical}"
-            )
-            if not identical:
-                raise BenchmarkError(
-                    f"{name}/{family}/n={size}: parallel relation differs from serial "
-                    f"({len(parallel_rows)} vs {len(serial_rows)} rows)"
-                )
-            if "Exchange" not in parallel_plan:
-                raise BenchmarkError(
-                    f"{name}/{family}/n={size}: parallel settings did not produce an "
-                    f"Exchange plan (got {parallel_plan!r})"
-                )
-            if gate == "failed":
-                raise BenchmarkError(
-                    f"{name}/{family}/n={size}: parallel speedup {speedup:.2f}x below "
-                    f"the {PARALLEL_SPEEDUP_BAR}x bar on a multi-core runner "
-                    "(set REPRO_BENCH_STRICT=0 to report instead of assert)"
-                )
-    return scenarios
-
-
-def run_parallel_alignment(
-    sizes: Optional[Sequence[int]] = None, workers: int = 2, repeats: int = 2
-) -> List[dict]:
-    """Serial vs partition-parallel ALIGN with an equi-θ on ``cat``."""
-
-    def build(database: Database) -> LogicalPlan:
-        return align_plan(
-            scan(database, "l", "l"),
-            scan(database, "r", "r"),
-            Comparison("=", Column("l.cat"), Column("r.cat")),
-        )
-
-    return _adjustment_scenarios(
-        "parallel_alignment", build, sizes or scaled_sizes(DEFAULT_SIZES), workers, repeats
-    )
-
-
-def run_parallel_normalization(
-    sizes: Optional[Sequence[int]] = None, workers: int = 2, repeats: int = 2
-) -> List[dict]:
-    """Serial vs partition-parallel ``N_cat(l; r)``."""
-
-    def build(database: Database) -> LogicalPlan:
-        return normalize_plan(scan(database, "l", "l"), scan(database, "r", "r"), using=["cat"])
-
-    return _adjustment_scenarios(
-        "parallel_normalization", build, sizes or scaled_sizes(DEFAULT_SIZES), workers, repeats
-    )
+    return Settings(enable_columnar=False)
 
 
 #: Measured during the row-mode micro-optimisation of PR 5 (hoisted
@@ -331,19 +151,17 @@ ROW_MODE_MICRO_OPT_NOTE = {
 
 
 def run_columnar_adjustment(
-    sizes: Optional[Sequence[int]] = None, workers: int = 2, repeats: int = 2
+    sizes: Optional[Sequence[int]] = None, repeats: int = 2
 ) -> List[dict]:
-    """Serial row pipeline vs columnar batch vs partition+columnar ALIGN.
+    """Row pipeline vs columnar batch ALIGN and NORMALIZE.
 
-    For every synthetic family and size the same equi-θ ALIGN plan runs
-    three ways — the pinned row pipeline, the ``ColumnarAdjustment`` batch
-    and the partition-parallel plan with columnar kernels inside the
-    workers — plus a row-vs-columnar ``N_cat`` normalization.  Hard gates
-    (CI enforces these; timings are only reported unless strict):
+    For every synthetic family and size the same equi-θ ALIGN plan runs two
+    ways — the pinned row pipeline and the ``ColumnarAdjustment`` batch —
+    plus a row-vs-columnar ``N_cat`` normalization.  Hard gates (CI
+    enforces these; timings are only reported unless strict):
 
-    * all executions of a plan produce the identical relation;
-    * the columnar run's root is a ``ColumnarAdjustment`` node and the
-      partitioned run's root an ``Exchange(..., kernel=columnar)`` — the
+    * both executions of a plan produce the identical relation;
+    * the columnar run's root is a ``ColumnarAdjustment`` node — the
       dispatch must be visible in EXPLAIN, not inferred from timings;
     * under ``REPRO_BENCH_STRICT`` (default on; CI relaxes it) the columnar
       alignment must beat the row pipeline by ≥4x at full-scale sizes.
@@ -377,23 +195,18 @@ def run_columnar_adjustment(
                 scan(database, "l", "l"), scan(database, "r", "r"), using=["cat"]
             )
 
-            row_s, row_rows, _, row_plan = _timed_execution(
+            row_s, row_rows, row_plan = _timed_execution(
                 database, align, _row_settings(), repeats
             )
-            col_s, col_rows, _, col_plan = _timed_execution(
-                database, align, _columnar_settings(), repeats
-            )
-            part_s, part_rows, _, part_plan = _timed_execution(
-                database, align, _partition_columnar_settings(workers), repeats
-            )
-            norm_row_s, norm_row_rows, _, _ = _timed_execution(
+            col_s, col_rows, col_plan = _timed_execution(database, align, Settings(), repeats)
+            norm_row_s, norm_row_rows, _ = _timed_execution(
                 database, normalize, _row_settings(), repeats
             )
-            norm_col_s, norm_col_rows, _, norm_col_plan = _timed_execution(
-                database, normalize, _columnar_settings(), repeats
+            norm_col_s, norm_col_rows, norm_col_plan = _timed_execution(
+                database, normalize, Settings(), repeats
             )
 
-            identical = row_rows == col_rows == part_rows
+            identical = row_rows == col_rows
             norm_identical = norm_row_rows == norm_col_rows
             speedup = row_s / max(col_s, 1e-9)
             scenario = {
@@ -402,14 +215,11 @@ def run_columnar_adjustment(
                 "size": size,
                 "row_seconds": round(row_s, 6),
                 "columnar_seconds": round(col_s, 6),
-                "partition_columnar_seconds": round(part_s, 6),
                 "columnar_speedup": round(speedup, 3),
-                "partition_columnar_speedup": round(row_s / max(part_s, 1e-9), 3),
                 "output_tuples": len(row_rows),
                 "identical": identical and norm_identical,
                 "row_plan": row_plan,
                 "columnar_plan": col_plan,
-                "partition_columnar_plan": part_plan,
                 "normalize_row_seconds": round(norm_row_s, 6),
                 "normalize_columnar_seconds": round(norm_col_s, 6),
                 "normalize_speedup": round(norm_row_s / max(norm_col_s, 1e-9), 3),
@@ -418,15 +228,13 @@ def run_columnar_adjustment(
             scenarios.append(scenario)
             print(
                 f"[columnar_adjustment] {family} n={size}: row={row_s * 1e3:.1f}ms "
-                f"columnar={col_s * 1e3:.1f}ms ({speedup:.1f}x) "
-                f"partition+columnar={part_s * 1e3:.1f}ms out={len(row_rows)} "
+                f"columnar={col_s * 1e3:.1f}ms ({speedup:.1f}x) out={len(row_rows)} "
                 f"identical={identical}"
             )
             if not identical:
                 raise BenchmarkError(
                     f"columnar_adjustment/{family}/n={size}: columnar relation "
-                    f"differs from the row pipeline ({len(col_rows)}/{len(part_rows)} "
-                    f"vs {len(row_rows)} rows)"
+                    f"differs from the row pipeline ({len(col_rows)} vs {len(row_rows)} rows)"
                 )
             if not norm_identical:
                 raise BenchmarkError(
@@ -438,12 +246,6 @@ def run_columnar_adjustment(
                 raise BenchmarkError(
                     f"columnar_adjustment/{family}/n={size}: columnar settings did "
                     f"not produce a ColumnarAdjustment plan (got {col_plan!r})"
-                )
-            if "Exchange" not in part_plan or "kernel=columnar" not in part_plan:
-                raise BenchmarkError(
-                    f"columnar_adjustment/{family}/n={size}: partition settings did "
-                    f"not produce an Exchange plan with columnar kernels "
-                    f"(got {part_plan!r})"
                 )
             if strict and size >= 1000 and speedup < 4.0:
                 raise BenchmarkError(
@@ -474,7 +276,7 @@ def _mutation_stream(size: int, count: int):
 
 
 def run_view_maintenance(
-    sizes: Optional[Sequence[int]] = None, workers: int = 2, repeats: int = 2
+    sizes: Optional[Sequence[int]] = None, repeats: int = 2
 ) -> List[dict]:
     """Incremental view maintenance vs full ALIGN recompute under mutations.
 
@@ -486,11 +288,7 @@ def run_view_maintenance(
     insert measures the headline number: time to fold one delta in vs time to
     realign everything.  The ≥5x speedup expectation is asserted only under
     ``REPRO_BENCH_STRICT`` (default on; CI relaxes it to reporting).
-
-    ``workers`` is unused (maintenance is single-threaded) but kept so all
-    native scenarios share the runner's calling convention.
     """
-    del workers
     sizes = sizes or scaled_sizes(DEFAULT_SIZES)
     strict = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
     scenarios = []
@@ -597,7 +395,7 @@ def _apply_mutation_stream(database: Database, stream) -> None:
 
 
 def run_durability(
-    sizes: Optional[Sequence[int]] = None, workers: int = 2, repeats: int = 2
+    sizes: Optional[Sequence[int]] = None, repeats: int = 2
 ) -> List[dict]:
     """WAL-append overhead per mutation and crash-recovery time vs. size.
 
@@ -615,11 +413,7 @@ def run_durability(
     * the recovered ALIGN view equals the pre-crash view;
     * a single-tuple mutation after recovery refreshes the view via the
       *incremental* path (strategy introspection, not timing).
-
-    ``workers`` is unused (durability is single-threaded) but kept so all
-    native scenarios share the runner's calling convention.
     """
-    del workers
     sizes = sizes or scaled_sizes(DEFAULT_SIZES)
     scenarios = []
     for family, generator in sorted(FAMILIES.items()):
@@ -791,7 +585,7 @@ def _transaction_statements(rng) -> List[str]:
 
 
 def run_concurrency(
-    sizes: Optional[Sequence[int]] = None, workers: int = 2, repeats: int = 2
+    sizes: Optional[Sequence[int]] = None, repeats: int = 2
 ) -> List[dict]:
     """Throughput/latency of N socket clients vs a serializable-equivalence gate.
 
@@ -820,8 +614,8 @@ def run_concurrency(
     conflict, ``wal.fsync_seconds`` observed at least one fsync, and the
     two surfaces agree with each other.
 
-    ``workers`` and ``repeats`` are unused (the load is the client threads)
-    but kept so all native scenarios share the runner's calling convention.
+    ``repeats`` is unused (the load is the client threads) but kept so all
+    native scenarios share the runner's calling convention.
     """
     import random as random_module
     import threading
@@ -832,7 +626,7 @@ def run_concurrency(
     from repro.server import serve_in_thread
     from repro.sql.interface import Connection
 
-    del workers, repeats
+    del repeats
     client_counts = [n for n in (sizes or CONCURRENCY_CLIENTS) if n > 0]
     transactions_per_client = max(4, int(30 * SCALE))
     scenarios: List[dict] = []
@@ -1287,108 +1081,6 @@ def _chaos_served_round(seed: int) -> dict:
     return scenario
 
 
-def _chaos_engine_round(workers: int) -> dict:
-    """Pool/shm faults under a real partition-parallel ALIGN.
-
-    A clean parallel run first proves the baseline is healthy (identical to
-    serial; with NumPy it must actually ship via shared memory, so the
-    faulted runs below disturb a live shm exchange rather than an
-    already-degraded fallback).  Then each fault — shm segment creation
-    failing, a worker dying, a worker stalling — is armed for one run, and
-    the gates are: identical results through the designed fallback, the
-    fault observed in the parent's ``faults.injected`` counts, and zero
-    shared-memory segments leaked in ``/dev/shm``.
-    """
-    import warnings
-
-    from repro.columnar.runtime import numpy_available
-
-    size = max(200, int(800 * SCALE))
-    left, right = generate_random(
-        config=SyntheticConfig(size=size, categories=20, seed=7)
-    )
-    database = _register_twin(Database(), left, right)
-    plan = align_plan(
-        scan(database, "l", "l"),
-        scan(database, "r", "r"),
-        Comparison("=", Column("l.cat"), Column("r.cat")),
-    )
-    serial = sorted(database.plan(plan, _row_settings()))
-    settings = _parallel_settings(workers)
-
-    shm_dir = "/dev/shm"
-    before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
-
-    def shm_ships() -> int:
-        labels = obs_metrics.REGISTRY.snapshot().get("exchange.ship", {})
-        return int(labels.get("labels", {}).get("shm", 0))
-
-    ships_before = shm_ships()
-    clean = sorted(database.plan(plan, settings))
-    if clean != serial:
-        raise BenchmarkError(
-            f"chaos_engine: clean parallel run diverged from serial "
-            f"({len(clean)} vs {len(serial)} rows)"
-        )
-    if numpy_available() and shm_ships() <= ships_before:
-        raise BenchmarkError(
-            "chaos_engine: clean parallel run never shipped via shared "
-            "memory — the shm fault runs below would be vacuous"
-        )
-
-    specs = ["pool.worker_kill:count=1", "pool.worker_stall:count=1:ms=5"]
-    if numpy_available():
-        # The first segment creation is parent-side (input blocks are built
-        # before any worker exists), so the injected count is observable.
-        specs.insert(0, "shm.create_fail:count=1")
-    injected: Dict[str, int] = {}
-    for spec in specs:
-        site = spec.split(":", 1)[0]
-        _faults.arm(spec)
-        try:
-            with warnings.catch_warnings():
-                # The pool-death fallback warns by design; the gate below
-                # asserts the fallback's *results*, not its noise.
-                warnings.simplefilter("ignore", RuntimeWarning)
-                faulted = sorted(database.plan(plan, settings))
-            active = _faults.active()
-            counts = active.injected_counts() if active is not None else {}
-        finally:
-            _faults.disarm()
-        if faulted != serial:
-            raise BenchmarkError(
-                f"chaos_engine: run with {site} armed diverged from serial "
-                f"({len(faulted)} vs {len(serial)} rows)"
-            )
-        if counts.get(site, 0) < 1:
-            raise BenchmarkError(
-                f"chaos_engine: armed fault {site} never fired during the "
-                f"parallel run (injected counts: {counts})"
-            )
-        injected[site] = int(counts[site])
-
-    after = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
-    leaked = sorted(name for name in after - before if name.startswith("repro"))
-    if leaked:
-        raise BenchmarkError(f"chaos_engine: leaked shm segments: {leaked}")
-
-    scenario = {
-        "scenario": "chaos_engine_faults",
-        "size": size,
-        "workers": workers,
-        "numpy": numpy_available(),
-        "faults": sorted(injected),
-        "injected": injected,
-        "identical": True,
-        "leaked_segments": 0,
-    }
-    print(
-        f"[chaos] engine faults ({', '.join(sorted(injected)) or 'none'}): "
-        f"identical={scenario['identical']} leaked=0"
-    )
-    return scenario
-
-
 def _chaos_storage_round() -> dict:
     """Storage faults end to end: poison, degrade, recover.
 
@@ -1567,9 +1259,7 @@ def _chaos_timeout_round() -> dict:
     for index in range(rows):
         relation.insert((f"k{index}", index), Interval(index, index + 2))
     database.register_relation("r", relation)
-    database.settings = Settings(
-        enable_columnar=False, parallel_workers=0, statement_timeout_ms=50.0
-    )
+    database.settings = Settings(enable_columnar=False, statement_timeout_ms=50.0)
     slow_sql = "SELECT * FROM (r ALIGN r ON 1 = 1) q"
 
     def expect_timeout(client, context: str) -> None:
@@ -1620,17 +1310,16 @@ def _chaos_timeout_round() -> dict:
 
 
 def run_chaos(
-    sizes: Optional[Sequence[int]] = None, workers: int = 2, repeats: int = 2
+    sizes: Optional[Sequence[int]] = None, repeats: int = 2
 ) -> List[dict]:
     """Fault-injection chaos harness — every gate is hard, none relaxed.
 
     One served round per seed in :data:`CHAOS_SEEDS` (``--sizes`` overrides
     the seed list): a subprocess server with net faults armed through
     ``REPRO_FAULTS``, retrying clients, a SIGKILL, and a recovered-state ≡
-    committed-prefix replay gate.  Then one round each of engine faults
-    (pool death/stall, shm failure, with a no-leak scan of ``/dev/shm``),
-    storage faults (poison → degraded mode → acked-prefix recovery), and
-    statement timeouts over the wire.  Every armed fault must be observed
+    committed-prefix replay gate.  Then one round each of storage faults
+    (poison → degraded mode → acked-prefix recovery) and statement timeouts
+    over the wire.  Every armed fault must be observed
     in ``faults.injected`` — a chaos run whose faults never fired proves
     nothing.  ``repeats`` is unused but kept for the runner's convention.
     """
@@ -1641,7 +1330,6 @@ def run_chaos(
         scenarios: List[dict] = []
         for seed in seeds:
             scenarios.append(_chaos_served_round(seed))
-        scenarios.append(_chaos_engine_round(workers))
         scenarios.append(_chaos_storage_round())
         scenarios.append(_chaos_timeout_round())
         return scenarios
@@ -1660,7 +1348,7 @@ OBS_OVERHEAD_SIZES = (4000,)
 
 
 def run_obs_overhead(
-    sizes: Optional[Sequence[int]] = None, workers: int = 2, repeats: int = 2
+    sizes: Optional[Sequence[int]] = None, repeats: int = 2
 ) -> List[dict]:
     """Cost of the tracing layer on the alignment pipeline.
 
@@ -1677,12 +1365,7 @@ def run_obs_overhead(
     bar is asserted only under ``REPRO_BENCH_STRICT`` (default on; CI's
     low-scale smoke bench relaxes it — wall-clock ratios on shared runners
     are noise) and only at full-scale sizes.
-
-    ``workers`` is unused (the measured plan is single-threaded on purpose:
-    pool scheduling noise would drown a 5% signal) but kept so all native
-    scenarios share the runner's calling convention.
     """
-    del workers
     sizes = sizes or scaled_sizes(OBS_OVERHEAD_SIZES)
     strict = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
     runs = max(repeats, 5)
@@ -1699,7 +1382,7 @@ def run_obs_overhead(
             scan(database, "r", "r"),
             Comparison("=", Column("l.cat"), Column("r.cat")),
         )
-        physical = database.plan(plan, Settings(parallel_workers=0))
+        physical = database.plan(plan, Settings())
 
         untraced_seconds, untraced_rows = _best_of(runs, lambda: list(physical))
 
@@ -1789,13 +1472,12 @@ def run_legacy_suite(path: str) -> dict:
     }
 
 
-def write_report(name: str, scenarios: List[dict], output_dir: str, workers: int) -> str:
+def write_report(name: str, scenarios: List[dict], output_dir: str) -> str:
     """Write ``BENCH_<name>.json`` and return its path."""
     payload = {
         "benchmark": name,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "scale": SCALE,
-        "workers": workers,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
@@ -1820,8 +1502,6 @@ NATIVE_SCENARIOS = {
     "concurrency": run_concurrency,
     "durability": run_durability,
     "obs_overhead": run_obs_overhead,
-    "parallel_alignment": run_parallel_alignment,
-    "parallel_normalization": run_parallel_normalization,
     "view_maintenance": run_view_maintenance,
 }
 
@@ -1829,7 +1509,6 @@ NATIVE_SCENARIOS = {
 def _run_scenario(
     name: str,
     sizes: Optional[Sequence[int]],
-    workers: int,
     repeats: int,
     profile_top: Optional[int],
 ) -> List[dict]:
@@ -1843,11 +1522,11 @@ def _run_scenario(
     """
     runner = NATIVE_SCENARIOS[name]
     if profile_top is None:
-        return runner(sizes=sizes, workers=workers, repeats=repeats)
+        return runner(sizes=sizes, repeats=repeats)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        scenarios = runner(sizes=sizes, workers=workers, repeats=repeats)
+        scenarios = runner(sizes=sizes, repeats=repeats)
     finally:
         profiler.disable()
         stream = io.StringIO()
@@ -1873,7 +1552,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PYTEST_FILE",
         help="pytest benchmark file to wrap (repeatable)",
     )
-    parser.add_argument("--workers", type=int, default=2, help="parallel worker pool size")
     parser.add_argument("--repeats", type=int, default=2, help="timing runs per measurement")
     parser.add_argument(
         "--profile",
@@ -1900,7 +1578,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scenarios = _run_scenario(
                 name,
                 sizes=sizes,
-                workers=arguments.workers,
                 repeats=arguments.repeats,
                 profile_top=arguments.profile,
             )
@@ -1908,11 +1585,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"CORRECTNESS FAILURE in {name}: {error}", file=sys.stderr)
             failed = True
             continue
-        write_report(name, scenarios, arguments.output_dir, arguments.workers)
+        write_report(name, scenarios, arguments.output_dir)
 
     if arguments.legacy:
         results = [run_legacy_suite(path) for path in arguments.legacy]
-        write_report("legacy_suites", results, arguments.output_dir, arguments.workers)
+        write_report("legacy_suites", results, arguments.output_dir)
         failed = failed or any(result["returncode"] != 0 for result in results)
 
     return 1 if failed else 0

@@ -12,9 +12,9 @@ Consumers:
 * the relation-level operators (``align_relation``/``normalize``) expose a
   ``"columnar"`` strategy and auto-dispatch through
   :mod:`repro.columnar.dispatch`;
-* the engine's ``ColumnarAdjustmentNode`` and the partition-parallel workers
-  execute :class:`~repro.engine.executor.partition.AdjustmentTask` batches
-  through :mod:`repro.columnar.rows`.
+* the engine's ``ColumnarAdjustmentNode`` executes
+  :class:`~repro.engine.executor.adjustment.AdjustmentTask` batches through
+  :mod:`repro.columnar.rows`.
 
 Everything here is bound by one hard contract: row mode and columnar mode
 produce the identical relation on every input.

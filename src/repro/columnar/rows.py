@@ -1,8 +1,8 @@
 """Engine adapter: run an :class:`AdjustmentTask` through the columnar kernels.
 
-The partition-parallel executor describes the serial per-partition pipeline
-(``join → project → sort → plane sweep``) as a picklable ``AdjustmentTask``;
-this module executes the *same contract* as whole-array kernels: it returns
+An ``AdjustmentTask`` describes the row pipeline
+(``join → project → sort → plane sweep``) as data; this module executes the
+*same contract* as whole-array kernels: it returns
 exactly the rows the row pipeline would produce — same values, same order
 (left rows sorted by the engine's comparator, pieces in sweep order), same
 treatment of duplicate left rows (the pipeline's partition sort makes them
@@ -12,7 +12,7 @@ rows stay dangling).
 The work is split in two.  *Obtaining the arrays* has two sources:
 
 * :func:`arrays_from_rows` encodes the drained rows of both inputs — any
-  input at all, and what partition workers run on their slice;
+  input at all;
 * :func:`arrays_from_frames` reads the frames cached on the two relations
   (:func:`~repro.columnar.encoding.encode_relation`) when both inputs are
   unmodified snapshots of registered relations, so repeated adjustments pay
@@ -168,7 +168,7 @@ def arrays_from_rows(
     """Encode the drained rows of both inputs (works for every input).
 
     Args:
-        task: An :class:`~repro.engine.executor.partition.AdjustmentTask`;
+        task: An :class:`~repro.engine.executor.adjustment.AdjustmentTask`;
             only its structural fields are read, so any object with the same
             attributes works.
         left_rows: Rows of the argument input (``group_width`` columns).
@@ -365,8 +365,8 @@ def adjust_rows_columnar(
 ) -> List[Row]:
     """Run one adjustment task (align or normalize) over drained rows.
 
-    :func:`arrays_from_rows` then :func:`rows_from_arrays`; what partition
-    workers and the drained-row route of ``ColumnarAdjustmentNode`` call.
+    :func:`arrays_from_rows` then :func:`rows_from_arrays`; what the
+    drained-row route of ``ColumnarAdjustmentNode`` calls.
 
     Raises:
         ColumnarUnsupported: When a bound column cannot be batch-encoded.

@@ -21,10 +21,9 @@ PostgreSQL optimizer pick a hash or merge join.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.columnar import dispatch as columnar_dispatch
-from repro.core import parallel as parallel_support
 from repro.core.primitives import align_tuple
 from repro.core.sweep import KeyFunction, ThetaPredicate, overlap_groups, value_key
 from repro.relation.relation import TemporalRelation
@@ -32,7 +31,7 @@ from repro.relation.tuple import TemporalTuple
 from repro.temporal.interval import Interval
 
 
-ALIGN_STRATEGIES = ("auto", "sweep", "index", "parallel", "columnar")
+ALIGN_STRATEGIES = ("auto", "sweep", "index", "columnar")
 
 
 def align_relation(
@@ -42,7 +41,6 @@ def align_relation(
     equi_attributes: Optional[Sequence[str]] = None,
     reference_equi_attributes: Optional[Sequence[str]] = None,
     strategy: str = "auto",
-    workers: Optional[int] = None,
 ) -> TemporalRelation:
     """Compute the temporal alignment ``relation Φθ reference``.
 
@@ -64,12 +62,9 @@ def align_relation(
         the reference's cached
         :class:`~repro.temporal.interval_index.IntervalIndex`, building it on
         first use — the right choice when many relations are aligned against
-        one shared reference; ``"parallel"`` hash-partitions both inputs on
-        the equality key and sweeps the partitions through a worker pool
-        (in-process below :func:`repro.core.parallel.min_pool_tuples` input
-        tuples, or when the θ predicate cannot be shipped to workers);
-        ``"auto"`` (default) probes the index when the reference already has
-        one cached and sweeps otherwise, so repeated callers get the
+        one shared reference; ``"auto"`` (default) probes the index when the
+        reference already has one cached and sweeps otherwise, so repeated
+        callers get the
         amortised path without a flag; ``"columnar"`` encodes both relations
         into int64 endpoint arrays with dictionary-encoded keys and runs the
         vectorized batch kernels of :mod:`repro.columnar` (NumPy when
@@ -81,10 +76,6 @@ def align_relation(
         ``"columnar"`` request the overlap join and the piece generation
         still run vectorized, with θ called once per candidate pair between
         them.
-    workers:
-        Pool size for the ``"parallel"`` strategy (default: the
-        ``REPRO_PARALLEL_WORKERS`` environment variable, else the CPU
-        count).  Ignored by the other strategies.
 
     Notes
     -----
@@ -116,10 +107,6 @@ def align_relation(
         left_key = value_key(equi_attributes)
         right_key = value_key(index_attrs)
 
-    if strategy == "parallel":
-        return _align_parallel(
-            relation, reference, theta, equi_attributes, index_attrs, workers
-        )
     if strategy == "columnar":
         return _align_columnar(relation, reference, theta, equi_attributes, index_attrs)
     if (
@@ -206,99 +193,6 @@ def _align_columnar(
     add = result.add
     for i, start, end in zip(rows, starts, ends):
         add(left_tuples[i].with_interval(Interval(start, end)))
-    return result
-
-
-# -- the parallel strategy ----------------------------------------------------
-
-
-def _align_partition_worker(payload: Tuple[Any, ...]) -> List[Tuple[int, List[Interval]]]:
-    """Align the argument tuples of one partition (runs in a pool worker).
-
-    The payload carries full :class:`TemporalTuple` values (they pickle via
-    ``__reduce__``) because the residual θ predicate needs them; the result
-    only carries the adjusted intervals, keyed by the argument tuple's
-    position in the original relation so the parent can merge
-    deterministically.
-    """
-    theta, equi_attributes, reference_equi_attributes, left_items, right_tuples = payload
-    # Hash buckets can hold several distinct keys (collisions), so the
-    # within-partition sweep still restricts candidates by the equality key.
-    left_key = value_key(equi_attributes) if equi_attributes is not None else None
-    right_key = (
-        value_key(reference_equi_attributes) if equi_attributes is not None else None
-    )
-    lefts = [item[1] for item in left_items]
-    groups = overlap_groups(
-        lefts, right_tuples, theta=theta, left_key=left_key, right_key=right_key
-    )
-    pieces: List[Tuple[int, List[Interval]]] = []
-    for (index, r), group in zip(left_items, groups):
-        pieces.append((index, align_tuple(r.interval, [g.interval for g in group])))
-    return pieces
-
-
-def _align_parallel(
-    relation: TemporalRelation,
-    reference: TemporalRelation,
-    theta: Optional[ThetaPredicate],
-    equi_attributes: Optional[Sequence[str]],
-    reference_equi_attributes: Sequence[str],
-    workers: Optional[int],
-) -> TemporalRelation:
-    """``align_relation`` with hash-partitioned, pool-executed sweeps.
-
-    Partitioning on the equality key is lossless: a reference tuple can only
-    belong to an argument tuple's group when the keys are equal, so both land
-    in the same partition and every partition alignment is self-contained.
-    Without an equality key everything collapses into a single partition and
-    the strategy degenerates to the serial sweep.
-    """
-    worker_count = parallel_support.resolve_workers(workers)
-    partition_count = max(1, worker_count * 4)
-
-    left_tuples = relation.tuples()
-    right_tuples = reference.tuples()
-    left_keys = [
-        t.values_of(equi_attributes) if equi_attributes is not None else () for t in left_tuples
-    ]
-    right_keys = [
-        t.values_of(reference_equi_attributes) if equi_attributes is not None else ()
-        for t in right_tuples
-    ]
-    left_buckets = parallel_support.partition_items(
-        list(enumerate(left_tuples)),
-        parallel_support.partition_indexes(left_keys, partition_count),
-        partition_count,
-    )
-    right_buckets = parallel_support.partition_items(
-        right_tuples,
-        parallel_support.partition_indexes(right_keys, partition_count),
-        partition_count,
-    )
-
-    equi = tuple(equi_attributes) if equi_attributes is not None else None
-    ref_equi = tuple(reference_equi_attributes) if equi_attributes is not None else None
-    payloads = [
-        (theta, equi, ref_equi, left_bucket, right_bucket)
-        for left_bucket, right_bucket in zip(left_buckets, right_buckets)
-        if left_bucket
-    ]
-    results = parallel_support.parallel_map(
-        _align_partition_worker,
-        payloads,
-        workers=worker_count,
-        total_items=len(left_tuples) + len(right_tuples),
-    )
-
-    pieces_by_index = {}
-    for partition_pieces in results:
-        for index, intervals in partition_pieces:
-            pieces_by_index[index] = intervals
-    result = TemporalRelation(relation.schema)
-    for index, r in enumerate(left_tuples):
-        for piece in pieces_by_index.get(index, ()):
-            result.add(r.with_interval(piece))
     return result
 
 

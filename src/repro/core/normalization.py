@@ -19,16 +19,15 @@ PostgreSQL optimizer picks for the group-construction join.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.columnar import dispatch as columnar_dispatch
-from repro.core import parallel as parallel_support
 from repro.relation.errors import SchemaError
 from repro.relation.relation import TemporalRelation
 from repro.temporal.interval import Interval
 
 
-NORMALIZE_STRATEGIES = ("auto", "sweep", "parallel", "columnar")
+NORMALIZE_STRATEGIES = ("auto", "sweep", "columnar")
 
 
 def normalize(
@@ -36,7 +35,6 @@ def normalize(
     reference: TemporalRelation,
     attributes: Sequence[str] = (),
     strategy: str = "auto",
-    workers: Optional[int] = None,
 ) -> TemporalRelation:
     """Compute ``N_B(relation; reference)`` for ``B = attributes``.
 
@@ -45,17 +43,14 @@ def normalize(
     which is the most expensive case evaluated in Fig. 14.
 
     ``strategy`` selects how the per-group sweeps run: ``"sweep"`` partitions
-    by ``B`` with a hash table and sweeps the groups serially;
-    ``"parallel"`` hash-partitions both relations on the ``B`` key and runs
-    the partition sweeps through a worker pool of ``workers`` processes
-    (in-process for small inputs — see
-    :func:`repro.core.parallel.min_pool_tuples`); ``"columnar"`` encodes the
-    reference endpoints and the ``B`` keys into arrays and generates the
-    split pieces with the vectorized batch kernels of :mod:`repro.columnar`
-    (pure-Python twin when NumPy is absent).  ``"auto"`` picks the columnar
-    path cost-based (NumPy importable and the combined input above the
-    crossover of :func:`repro.columnar.dispatch.auto_columnar`) and sweeps
-    otherwise.  All strategies produce the same relation.
+    by ``B`` with a hash table and sweeps the groups serially; ``"columnar"``
+    encodes the reference endpoints and the ``B`` keys into arrays and
+    generates the split pieces with the vectorized batch kernels of
+    :mod:`repro.columnar` (pure-Python twin when NumPy is absent).
+    ``"auto"`` picks the columnar path cost-based (NumPy importable and the
+    combined input above the crossover of
+    :func:`repro.columnar.dispatch.auto_columnar`) and sweeps otherwise.  All
+    strategies produce the same relation.
 
     The result keeps the schema of ``relation``.  Every result tuple is
     derived from exactly one input tuple (its lineage); change preservation
@@ -72,8 +67,6 @@ def normalize(
     if attrs and not reference.schema.has_attributes(attrs):
         raise SchemaError(f"normalization attributes {attrs} missing from {reference.schema!r}")
 
-    if strategy == "parallel":
-        return _normalize_parallel(relation, reference, attrs, workers)
     if strategy == "columnar" or (
         strategy == "auto"
         and columnar_dispatch.auto_columnar(len(relation), len(reference))
@@ -123,91 +116,6 @@ def _normalize_columnar(
     add = result.add
     for i, start, end in zip(rows, starts, ends):
         add(left_tuples[i].with_interval(Interval(start, end)))
-    return result
-
-
-def _normalize_partition_worker(
-    payload: Tuple[Any, ...],
-) -> List[Tuple[int, List[Tuple[int, int]]]]:
-    """Split the argument intervals of one partition (runs in a pool worker).
-
-    Tuple values never travel: the payload carries ``(index, key, start,
-    end)`` for the argument side and ``(key, start, end)`` for the
-    reference side, and the result is plain interval bounds per argument
-    index — the cheapest possible wire format.
-    """
-    left_items, right_items = payload
-    collected: Dict[Hashable, Set[int]] = defaultdict(set)
-    for key, start, end in right_items:
-        if start == end:  # empty interval: no split points
-            continue
-        collected[key].add(start)
-        collected[key].add(end)
-    split_points = {key: sorted(points) for key, points in collected.items()}
-
-    pieces: List[Tuple[int, List[Tuple[int, int]]]] = []
-    for index, key, start, end in left_items:
-        intervals = _split_interval(Interval(start, end), split_points.get(key, ()))
-        pieces.append((index, [(piece.start, piece.end) for piece in intervals]))
-    return pieces
-
-
-def _normalize_parallel(
-    relation: TemporalRelation,
-    reference: TemporalRelation,
-    attrs: Tuple[str, ...],
-    workers: Optional[int],
-) -> TemporalRelation:
-    """``normalize`` with hash-partitioned, pool-executed splitting.
-
-    Partitioning on the ``B`` key is lossless: only reference tuples that
-    agree on ``B`` contribute split points to an argument tuple, and key
-    equality implies same partition.  ``B = ()`` collapses into a single
-    partition (the strategy then degenerates to the serial sweep).
-    """
-    worker_count = parallel_support.resolve_workers(workers)
-    partition_count = max(1, worker_count * 4)
-
-    left_tuples = relation.tuples()
-    left_keys = [t.values_of(attrs) if attrs else () for t in left_tuples]
-    right_items = [
-        (t.values_of(attrs) if attrs else (), t.start, t.end) for t in reference.tuples()
-    ]
-    left_items = [
-        (index, key, t.start, t.end)
-        for (index, t), key in zip(enumerate(left_tuples), left_keys)
-    ]
-    left_buckets = parallel_support.partition_items(
-        left_items,
-        parallel_support.partition_indexes(left_keys, partition_count),
-        partition_count,
-    )
-    right_buckets = parallel_support.partition_items(
-        right_items,
-        parallel_support.partition_indexes([item[0] for item in right_items], partition_count),
-        partition_count,
-    )
-
-    payloads = [
-        (left_bucket, right_bucket)
-        for left_bucket, right_bucket in zip(left_buckets, right_buckets)
-        if left_bucket
-    ]
-    results = parallel_support.parallel_map(
-        _normalize_partition_worker,
-        payloads,
-        workers=worker_count,
-        total_items=len(left_tuples) + len(right_items),
-    )
-
-    pieces_by_index = {}
-    for partition_pieces in results:
-        for index, bounds in partition_pieces:
-            pieces_by_index[index] = bounds
-    result = TemporalRelation(relation.schema)
-    for index, r in enumerate(left_tuples):
-        for start, end in pieces_by_index.get(index, ()):
-            result.add(r.with_interval(Interval(start, end)))
     return result
 
 

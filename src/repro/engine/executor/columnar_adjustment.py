@@ -4,7 +4,7 @@ Where the serial plan streams a group-construction join through project,
 sort and the plane sweep (Fig. 12(b)), :class:`ColumnarAdjustmentNode`
 takes both inputs as arrays — interval bounds plus dictionary-encoded
 equality keys — and produces the full output in one batched kernel pass
-(:mod:`repro.columnar`).  The planner plans this node for every serial
+(:mod:`repro.columnar`).  The planner plans this node for every
 adjustment — at any input size, whatever θ is, with NumPy kernels or their
 pure-Python twins (:func:`~repro.columnar.rows.kernel_mode`) — unless
 ``enable_columnar`` is off, and it appears in ``EXPLAIN`` as
@@ -22,14 +22,13 @@ builder, so the source changes the cost, never the result.
 
 Correctness never depends on the plan choice either: if drained rows cannot
 be batch-encoded (non-integer bounds), the node transparently re-runs the
-equivalent serial row pipeline over the same rows, exactly like the
-partition-parallel executor falls back in-process.  A traced execution
+equivalent row pipeline over the same rows.  A traced execution
 (``EXPLAIN ANALYZE``) annotates the span with the path and input that ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.columnar.rows import (
@@ -42,7 +41,7 @@ from repro.columnar.rows import (
 )
 from repro.columnar.runtime import numpy_available
 from repro.engine.executor.base import PhysicalNode, Row
-from repro.engine.executor.partition import AdjustmentTask, run_adjustment_task
+from repro.engine.executor.adjustment import AdjustmentTask, run_adjustment_task
 from repro.engine.executor.scan import SeqScanNode
 from repro.obs import trace as obs_trace
 from repro.relation.relation import TemporalRelation
@@ -99,9 +98,9 @@ class ColumnarAdjustmentNode(PhysicalNode):
         alignment, the split-point projection for normalization (the same
         shape the serial pipeline consumes).
     task:
-        The :class:`AdjustmentTask` describing bounds, keys and kind; shared
-        with the partition-parallel executor so the row-pipeline fallback is
-        literally the serial plan over the same rows.
+        The :class:`AdjustmentTask` describing bounds, keys and kind; the
+        row-pipeline fallback is literally the Fig. 12(b) plan it describes,
+        run over the same rows.
     reference:
         For a normalization, the input whose split points ``right`` projects
         (an alignment reads the same facts off ``right`` and ``task``).
@@ -165,9 +164,7 @@ class ColumnarAdjustmentNode(PhysicalNode):
             result = adjust_rows_columnar(self.task, left_rows, right_rows, facts)
         except ColumnarUnsupported:
             mode = "row-fallback"
-            result = run_adjustment_task(
-                replace(self.task, use_columnar=False), left_rows, right_rows
-            )
+            result = run_adjustment_task(self.task, left_rows, right_rows)
         obs_trace.annotate(self, executed=mode, input="rows", **facts)
         yield from result
 

@@ -199,77 +199,6 @@ def normalization_cost(settings: Settings, child: Estimate, width: int) -> Estim
     )
 
 
-def ship_cost_per_row(settings: Settings, ship: str) -> float:
-    """Per-row transport cost of moving tuples between parent and workers.
-
-    ``"pickle"`` charges ``parallel_pickle_cost`` — every shipped row is
-    serialised in the parent and deserialised in the worker (and the result
-    rows pay the same toll coming back).  ``"shm"`` charges
-    ``parallel_shm_cost`` — the row's endpoints/codes are already ``int64``
-    array entries, publishing them is a vectorized copy into a shared
-    segment and workers attach zero-copy, so the per-row cost collapses to
-    near zero.  This asymmetry is the whole reason the shared-memory
-    transport flips the parallel plans from a regression into a win.
-    """
-    return settings.parallel_shm_cost if ship == "shm" else settings.parallel_pickle_cost
-
-
-def partition_cost(settings: Settings, child: Estimate, ship: str = "pickle") -> Estimate:
-    """Partitioning a child and shipping its partitions to the workers.
-
-    The pickled-row transport pays one stable key hash per row
-    (``cpu_operator_cost``) plus the per-row pickling toll; the
-    shared-memory transport partitions by dictionary key code with a single
-    vectorized take — no per-row hashing — so it pays only the (near-zero)
-    columnar ship cost.
-    """
-    per_row = ship_cost_per_row(settings, ship)
-    if ship != "shm":
-        per_row += settings.cpu_operator_cost  # per-row key hashing
-    return Estimate(rows=child.rows, cost=child.cost + per_row * child.rows)
-
-
-def parallel_adjustment_cost(
-    settings: Settings,
-    left: Estimate,
-    right: Estimate,
-    serial: Estimate,
-    workers: int,
-    ship: str = "pickle",
-) -> Estimate:
-    """Cost of the partition-parallel ALIGN/NORMALIZE plan.
-
-    The inputs are produced once (their cost is not parallelised); the
-    adjustment work above them — join, project, sort, sweep, which is what
-    ``serial`` charges on top of its inputs — divides across the workers.
-    On top come the partition-and-ship pass over both inputs *and* the
-    shipped result rows (:func:`ship_cost_per_row` — this is where the
-    pickled-row transport loses and the shared-memory transport wins), a
-    fixed start-up cost per worker (PostgreSQL's ``parallel_setup_cost``)
-    and a per-tuple merge cost (``parallel_tuple_cost``).  Because the row
-    estimates feeding ``serial`` come from :func:`overlap_join_rows` — i.e.
-    from interval statistics where available — the gate sharpens with
-    better statistics.
-    """
-    workers = max(1, workers)
-    input_cost = left.cost + right.cost
-    work = max(0.0, serial.cost - input_cost)
-    shipped_rows = left.rows + right.rows + serial.rows  # both directions
-    per_row = ship_cost_per_row(settings, ship)
-    partition_pass = (
-        0.0 if ship == "shm" else settings.cpu_operator_cost * (left.rows + right.rows)
-    )
-    total = (
-        input_cost
-        + partition_pass
-        + per_row * shipped_rows
-        + work / workers
-        + settings.parallel_setup_cost * workers
-        + settings.parallel_tuple_cost * serial.rows
-    )
-    return Estimate(rows=serial.rows, cost=total)
-
-
 def view_scan_cost(settings: Settings, rows: float) -> Estimate:
     """Scanning a materialized view: emit the stored tuples, nothing else.
 

@@ -9,8 +9,7 @@ estimates their costs and picks the cheapest.  Disabling strategies through
 exactly like ``SET enable_mergejoin = false`` does in the paper's Fig. 13.
 
 The two temporal logical nodes become one ``ColumnarAdjustment`` node over
-their arguments (or a partition-parallel ``Exchange`` when that plan wins
-its cost gate).  With ``enable_columnar`` off they expand into the plan
+their arguments.  With ``enable_columnar`` off they expand into the plan
 shape of Fig. 12(b):
 
     Adjustment ← Sort ← Project ← (left outer) Join ← arguments
@@ -20,7 +19,6 @@ with the join planned like any other join.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import plan as logical
@@ -30,7 +28,6 @@ from repro.engine.executor import (
     AdjustmentTask,
     ColumnarAdjustmentNode,
     DistinctNode,
-    ExchangeNode,
     FilterNode,
     HashAggregateNode,
     HashJoinNode,
@@ -38,7 +35,6 @@ from repro.engine.executor import (
     LimitNode,
     MergeJoinNode,
     NestedLoopJoinNode,
-    PartitionNode,
     PhysicalNode,
     ProjectNode,
     ReferenceInput,
@@ -466,8 +462,8 @@ class Planner:
         itself — the indexed probe (build an interval index over the
         reference side, probe per argument row — streams the outer input) and
         the event plane sweep (sort both sides once).  Shared by the serial
-        join choice, the task of a ``ColumnarAdjustment`` (its row-pipeline
-        fallback) and the per-partition choice of the parallel plans.
+        join choice and the task of a ``ColumnarAdjustment`` (its
+        row-pipeline fallback).
         """
         settings = self.settings
         candidates: List[Tuple[Estimate, str]] = []
@@ -543,9 +539,7 @@ class Planner:
     ) -> PhysicalNode:
         """The physical plan of one adjustment.
 
-        The partition-parallel plan comes first and keeps its cost gate
-        against the serial estimate.  Otherwise the adjustment is one
-        ``ColumnarAdjustment`` node — at every input size, for any θ
+        One ``ColumnarAdjustment`` node — at every input size, for any θ
         (``residual`` being what the batch evaluates per candidate pair),
         with or without NumPy (:func:`~repro.columnar.rows.kernel_mode`) —
         unless ``enable_columnar`` is off, which keeps the ``serial`` row
@@ -553,7 +547,9 @@ class Planner:
         estimate: its rows are the same, and no plan choice above it depends
         on its cost.
         """
-        use_columnar = self.settings.enable_columnar
+        if not self.settings.enable_columnar:
+            _STRATEGY_COUNTER.inc(label="row")
+            return serial
         _, strategy = self._cheapest_join(
             self._estimate(left), self._estimate(right), "left", keys, bounds, selectivity
         )
@@ -571,88 +567,12 @@ class Planner:
             ts_index=ts_index,
             te_index=te_index,
             isalign=isalign,
-            use_columnar=use_columnar,
             residual=residual,
         )
-        parallel = self._parallel_adjustment_plan(left, right, task, selectivity, serial_estimate)
-        if parallel is not None:
-            _STRATEGY_COUNTER.inc(label="exchange")
-            return parallel
-        if not use_columnar:
-            _STRATEGY_COUNTER.inc(label="row")
-            return serial
         _STRATEGY_COUNTER.inc(label="columnar")
         return self._estimated(
             ColumnarAdjustmentNode(left, right, task, reference), serial_estimate
         )
-
-    def _parallel_adjustment_plan(
-        self,
-        left: PhysicalNode,
-        right: PhysicalNode,
-        task: AdjustmentTask,
-        selectivity: Optional[float],
-        serial_estimate: Estimate,
-    ) -> Optional[PhysicalNode]:
-        """Partition-parallel alternative to a serial adjustment plan.
-
-        Eligibility requires an equality key to hash-partition on,
-        ``parallel_workers >= 2`` and enough input rows; the plan is then
-        adopted only when :func:`~repro.engine.optimizer.cost.parallel_adjustment_cost`
-        undercuts the serial estimate (the estimate already reflects interval
-        statistics through the overlap selectivity baked into
-        ``serial_estimate``).  Returns ``None`` when the serial plan stands.
-        """
-        settings = self.settings
-        workers = settings.parallel_workers
-        keys = task.key_pairs
-        if workers < 2 or not keys:
-            return None
-        # The shm transport ships key codes and endpoints, never the values
-        # a residual θ reads: with one, the workers run the row pipeline.
-        use_columnar = task.use_columnar and task.residual is None
-        left_estimate = self._estimate(left)
-        right_estimate = self._estimate(right)
-        if left_estimate.rows + right_estimate.rows < settings.parallel_min_rows:
-            return None
-        # Transport choice: columnar tasks ship partitions as shared-memory
-        # frames (near-zero per-row cost) when the facility is available;
-        # everything else pickles rows.  The estimate must reflect the
-        # transport that will actually run, or the gate would keep refusing
-        # parallel plans the hardware now wins (or adopting ones it loses).
-        from repro.columnar.shm import shm_available
-
-        use_shm = use_columnar and settings.enable_shm and shm_available()
-        ship = "shm" if use_shm else "pickle"
-        parallel_estimate = cost.parallel_adjustment_cost(
-            settings, left_estimate, right_estimate, serial_estimate, workers, ship=ship
-        )
-        if parallel_estimate.cost >= serial_estimate.cost:
-            return None
-
-        partitions = settings.parallel_partitions or workers * 4
-        # Per-partition strategy choice over scaled-down estimates: each
-        # bucket sees roughly 1/partitions of either input.
-        bucket_left = Estimate(rows=max(1.0, left_estimate.rows / partitions), cost=0.0)
-        bucket_right = Estimate(rows=max(1.0, right_estimate.rows / partitions), cost=0.0)
-        _, strategy = self._cheapest_join(
-            bucket_left, bucket_right, "left", keys, task.bounds, selectivity
-        )
-
-        left_partition = PartitionNode(left, [i for i, _ in keys], partitions)
-        self._estimated(left_partition, cost.partition_cost(settings, left_estimate, ship=ship))
-        right_partition = PartitionNode(right, [j for _, j in keys], partitions)
-        self._estimated(right_partition, cost.partition_cost(settings, right_estimate, ship=ship))
-
-        exchange = ExchangeNode(
-            left_partition,
-            right_partition,
-            replace(task, join_strategy=strategy, use_columnar=use_columnar),
-            workers=workers,
-            inprocess_threshold=int(settings.parallel_min_rows),
-            use_shm=use_shm,
-        )
-        return self._estimated(exchange, parallel_estimate)
 
     def _scan_interval_statistics(
         self, node: logical.LogicalPlan, start_column: str, end_column: str

@@ -38,44 +38,7 @@ class Settings:
     #: Default selectivity of an equality predicate with unknown statistics.
     equality_selectivity: float = 0.005
 
-    #: Worker pool size for partition-parallel ALIGN/NORMALIZE plans; values
-    #: below 2 disable the parallel paths entirely (the PostgreSQL analogue is
-    #: ``max_parallel_workers_per_gather``).  The parallel plan additionally
-    #: requires an equality key in the θ-condition / the ``B`` attributes to
-    #: partition on, and must win the cost comparison against the serial plan.
-    parallel_workers: int = 0
-    #: Hash partitions per parallel plan; 0 derives ``4 × parallel_workers``
-    #: so the pool stays busy even when partition sizes are skewed.
-    parallel_partitions: int = 0
-    #: Fixed cost charged per launched worker (process start-up, task
-    #: pickling) — PostgreSQL's ``parallel_setup_cost`` scaled to this cost
-    #: model's units.
-    parallel_setup_cost: float = 200.0
-    #: Cost charged per merged output tuple (worker → consumer transfer) —
-    #: PostgreSQL's ``parallel_tuple_cost`` analogue.
-    parallel_tuple_cost: float = 0.002
-    #: Minimum combined input cardinality before a parallel plan is even
-    #: considered; below it the executor also stays in-process at runtime.
-    parallel_min_rows: float = 1000.0
-    #: Allow the shared-memory columnar transport for parallel plans: when a
-    #: parallel adjustment runs with columnar kernels, partitions ship as
-    #: zero-copy ``multiprocessing.shared_memory`` frames instead of pickled
-    #: rows (see :mod:`repro.columnar.shm`).  The executor still falls back
-    #: to pickled rows at runtime when shared memory or NumPy is missing;
-    #: ``REPRO_SHM=0`` forces the fallback without touching settings.
-    enable_shm: bool = True
-    #: Per-row transport cost of the pickled-row exchange: every row shipped
-    #: to a worker (and every result row shipped back) pays Python
-    #: serialisation.  This is what made the PR 2 parallel plans lose to
-    #: serial execution while the old cost model said they would win.
-    parallel_pickle_cost: float = 0.01
-    #: Per-row transport cost of the shared-memory columnar exchange —
-    #: near zero: rows travel as entries of already-encoded ``int64`` arrays
-    #: published once per side, workers attach without copying.
-    parallel_shm_cost: float = 0.0005
-
-    #: Plan every serial ALIGN/NORMALIZE as one ``ColumnarAdjustment`` node
-    #: (and run columnar kernels inside partition-parallel workers), at any
+    #: Plan every ALIGN/NORMALIZE as one ``ColumnarAdjustment`` node, at any
     #: input size and for any θ — what its key equalities leave over filters
     #: the candidate pairs.  NumPy is a kernel detail: without it the node
     #: runs the pure-Python kernels.  Off plans the Fig. 12(b) row pipeline
@@ -108,5 +71,4 @@ class Settings:
         parts = []
         for name in ("nestloop", "hashjoin", "mergejoin", "intervaljoin", "columnar"):
             parts.append(f"{name}={'on' if getattr(self, 'enable_' + name) else 'off'}")
-        parts.append(f"parallel_workers={self.parallel_workers}")
         return ", ".join(parts)

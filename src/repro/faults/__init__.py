@@ -4,13 +4,13 @@ The registry (:mod:`repro.faults.plan`) arms named *sites* — declared once
 in :mod:`repro.faults.sites` — by seed, count, probability or exact pass
 number, via the ``REPRO_FAULTS`` environment variable or the :func:`arm`
 API.  Injection points across the stack (WAL append/fsync/reset, snapshot
-rename, shared-memory create/attach, pool worker kill/stall, server
-connection drop/stall) ask :func:`fire` whether to fail; every trigger is
-counted as ``faults.injected{site}`` in the process metrics registry.
+rename, server connection drop/stall) ask :func:`fire` whether to fail;
+every trigger is counted as ``faults.injected{site}`` in the process
+metrics registry.
 
 The ``chaos`` bench scenario (docs/fault-injection.md) drives real clients
 against a served database while a plan fires and hard-gates recovery,
-client liveness, segment hygiene and fault observability.
+client liveness and fault observability.
 """
 
 from repro.faults.plan import (

@@ -14,7 +14,7 @@ Examples::
 
     REPRO_FAULTS="wal.append_ioerror:count=1:after=5"
     REPRO_FAULTS="net.drop:every=7:after=2,net.stall:every=11:ms=2"
-    REPRO_FAULTS="shm.attach_fail:p=0.2:seed=42:count=3"
+    REPRO_FAULTS="wal.fsync_ioerror:p=0.2:seed=42:count=3"
 
 Determinism is the point: ``every=``/``after=``/``count=`` arms fire at
 exact pass numbers, and probabilistic arms draw from a private
@@ -26,10 +26,7 @@ gates be exact instead of statistical.
 overwhelmingly common case) it is one global read and a ``None`` check;
 armed, every trigger increments the ``faults.injected{site}`` counter in the
 process metrics registry, so "every armed fault was actually observed" is a
-checkable gate, not an assumption.  A forked pool worker inherits the armed
-plan (fork copies the module global), but its counters live in the child —
-sites whose observation matters therefore fire on the *parent* side of the
-boundary (see :mod:`repro.core.parallel`).
+checkable gate, not an assumption.
 """
 
 from __future__ import annotations

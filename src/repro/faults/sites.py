@@ -40,22 +40,6 @@ SITES: Dict[str, str] = {
         "write_snapshot raises OSError before the atomic os.replace; the old "
         "snapshot plus the full WAL stay authoritative"
     ),
-    "shm.create_fail": (
-        "shared-memory segment creation raises ShmUnavailable; the exchange "
-        "falls back to the pickled-row transport"
-    ),
-    "shm.attach_fail": (
-        "SegmentRegistry.attach raises ShmUnavailable at the merge boundary; "
-        "cleanup unlinks every handed-out segment before the fallback runs"
-    ),
-    "pool.worker_kill": (
-        "the first pool worker of the map dies with a broken-IPC error "
-        "(BrokenPipeError), driving the in-process fallback retry"
-    ),
-    "pool.worker_stall": (
-        "the first pool worker of the map sleeps for the armed ms= duration "
-        "before doing its work"
-    ),
     "net.drop": (
         "the server closes the connection after reading a request line and "
         "before executing it (the statement never runs; any open transaction "

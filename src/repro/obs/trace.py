@@ -65,9 +65,8 @@ def annotate(node: Any, **attributes: Any) -> None:
     """Attach ``key=value`` annotations to ``node``'s span, if one is live.
 
     Operators call this from ``rows()`` to record runtime decisions
-    (``executed=pool[2]``, ``ship=shm``, fallback causes).  A no-op when
-    tracing is inactive or ``node`` belongs to a different plan (e.g. inside
-    forked pool workers).
+    (``executed=numpy``, ``input=frame``, fallback causes).  A no-op when
+    tracing is inactive or ``node`` belongs to a different plan.
     """
     trace = _state.trace
     if trace is not None:
@@ -154,8 +153,8 @@ class QueryTrace:
 
     The span tree is laid down from the plan's node tree at construction, so
     its shape matches ``explain()`` by definition; nodes the executor never
-    pulls from (short-circuited branches, Partition nodes bypassed by the
-    shared-memory ship path) render as ``(never executed)``.
+    pulls from (short-circuited branches, scans a ``ColumnarAdjustment``
+    bypasses by reading cached frames) render as ``(never executed)``.
     """
 
     def __init__(self, root: Any, sql: Optional[str] = None):

@@ -95,9 +95,8 @@ class TemporalTuple:
         raise AttributeError("TemporalTuple instances are immutable")
 
     def __reduce__(self):
-        # The immutability guard breaks slot-based pickling; reconstruct
-        # through the constructor instead (needed to ship tuples to the
-        # worker processes of the parallel adjustment strategies).
+        # The immutability guard breaks slot-based pickling and copying;
+        # reconstruct through the constructor instead.
         return (TemporalTuple, (self.schema, self.values, self.interval))
 
     # -- basic protocol ----------------------------------------------------

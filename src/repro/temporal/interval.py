@@ -55,9 +55,8 @@ class Interval:
         raise AttributeError("Interval instances are immutable")
 
     def __reduce__(self):
-        # The immutability guard breaks slot-based pickling; reconstruct
-        # through the constructor instead (needed to ship intervals to the
-        # worker processes of the partition-parallel executor).
+        # The immutability guard breaks slot-based pickling and copying;
+        # reconstruct through the constructor instead.
         return (Interval, (self.start, self.end))
 
     # -- basic protocol ----------------------------------------------------

@@ -12,8 +12,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BAD_FIXTURES = [
     ("funnel", "mutation-funnel", 3),
     ("executor", "trace-only-annotations", 2),
-    ("shm", "shm-lifecycle", 2),
-    ("pool", "pool-payload", 2),
     ("server", "no-blocking-in-async", 4),
     ("storage", "swallowed-error", 2),
     ("metrics", "metrics-discipline", 4),
@@ -36,7 +34,7 @@ def test_rule_filter_isolates_one_rule(directory, rule_id, count):
     assert len(report.findings) == count
     quiet = analyze_paths(
         [FIXTURES / directory],
-        rule_ids=["mutation-funnel" if rule_id != "mutation-funnel" else "shm-lifecycle"],
+        rule_ids=["mutation-funnel" if rule_id != "mutation-funnel" else "settings-knob"],
     )
     assert quiet.findings == []
 

@@ -36,6 +36,6 @@ def test_malformed_suppressions_are_findings():
 def test_stale_check_skipped_for_rules_that_did_not_run():
     # Under --rule filtering, a suppression of a rule that never ran cannot
     # be judged stale — only suppressions of executed rules are.
-    report = analyze_paths([FIXTURES / "stale.py"], rule_ids=["shm-lifecycle"])
+    report = analyze_paths([FIXTURES / "stale.py"], rule_ids=["settings-knob"])
     assert report.findings == []
     assert report.exit_code == 0

@@ -17,26 +17,9 @@ def test_scaled_sizes_keep_deterministic_minimum_and_monotonicity():
     )
 
 
-def test_parallel_alignment_scenarios_and_report(tmp_path):
-    scenarios = runner.run_parallel_alignment(sizes=[40], workers=2, repeats=1)
-    assert len(scenarios) == len(runner.FAMILIES)
-    for scenario in scenarios:
-        assert scenario["identical"] is True
-        assert "Exchange" in scenario["parallel_plan"]
-        assert "Exchange" not in scenario["serial_plan"]
-        assert scenario["rows_pulled"]["serial"] == scenario["output_tuples"]
-
-    path = runner.write_report("test_report", scenarios, str(tmp_path), workers=2)
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert payload["benchmark"] == "test_report"
-    assert payload["workers"] == 2
-    assert len(payload["scenarios"]) == len(scenarios)
-
-
 def test_view_maintenance_scenarios_enforce_equality(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_STRICT", "0")  # timings are noise at n=40
-    scenarios = runner.run_view_maintenance(sizes=[40], workers=2, repeats=1)
+    scenarios = runner.run_view_maintenance(sizes=[40], repeats=1)
     assert len(scenarios) == len(runner.FAMILIES)
     for scenario in scenarios:
         assert scenario["identical"] is True
@@ -44,7 +27,7 @@ def test_view_maintenance_scenarios_enforce_equality(tmp_path, monkeypatch):
         assert scenario["maintenance"]["incremental"] >= 1
         assert scenario["single_mutation_speedup"] > 0
 
-    path = runner.write_report("test_views", scenarios, str(tmp_path), workers=2)
+    path = runner.write_report("test_views", scenarios, str(tmp_path))
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     assert payload["scenarios"][0]["scenario"] == "view_maintenance"
@@ -58,18 +41,16 @@ def test_columnar_adjustment_scenarios_and_gates(tmp_path, monkeypatch):
     if not numpy_available():
         pytest.skip("NumPy not installed; the scenario records a skip marker")
     monkeypatch.setenv("REPRO_BENCH_STRICT", "0")  # timings are noise at n=60
-    scenarios = runner.run_columnar_adjustment(sizes=[60], workers=2, repeats=1)
+    scenarios = runner.run_columnar_adjustment(sizes=[60], repeats=1)
     note, *measured = scenarios
     assert note["scenario"] == "row_mode_micro_opt_note"
     assert len(measured) == len(runner.FAMILIES)
     for scenario in measured:
         assert scenario["identical"] is True
         assert "ColumnarAdjustment" in scenario["columnar_plan"]
-        assert "kernel=columnar" in scenario["partition_columnar_plan"]
         assert "ColumnarAdjustment" not in scenario["row_plan"]
-        assert "Exchange" not in scenario["row_plan"]
 
-    path = runner.write_report("test_columnar", scenarios, str(tmp_path), workers=2)
+    path = runner.write_report("test_columnar", scenarios, str(tmp_path))
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     assert payload["scenarios"][1]["scenario"] == "columnar_adjustment"
@@ -79,7 +60,7 @@ def test_columnar_adjustment_skips_without_numpy(monkeypatch):
     from repro.columnar.runtime import forced_python
 
     with forced_python():
-        scenarios = runner.run_columnar_adjustment(sizes=[40], workers=2, repeats=1)
+        scenarios = runner.run_columnar_adjustment(sizes=[40], repeats=1)
     assert scenarios[-1] == {
         "scenario": "columnar_adjustment",
         "skipped": "numpy unavailable",
@@ -90,7 +71,7 @@ def test_profile_flag_dumps_cumulative_hot_paths(tmp_path, capsys):
     code = runner.main(
         [
             "--scenario",
-            "parallel_normalization",
+            "columnar_adjustment",
             "--sizes",
             "40",
             "--repeats",
@@ -103,16 +84,16 @@ def test_profile_flag_dumps_cumulative_hot_paths(tmp_path, capsys):
     )
     assert code == 0
     output = capsys.readouterr().out
-    assert "[profile] parallel_normalization: top 5 by cumulative time" in output
+    assert "[profile] columnar_adjustment: top 5 by cumulative time" in output
     assert "cumulative" in output
-    assert (tmp_path / "BENCH_parallel_normalization.json").exists()
+    assert (tmp_path / "BENCH_columnar_adjustment.json").exists()
 
 
 def test_main_writes_reports(tmp_path):
     code = runner.main(
         [
             "--scenario",
-            "parallel_normalization",
+            "columnar_adjustment",
             "--sizes",
             "40",
             "--repeats",
@@ -122,7 +103,7 @@ def test_main_writes_reports(tmp_path):
         ]
     )
     assert code == 0
-    assert (tmp_path / "BENCH_parallel_normalization.json").exists()
+    assert (tmp_path / "BENCH_columnar_adjustment.json").exists()
 
 
 def test_scaled_sizes_dedupe_collapsing_sweeps_at_ci_scale():
@@ -140,7 +121,7 @@ def test_scaled_sizes_dedupe_collapsing_sweeps_at_ci_scale():
 
 
 def test_durability_scenario_gates_and_report(tmp_path):
-    scenarios = runner.run_durability(sizes=[40], workers=2, repeats=1)
+    scenarios = runner.run_durability(sizes=[40], repeats=1)
     assert len(scenarios) == len(runner.FAMILIES)
     for scenario in scenarios:
         assert scenario["identical"] is True
@@ -149,69 +130,7 @@ def test_durability_scenario_gates_and_report(tmp_path):
         assert scenario["snapshot_bytes"] > 0
         assert scenario["recovery_seconds"] > 0
 
-    path = runner.write_report("test_durability", scenarios, str(tmp_path), workers=2)
+    path = runner.write_report("test_durability", scenarios, str(tmp_path))
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     assert payload["scenarios"][0]["scenario"] == "durability"
-
-
-class TestParallelSpeedupGate:
-    """Verdict table of :func:`runner.parallel_speedup_gate`.
-
-    The gate is the CI contract: hard ≥2x on multi-core strict runs, an
-    explicit skip marker everywhere the measurement would be meaningless —
-    never a silent pass and never a single-core failure.
-    """
-
-    def test_passes_at_or_above_the_bar(self):
-        assert runner.parallel_speedup_gate(2.0, 1000, cpu_count=4, strict=True) == "passed"
-        assert runner.parallel_speedup_gate(3.7, 2000, cpu_count=2, strict=True) == "passed"
-
-    def test_fails_below_the_bar_on_multicore_strict(self):
-        assert runner.parallel_speedup_gate(1.99, 1000, cpu_count=4, strict=True) == "failed"
-        assert runner.parallel_speedup_gate(0.5, 2000, cpu_count=8, strict=True) == "failed"
-
-    def test_single_core_skips_regardless_of_speedup(self):
-        verdict = runner.parallel_speedup_gate(0.1, 5000, cpu_count=1, strict=True)
-        assert verdict == "skipped(single-core)"
-        # Single-core wins first: even strict-off reports the hardware truth.
-        assert (
-            runner.parallel_speedup_gate(9.0, 5000, cpu_count=1, strict=False)
-            == "skipped(single-core)"
-        )
-
-    def test_strict_off_skips_on_multicore(self):
-        assert (
-            runner.parallel_speedup_gate(0.1, 5000, cpu_count=4, strict=False)
-            == "skipped(strict-off)"
-        )
-
-    def test_small_inputs_never_face_the_bar(self):
-        verdict = runner.parallel_speedup_gate(
-            0.1, runner.PARALLEL_GATE_MIN_SIZE - 1, cpu_count=4, strict=True
-        )
-        assert verdict == "skipped(small-input)"
-
-    def test_defaults_come_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_STRICT", "0")
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-        assert runner.parallel_speedup_gate(0.1, 5000) == "skipped(strict-off)"
-        monkeypatch.setenv("REPRO_BENCH_STRICT", "1")
-        assert runner.parallel_speedup_gate(5.0, 5000) == "passed"
-
-    def test_failed_gate_raises_in_the_scenario_loop(self, monkeypatch):
-        # End to end through _adjustment_scenarios: force every verdict to
-        # "failed" and the runner must raise instead of writing a report.
-        import pytest
-
-        monkeypatch.setattr(
-            runner, "parallel_speedup_gate", lambda *a, **k: "failed"
-        )
-        with pytest.raises(runner.BenchmarkError, match="below"):
-            runner.run_parallel_alignment(sizes=[40], workers=2, repeats=1)
-
-    def test_scenarios_record_the_gate_verdict(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_STRICT", "0")
-        scenarios = runner.run_parallel_alignment(sizes=[40], workers=2, repeats=1)
-        expected = runner.parallel_speedup_gate(1.0, 40)
-        assert all(scenario["gate"] == expected for scenario in scenarios)

@@ -1,9 +1,12 @@
 """Tests for temporal alignment ``r Φθ s`` (Def. 11, Lemma 1, Propositions 3–4)."""
 
+from decimal import Decimal
+
 import pytest
 
 from repro import predicates
 from repro.core.alignment import align_pair, align_relation, alignment_cardinality_bound
+from repro.core.normalization import normalize
 from repro.core.sweep import matching_groups, overlap_groups, uncovered_intervals, value_key
 from repro.temporal.interval import Interval
 from repro.workloads.hotel import HOTEL_TIMELINE, hotel_prices, hotel_reservations
@@ -65,6 +68,32 @@ class TestDefinition:
         slow = align_relation(left, right, theta)
         fast = align_relation(left, right, theta, equi_attributes=["cat"])
         assert slow.as_set() == fast.as_set()
+
+    def test_empty_equi_attributes_means_no_key_on_every_strategy(self, small_pair):
+        left, right = small_pair
+        expected = align_relation(left, right, equi_attributes=[], strategy="sweep")
+        assert align_relation(left, right, equi_attributes=[], strategy="index") == expected
+        assert align_relation(left, right, equi_attributes=[], strategy="columnar") == expected
+        right.interval_index(())  # cache a plain index, then take the auto path
+        assert align_relation(left, right, equi_attributes=[], strategy="auto") == expected
+
+    def test_mixed_numeric_keys_match_on_every_strategy(self, make):
+        # Key equality is value equality: Decimal('1') == 1 must join.
+        left = make(["k"], [((Decimal("1"),), 0, 10)])
+        right = make(["k"], [((1,), 2, 4)])
+        expected = align_relation(left, right, equi_attributes=["k"], strategy="sweep")
+        assert len(expected) == 3  # [0,2), [2,4), [4,10)
+        for strategy in ("index", "columnar"):
+            assert align_relation(left, right, equi_attributes=["k"], strategy=strategy) == expected
+
+    @pytest.mark.parametrize("strategy", ["threads", "parallel"])
+    def test_unknown_strategies_rejected(self, make, strategy):
+        r = make(["v"], [("a", 1, 7)])
+        remaining = r"use one of \('auto', 'sweep', 'index', 'columnar'\)"
+        with pytest.raises(ValueError, match=remaining):
+            align_relation(r, r, strategy=strategy)
+        with pytest.raises(ValueError, match=r"use one of \('auto', 'sweep', 'columnar'\)"):
+            normalize(r, r, strategy=strategy)
 
     def test_align_pair_swaps_theta(self, make):
         r = make(["lo"], [((2,), 0, 10)])

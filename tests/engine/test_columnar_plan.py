@@ -6,7 +6,7 @@ import pytest
 
 from repro.columnar.runtime import forced_python, numpy_available
 from repro.engine.database import Database
-from repro.engine.executor import AdjustmentNode, ColumnarAdjustmentNode, ExchangeNode
+from repro.engine.executor import AdjustmentNode, ColumnarAdjustmentNode
 from repro.engine.expressions import And, Column, Comparison, PythonPredicate
 from repro.engine.optimizer.settings import Settings
 from repro.engine.temporal_plans import align_plan, normalize_plan, scan
@@ -74,20 +74,6 @@ class TestPlannerDispatch:
         physical = database.plan(_align(database), settings)
         assert not isinstance(physical, ColumnarAdjustmentNode)
         assert "columnar=off" in settings.describe()
-
-    def test_parallel_plan_composes_columnar_kernels(self):
-        # (Without NumPy the partitions ship as pickled rows, at no cost here.)
-        database = _database(size=400)
-        settings = COLUMNAR.copy(
-            parallel_workers=2,
-            parallel_setup_cost=0.0,
-            parallel_min_rows=0.0,
-            parallel_pickle_cost=0.0,
-        )
-        physical = database.plan(_align(database), settings)
-        assert isinstance(physical, ExchangeNode)
-        assert physical.task.use_columnar
-        assert "kernel=columnar" in physical.describe()
 
 
 class TestColumnarExecution:
@@ -157,10 +143,6 @@ class TestColumnarExecution:
             else:
                 actual = sorted(physical.execute())
             assert actual == expected
-            parallel = COLUMNAR.copy(
-                parallel_workers=2, parallel_setup_cost=0.0, parallel_min_rows=0.0
-            )
-            assert sorted(database.execute(plan, parallel).rows) == expected
 
     @needs_numpy
     def test_trace_after_run_shows_kernel_backend(self):
@@ -177,20 +159,23 @@ class TestColumnarExecution:
     def test_unencodable_rows_fall_back_to_row_pipeline(self):
         from repro.engine.table import Table
 
-        database = Database()
-        database.register_table(Table("l", ["cat", "ts", "te"], [("a", 0, 10), ("b", "x", "y")]))
-        database.register_table(Table("r", ["cat", "ts", "te"], [("a", 2, 5)]))
-        plan = align_plan(
-            scan(database, "l", "l"),
-            scan(database, "r", "r"),
-            Comparison("=", Column("l.cat"), Column("r.cat")),
-        )
-        physical = database.plan(plan, COLUMNAR)
-        assert isinstance(physical, ColumnarAdjustmentNode)
-        with obs_trace.collect(physical) as trace:
-            rows = sorted(physical.execute())
-        assert trace.span_for(physical).attributes["executed"] == "row-fallback"
-        assert rows == sorted(database.execute(plan, ROW).rows)
+        # An empty reference leaves every argument row dangling, whole.
+        for reference, odd in (([("a", 2, 5)], ("b", "x", "y")), ([], ("b", 1.5, 3.5))):
+            database = Database()
+            database.register_table(Table("l", ["cat", "ts", "te"], [("a", 0, 10), odd]))
+            database.register_table(Table("r", ["cat", "ts", "te"], reference))
+            plan = align_plan(
+                scan(database, "l", "l"),
+                scan(database, "r", "r"),
+                Comparison("=", Column("l.cat"), Column("r.cat")),
+            )
+            physical = database.plan(plan, COLUMNAR)
+            assert isinstance(physical, ColumnarAdjustmentNode)
+            with obs_trace.collect(physical) as trace:
+                rows = sorted(physical.execute())
+            assert trace.span_for(physical).attributes["executed"] == "row-fallback"
+            assert rows == sorted(database.execute(plan, ROW).rows)
+        assert rows == [("a", 0, 10), odd]
 
     def test_pure_python_kernels_match_row_pipeline(self):
         # Forced fallback at execution time: the node still runs, through the
@@ -522,30 +507,6 @@ class TestResidualThetaPlans:
         explain = connection.database.plan(connection.logical_plan(KEYED_SQL["align"])).explain()
         assert "residual" not in explain
         assert "ColumnarAdjustment(align, keys=1)  (" in explain
-
-    def test_parallel_plan_keeps_a_residual_on_the_row_kernel(self):
-        # The shm Exchange ships key codes and endpoints only: a residual θ
-        # needs the values, so the Exchange runs the pickled row pipeline.
-        connection = _theta_connection(size=400)
-        database = connection.database
-        logical = connection.logical_plan(THETA_SQL["T1"])
-        parallel = Settings(
-            parallel_workers=2,
-            parallel_setup_cost=0.0,
-            parallel_min_rows=0.0,
-            parallel_pickle_cost=0.0,
-        )
-        physical = database.plan(logical, parallel)
-        (exchange,) = [n for n in _walk(physical) if isinstance(n, ExchangeNode)]
-        assert exchange.task.residual is not None
-        assert not exchange.task.use_columnar and not exchange.use_shm
-        assert "kernel=columnar" not in exchange.describe()
-        exchange.inprocess_threshold = 10**9  # no fork needed to compare rows
-        with obs_trace.collect(physical) as trace:
-            rows = physical.execute()
-        assert trace.span_for(exchange).attributes["ship"] == "pickle"
-        # Partition order, not the serial order: the same relation.
-        assert sorted(rows) == sorted(database.execute(logical).rows)
 
 
 def _walk(node):

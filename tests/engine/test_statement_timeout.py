@@ -29,11 +29,9 @@ def _database(rows: int = 4000) -> Database:
     return db
 
 
-#: Row-mode settings: columnar/parallel off so the per-row deadline check
-#: actually runs between rows instead of inside one opaque kernel call.
-ROW_MODE = Settings(
-    enable_columnar=False, parallel_workers=0, statement_timeout_ms=1.0
-)
+#: Row-mode settings: columnar off so the per-row deadline check actually
+#: runs between rows instead of inside one opaque kernel call.
+ROW_MODE = Settings(enable_columnar=False, statement_timeout_ms=1.0)
 
 #: A cross-product ALIGN is quadratic in the inputs — reliably slower than
 #: any sane deadline without being flaky about *how* slow.

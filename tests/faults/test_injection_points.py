@@ -2,9 +2,7 @@
 
 Each test arms one site, drives the code path that hosts it, and asserts
 both the failure *and* the recovery contract around it — an injected WAL
-failure must poison the engine exactly like a real one, an injected shm
-failure must fall back to pickled rows without leaking segments, an
-injected worker death must be survived by the in-process fallback.
+failure must poison the engine exactly like a real one.
 """
 
 from __future__ import annotations
@@ -14,12 +12,10 @@ import os
 import pytest
 
 from repro import faults
-from repro.core.parallel import parallel_map_with_mode
 from repro.engine.database import Database
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import Schema
 from repro.storage.engine import StorageError
-from repro.temporal.interval import Interval
 
 
 @pytest.fixture(autouse=True)
@@ -118,70 +114,3 @@ class TestSnapshotSite:
         reopened = _open(db_path)
         assert _keys(reopened) == {"a", "b"}
         reopened.close()
-
-
-class TestShmSites:
-    def test_create_fail_raises_shm_unavailable(self):
-        pytest.importorskip("numpy")
-        from repro.columnar.shm import SegmentRegistry, ShmUnavailable
-
-        faults.arm("shm.create_fail:count=1")
-        with SegmentRegistry() as registry:
-            with pytest.raises(ShmUnavailable, match="shm.create_fail"):
-                registry.create(64)
-            segment = registry.create(64)  # count exhausted: next one works
-            assert segment.buf is not None
-
-    def test_attach_fail_raises_shm_unavailable(self):
-        pytest.importorskip("numpy")
-        from repro.columnar.shm import SegmentRegistry, ShmUnavailable
-
-        with SegmentRegistry() as registry:
-            segment = registry.create(64)
-            faults.arm("shm.attach_fail:count=1")
-            with pytest.raises(ShmUnavailable, match="shm.attach_fail"):
-                registry.attach(segment.name)
-
-    def test_no_segment_leak_after_injected_attach_failure(self):
-        pytest.importorskip("numpy")
-        from multiprocessing import shared_memory
-
-        from repro.columnar.shm import SegmentRegistry, ShmUnavailable
-
-        registry = SegmentRegistry()
-        registry.create(64)
-        faults.arm("shm.attach_fail:count=1")
-        with pytest.raises(ShmUnavailable):
-            registry.attach(registry.handed_out[0])
-        registry.cleanup()
-        for name in registry.handed_out:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-
-def _double(value):
-    return value * 2
-
-
-class TestPoolSites:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the designed fallback notice
-    def test_worker_kill_falls_back_in_process(self):
-        faults.arm("pool.worker_kill:count=1")
-        results, mode = parallel_map_with_mode(
-            _double, [1, 2, 3, 4], workers=2, total_items=4, min_items=0
-        )
-        assert results == [2, 4, 6, 8]
-        assert mode.startswith("in-process (fallback")
-
-    def test_worker_stall_still_completes(self):
-        faults.arm("pool.worker_stall:count=1:ms=20")
-        results, mode = parallel_map_with_mode(
-            _double, [1, 2, 3, 4], workers=2, total_items=4, min_items=0
-        )
-        assert results == [2, 4, 6, 8]
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the designed fallback notice
-    def test_kill_fires_parent_side_for_observability(self):
-        faults.arm("pool.worker_kill:count=1")
-        parallel_map_with_mode(_double, [1, 2], workers=2, total_items=2, min_items=0)
-        assert faults.active().injected_counts()["pool.worker_kill"] == 1

@@ -1,6 +1,10 @@
-"""The fault-injection registry: spec grammar, determinism, arming."""
+"""The fault-injection registry: spec grammar, determinism, arming, catalog."""
 
 from __future__ import annotations
+
+import ast
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +33,7 @@ class TestSpecGrammar:
         assert plan.arm_for("net.stall").stall_ms == 2.0
 
     def test_probability_and_seed(self):
-        arm = FaultPlan.parse("shm.attach_fail:p=0.25:seed=42").arm_for("shm.attach_fail")
+        arm = FaultPlan.parse("wal.fsync_ioerror:p=0.25:seed=42").arm_for("wal.fsync_ioerror")
         assert (arm.probability, arm.seed) == (0.25, 42)
 
     @pytest.mark.parametrize(
@@ -107,6 +111,45 @@ class TestGlobalSwitch:
         assert faults.stall_ms("net.stall") == 3.0
         faults.disarm()
         assert faults.stall_ms("net.stall") == faults.DEFAULT_STALL_MS
+
+
+@lru_cache(maxsize=None)
+def _fired_sites() -> frozenset:
+    """Literal site names passed to ``faults.fire`` anywhere in the package."""
+    package = Path(faults.__file__).resolve().parents[1]
+    fired = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fire"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "faults"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                fired.add(node.args[0].value)
+    return frozenset(fired)
+
+
+class TestCatalog:
+    @pytest.mark.parametrize("site", sorted(faults.SITES))
+    def test_every_declared_site_has_a_call_site(self, site):
+        # A declared site nothing fires is a fault plan that never triggers.
+        assert site in _fired_sites()
+
+    @pytest.mark.parametrize(
+        "site", ["shm.create_fail", "shm.attach_fail", "pool.worker_kill", "pool.worker_stall"]
+    )
+    def test_retired_sites_are_undeclared(self, site):
+        # The shared-memory transport and the worker pool are gone, and so
+        # are their sites: arming or firing one is an error, not a no-op.
+        assert site not in faults.SITES
+        with pytest.raises(FaultSpecError):
+            faults.arm(f"{site}:count=1")
+        with pytest.raises(KeyError):
+            faults.fire(site)
 
 
 def _injected_count(site: str) -> int:

@@ -2,10 +2,9 @@
 
 The structural contract under test: a :class:`~repro.obs.trace.QueryTrace`'s
 span tree mirrors ``explain()`` line-for-line on *every* physical strategy
-the planner can emit — serial row plans under both interval-join strategies,
-the partition-parallel exchange, the columnar batch, and the shared-memory
-exchange — and when no trace is active the executor takes the untouched
-fast path (no trace object, no ``last_trace`` mutation).
+the planner can emit — row plans under both interval-join strategies and
+each equality join, and the columnar batch — and when no trace is active the executor takes the
+untouched fast path (no trace object, no ``last_trace`` mutation).
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ import pytest
 
 from repro.columnar.runtime import numpy_available
 from repro.engine.database import Database
-from repro.engine.executor import ExchangeNode
 from repro.engine.executor.interval_join import IntervalJoinNode
+from repro.engine.executor.joins import HashJoinNode, MergeJoinNode, NestedLoopJoinNode
 from repro.engine.expressions import And, Column, Comparison
 from repro.engine.optimizer.settings import Settings
 from repro.engine.temporal_plans import align_plan, scan
@@ -28,7 +27,15 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not instal
 #: IntervalJoin node is then overridden per test case to pin sweep vs probe.
 INTERVAL_ONLY = Settings(
     enable_columnar=False,
-    parallel_workers=0,
+    enable_hashjoin=False,
+    enable_mergejoin=False,
+    enable_nestloop=False,
+)
+
+#: The row pipeline with exactly one equality join strategy enabled.
+EQUALITY_ONLY = Settings(
+    enable_columnar=False,
+    enable_intervaljoin=False,
     enable_hashjoin=False,
     enable_mergejoin=False,
     enable_nestloop=False,
@@ -37,15 +44,17 @@ INTERVAL_ONLY = Settings(
 STRATEGIES = {
     "sweep": INTERVAL_ONLY,
     "index": INTERVAL_ONLY,
-    "parallel": Settings(
-        enable_columnar=False,
-        parallel_workers=2,
-        parallel_setup_cost=0.0,
-        parallel_min_rows=0.0,
-        parallel_pickle_cost=0.0,  # the row exchange must win adoption
-    ),
-    "columnar": Settings(parallel_workers=0),
-    "shm": Settings(parallel_workers=2, parallel_setup_cost=0.0, parallel_min_rows=0.0),
+    "hash": EQUALITY_ONLY.copy(enable_hashjoin=True),
+    "merge": EQUALITY_ONLY.copy(enable_mergejoin=True),
+    "nestloop": EQUALITY_ONLY.copy(enable_nestloop=True),
+    "columnar": Settings(),
+}
+
+#: Join node class the row plans of the equality strategies must contain.
+EQUALITY_JOINS = {
+    "hash": HashJoinNode,
+    "merge": MergeJoinNode,
+    "nestloop": NestedLoopJoinNode,
 }
 
 
@@ -79,20 +88,15 @@ def _physical(database, strategy):
         joins = [n for n in _walk(physical) if isinstance(n, IntervalJoinNode)]
         assert joins, physical.explain()
         joins[0].strategy = "sweep" if strategy == "sweep" else "probe"
+    elif strategy in EQUALITY_JOINS:
+        assert any(isinstance(n, EQUALITY_JOINS[strategy]) for n in _walk(physical)), (
+            physical.explain()
+        )
     return physical
 
 
 class TestSpanTreeMatchesExplain:
-    @pytest.mark.parametrize(
-        "strategy",
-        [
-            "sweep",
-            "index",
-            "parallel",
-            "columnar",
-            pytest.param("shm", marks=needs_numpy),
-        ],
-    )
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_span_tree_mirrors_the_plan_tree(self, strategy):
         database = _database()
         physical = _physical(database, strategy)
@@ -117,34 +121,14 @@ class TestSpanTreeMatchesExplain:
             line.strip().rsplit("  (rows=", 1)[0] for line in explain_lines
         ]
 
-    @pytest.mark.parametrize(
-        "strategy",
-        ["parallel", pytest.param("shm", marks=needs_numpy)],
-    )
-    def test_exchange_bypasses_partitions_and_the_trace_says_so(self, strategy):
-        # Both exchange transports read the partition nodes' *children*
-        # directly — the Partition spans legitimately never execute, and
-        # EXPLAIN ANALYZE must render that instead of inventing zeros.
-        database = _database()
-        physical = _physical(database, strategy)
-        assert isinstance(physical, ExchangeNode)
-        with obs_trace.collect(physical) as trace:
-            physical.execute()
-        rendered = trace.root_span.render()
-        partition_spans = trace.find("Partition(")
-        assert partition_spans and all(not s.executed for s in partition_spans)
-        assert "(never executed)" in rendered
-        scan_spans = trace.find("SeqScan(")
-        assert scan_spans and all(s.executed for s in scan_spans)
-        assert trace.root_span.attributes["ship"] in ("shm", "pickle")
-
     @needs_numpy
     @pytest.mark.parametrize("kind", ["align", "normalize"])
     def test_columnar_input_is_a_span_fact_with_bypassed_scans_unexecuted(self, kind):
         # Over current relation snapshots the columnar batch reads cached
-        # frames and never pulls its children (like the exchange bypass
-        # above); over plain tables it drains them.  One plan text, two
-        # honest traces, both line-for-line the EXPLAIN tree.
+        # frames and never pulls its children, and EXPLAIN ANALYZE must
+        # render that instead of inventing zeros; over plain tables it drains
+        # them.  One plan text, two honest traces, both line-for-line the
+        # EXPLAIN tree.
         from repro.engine.table import Table
         from repro.engine.temporal_plans import normalize_plan
 

@@ -1,22 +1,20 @@
 """Property test: every adjustment strategy is the same function.
 
-The load-bearing contract of the columnar layer (and of PR 2's parallelism
-before it) is strategy transparency: row sweep ≡ interval index ≡ partition
-parallel ≡ columnar (NumPy) ≡ columnar (pure-Python fallback), on every
-input.  Hypothesis drives the comparison over all three synthetic families
-plus an adversarial edge family with empty relations, empty intervals,
-point-adjacent intervals and duplicate endpoints — exactly the inputs where
-off-by-one bugs in ``searchsorted`` boundaries would hide.
+The load-bearing contract of the columnar layer is strategy transparency:
+row sweep ≡ interval index ≡ columnar (NumPy) ≡ columnar (pure-Python
+fallback), on every input.  Hypothesis drives the comparison over all
+three synthetic families plus an adversarial edge family with empty
+relations, empty intervals, point-adjacent intervals and duplicate
+endpoints — exactly the inputs where off-by-one bugs in ``searchsorted``
+boundaries would hide.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Tuple
 from unittest.mock import patch
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +24,6 @@ from repro.core.alignment import align_relation
 from repro.core.normalization import normalize
 from repro.engine import plan as logical
 from repro.engine.database import Database
-from repro.engine.executor import ExchangeNode
 from repro.engine.expressions import (
     And,
     Arithmetic,
@@ -46,7 +43,7 @@ from repro.engine.expressions import (
     conjunction,
 )
 from repro.engine.optimizer.settings import Settings as EngineSettings
-from repro.engine.temporal_plans import align_plan, normalize_plan, scan
+from repro.engine.temporal_plans import align_plan, scan
 from repro.relation.tuple import NULL
 from repro.workloads.synthetic import (
     SyntheticConfig,
@@ -113,9 +110,6 @@ def _align_all_strategies(left, right, theta, equi):
     results = {
         "sweep": align_relation(left, right, theta, equi_attributes=equi, strategy="sweep"),
         "index": align_relation(left, right, theta, equi_attributes=equi, strategy="index"),
-        "parallel": align_relation(
-            left, right, theta, equi_attributes=equi, strategy="parallel", workers=2
-        ),
         "columnar": align_relation(
             left, right, theta, equi_attributes=equi, strategy="columnar"
         ),
@@ -159,98 +153,15 @@ class TestAlignmentStrategyEquivalence:
         assert fallback == expected
 
 
-class TestShmExchangeEquivalence:
-    """Engine-level: the shared-memory Exchange is the same function too.
-
-    PR 6's transport battery — for every generated input (all three
-    synthetic families plus the adversarial edge family) the partition-
-    parallel plan shipping shared-memory columnar frames must produce the
-    relation of the pinned serial row pipeline and of the serial columnar
-    batch, at every pool size, and under both forced fallbacks (NumPy
-    hidden → pickled rows into the Python kernels; ``REPRO_SHM=0`` →
-    pickled-row transport).
-    """
-
-    SERIAL_ROW = EngineSettings(parallel_workers=0, enable_columnar=False)
-    SERIAL_COLUMNAR = EngineSettings(parallel_workers=0)
-
-    @staticmethod
-    def _parallel(workers: int) -> EngineSettings:
-        return EngineSettings(
-            parallel_workers=workers,
-            parallel_setup_cost=0.0,
-            parallel_tuple_cost=0.0,
-            parallel_min_rows=0.0,
-        )
-
-    @staticmethod
-    def _engine_rows(pair, kind: str, engine_settings: EngineSettings):
-        left, right = pair
-        database = Database()
-        database.register_relation("l", left)
-        database.register_relation("r", right)
-        if kind == "align":
-            plan = align_plan(
-                scan(database, "l", "l"),
-                scan(database, "r", "r"),
-                Comparison("=", Column("l.cat"), Column("r.cat")),
-            )
-        else:
-            plan = normalize_plan(
-                scan(database, "l", "l"), scan(database, "r", "r"), using=["cat"]
-            )
-        physical = database.plan(plan, engine_settings)
-        if isinstance(physical, ExchangeNode):
-            # Keep hypothesis runs fork-free: the shm transport (segments,
-            # code partitioning, decode) is exercised in full either way,
-            # and pool placement has its own dedicated tests.
-            physical.inprocess_threshold = 10**9
-        return sorted(physical.execute())
-
-    @SETTINGS
-    @given(
-        relation_pairs(),
-        st.sampled_from([1, 2, 4]),
-        st.sampled_from(["align", "normalize"]),
-    )
-    def test_shm_parallel_matches_both_serial_pipelines(self, pair, workers, kind):
-        serial_row = self._engine_rows(pair, kind, self.SERIAL_ROW)
-        serial_columnar = self._engine_rows(pair, kind, self.SERIAL_COLUMNAR)
-        parallel = self._engine_rows(pair, kind, self._parallel(workers))
-        assert serial_columnar == serial_row
-        assert parallel == serial_row
-
-    @SETTINGS
-    @given(relation_pairs(), st.sampled_from(["align", "normalize"]))
-    def test_shm_disabled_fallback_matches(self, pair, kind):
-        expected = self._engine_rows(pair, kind, self.SERIAL_ROW)
-        os.environ["REPRO_SHM"] = "0"
-        try:
-            fallback = self._engine_rows(pair, kind, self._parallel(2))
-        finally:
-            os.environ.pop("REPRO_SHM", None)
-        assert fallback == expected
-
-    @SETTINGS
-    @given(relation_pairs(), st.sampled_from(["align", "normalize"]))
-    def test_no_numpy_fallback_matches(self, pair, kind):
-        expected = self._engine_rows(pair, kind, self.SERIAL_ROW)
-        with forced_python():
-            fallback = self._engine_rows(pair, kind, self._parallel(2))
-        assert fallback == expected
-
-
 class TestNormalizationStrategyEquivalence:
     @SETTINGS
     @given(relation_pairs(), st.sampled_from([(), ("cat",)]))
     def test_all_strategies_agree(self, pair, attributes):
         left, right = pair
         expected = normalize(left, right, attributes, strategy="sweep")
-        parallel = normalize(left, right, attributes, strategy="parallel", workers=2)
         columnar = normalize(left, right, attributes, strategy="columnar")
         with forced_python():
             fallback = normalize(left, right, attributes, strategy="columnar")
-        assert parallel == expected
         assert columnar == expected
         assert fallback == expected
 
@@ -315,10 +226,11 @@ def _keyed_pairs():
 
 class TestFrameInputEquivalence:
     """The columnar node's two array sources and the row pipeline agree as
-    *ordered lists*, whatever the relations hold."""
+    *ordered lists*, whatever the relations hold — and so do the pure-Python
+    kernels, which without NumPy run on the drained rows alone."""
 
-    COLUMNAR = EngineSettings(parallel_workers=0)
-    ROW = EngineSettings(parallel_workers=0, enable_columnar=False)
+    COLUMNAR = EngineSettings()
+    ROW = EngineSettings(enable_columnar=False)
 
     def _check(self, database, plan):
         from repro.columnar.rows import adjust_rows_columnar
@@ -329,7 +241,8 @@ class TestFrameInputEquivalence:
         assert isinstance(physical, ColumnarAdjustmentNode)
         with obs_trace.collect(physical) as trace:
             frame = physical.execute()
-        assert trace.span_for(physical).attributes["input"] == "frame"
+        source = "frame" if numpy_available() else "rows"
+        assert trace.span_for(physical).attributes["input"] == source
         drained = adjust_rows_columnar(
             physical.task, list(physical.left), list(physical.right)
         )
@@ -337,6 +250,8 @@ class TestFrameInputEquivalence:
         assert frame == database.execute(plan, self.ROW).rows
         # A second run serves every structure from the relations' caches.
         assert physical.execute() == frame
+        with forced_python():
+            assert physical.execute() == frame
 
     @staticmethod
     def _database(left, right):
@@ -345,7 +260,6 @@ class TestFrameInputEquivalence:
         database.register_relation("r", right)
         return database
 
-    @pytest.mark.skipif(not numpy_available(), reason="frames are NumPy arrays")
     @SETTINGS
     @given(_keyed_pairs())
     def test_align(self, case):
@@ -358,7 +272,6 @@ class TestFrameInputEquivalence:
             database, align_plan(scan(database, "l", "l"), scan(database, "r", "r"), condition)
         )
 
-    @pytest.mark.skipif(not numpy_available(), reason="frames are NumPy arrays")
     @SETTINGS
     @given(_keyed_pairs())
     def test_normalize(self, case):
@@ -369,7 +282,6 @@ class TestFrameInputEquivalence:
             logical.Normalize(scan(database, "l", "l"), scan(database, "r", "r"), keys),
         )
 
-    @pytest.mark.skipif(not numpy_available(), reason="frames are NumPy arrays")
     @SETTINGS
     @given(_keyed_pairs(), st.sampled_from(["align", "normalize"]))
     def test_self_adjustment_through_two_aliases(self, case, kind):
@@ -502,8 +414,8 @@ def _rows(relation: TemporalRelation) -> List[Tuple]:
 class TestResidualThetaEquivalence:
     """Generated θ over all three synthetic families and the edge family."""
 
-    COLUMNAR = EngineSettings(parallel_workers=0)
-    ROW = EngineSettings(parallel_workers=0, enable_columnar=False)
+    COLUMNAR = EngineSettings()
+    ROW = EngineSettings(enable_columnar=False)
 
     @SETTINGS
     @given(relation_pairs(), THETAS)

@@ -1,5 +1,8 @@
 """Unit tests for interval-timestamped tuples and the null value ω."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.relation.errors import SchemaError
@@ -62,6 +65,11 @@ class TestTemporalTuple:
     def test_immutable(self, tuple_):
         with pytest.raises(AttributeError):
             tuple_.values = ()
+
+    def test_pickle_and_deepcopy_round_trip(self, tuple_):
+        for restored in (pickle.loads(pickle.dumps(tuple_)), copy.deepcopy(tuple_)):
+            assert restored == tuple_
+            assert restored.interval == Interval(1, 6)
 
     def test_equality_and_hash(self, schema):
         a = TemporalTuple(schema, ("Ann", 40), Interval(1, 6))

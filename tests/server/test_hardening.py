@@ -179,9 +179,7 @@ class TestWireTimeout:
         db.register_relation("r", relation)
         # 50 ms: the quadratic self-ALIGN (4000² pairs) exceeds it by orders
         # of magnitude, a plain 4000-row scan finishes far inside it.
-        db.settings = Settings(
-            enable_columnar=False, parallel_workers=0, statement_timeout_ms=50.0
-        )
+        db.settings = Settings(enable_columnar=False, statement_timeout_ms=50.0)
         handle = serve_in_thread(db)
         try:
             with _client(handle) as client:
