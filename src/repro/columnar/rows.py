@@ -18,9 +18,11 @@ The work is split in two.  *Obtaining the arrays* has two sources:
   unmodified snapshots of registered relations, so repeated adjustments pay
   no per-row Python work.
 
-*Kernel → rows* (:func:`rows_from_arrays`) is shared: one kernel call, one
-row builder.  The sources differ in cost only, never in output.  Both carry
-the reference rows, so an alignment whose θ is more than its key
+*Kernel → batch* (:func:`batch_from_arrays`) is shared: one kernel call
+whose output stays columns (:class:`~repro.columnar.batch.Batch`) until
+:meth:`~repro.columnar.batch.Batch.materialize` builds the rows — the one
+array → row tail.  The sources differ in cost only, never in output.  Both
+carry the reference rows, so an alignment whose θ is more than its key
 equalities filters the kernel's candidate pairs with the rest of θ (the
 *residual*) between the pair and piece steps — as one NumPy mask where the
 expression compiles, else per pair with the row pipeline's own bound
@@ -38,6 +40,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.columnar import kernels
+from repro.columnar.batch import Batch, Cache, Gathered, Ints, Source
 from repro.columnar.encoding import NO_MATCH, encode_relation, remap_codes
 from repro.columnar.runtime import numpy_available, numpy_or_none
 from repro.relation.tuple import is_null
@@ -60,7 +63,10 @@ class AdjustmentArrays(NamedTuple):
     is either intervals (``r_starts``/``r_ends``) or, for a normalization
     fed the split-point projection, a point column in ``r_starts`` with
     ``r_ends`` ``None``; ``r_rows`` are the rows the ``r_*`` entries
-    describe, which a residual θ reads.
+    describe, which a residual θ reads.  ``cache`` is the argument
+    relation's build-once cache when ``rows`` are read off it, so the
+    batch's value codes over them persist (see
+    :class:`~repro.columnar.batch.Source`).
     """
 
     rows: Sequence[Row]
@@ -71,6 +77,7 @@ class AdjustmentArrays(NamedTuple):
     r_starts: Any
     r_ends: Optional[Any]
     r_codes: Any
+    cache: Optional[Cache] = None
 
 
 def kernel_mode() -> str:
@@ -265,6 +272,7 @@ def arrays_from_frames(
         right.starts,
         right.ends,
         r_codes,
+        argument.derived,
     )
 
 
@@ -306,17 +314,18 @@ def _residual_filter(
     return keep
 
 
-def rows_from_arrays(
+def batch_from_arrays(
     task: Any, arrays: AdjustmentArrays, facts: Optional[Dict[str, Any]] = None
-) -> List[Row]:
-    """Run the kernel of ``task`` over ``arrays`` and build the output rows.
+) -> Batch:
+    """Run the kernel of ``task`` over ``arrays``; its output as a batch.
 
     An alignment with a residual θ (``task.residual``) keeps the candidate
     pairs θ accepts; ``facts``, when given, then receives how θ ran
     (``residual=numpy|pairs``) and how many pairs it saw and kept.
 
     Returns:
-        The rows the serial row pipeline would produce, in its order.
+        The serial row pipeline's output, in its order: ``ts``/``te`` the
+        piece bounds, every other column gathered from ``arrays.rows``.
     """
     left = arrays.l_starts, arrays.l_ends, arrays.l_codes
     if task.isalign:
@@ -342,19 +351,12 @@ def rows_from_arrays(
             *left, arrays.r_starts, arrays.r_ends, arrays.r_codes, include_empty=True
         )
 
-    rows = arrays.rows
-    ts_index, te_index = task.ts_index, task.te_index
-    cut = task.group_width - 2
-    if (ts_index, te_index) == (cut, cut + 1):
-        # The common layout (``ts``/``te`` last): each row is built once.
-        return [rows[i][:cut] + (start, end) for i, start, end in zip(rows_idx, starts, ends)]
-    output: List[Row] = []
-    for i, start, end in zip(rows_idx, starts, ends):
-        values = list(rows[i])
-        values[ts_index] = start
-        values[te_index] = end
-        output.append(tuple(values))
-    return output
+    source = Source(arrays.rows, rows_idx, task.group_width, arrays.cache)
+    bounds = {task.ts_index: Ints(starts), task.te_index: Ints(ends)}
+    columns = [
+        bounds[i] if i in bounds else Gathered(source, i) for i in range(task.group_width)
+    ]
+    return Batch(columns, len(rows_idx))
 
 
 def adjust_rows_columnar(
@@ -365,10 +367,11 @@ def adjust_rows_columnar(
 ) -> List[Row]:
     """Run one adjustment task (align or normalize) over drained rows.
 
-    :func:`arrays_from_rows` then :func:`rows_from_arrays`; what the
-    drained-row route of ``ColumnarAdjustmentNode`` calls.
+    :func:`arrays_from_rows`, :func:`batch_from_arrays`, then the rows:
+    the drained-row route of ``ColumnarAdjustmentNode``, materialized.
 
     Raises:
         ColumnarUnsupported: When a bound column cannot be batch-encoded.
     """
-    return rows_from_arrays(task, arrays_from_rows(task, left_rows, right_rows), facts)
+    arrays = arrays_from_rows(task, left_rows, right_rows)
+    return batch_from_arrays(task, arrays, facts).materialize()

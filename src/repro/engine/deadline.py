@@ -5,7 +5,9 @@ execution when ``Settings.statement_timeout_ms`` is positive; every
 physical operator's iterator (``PhysicalNode.__iter__``) then wraps itself
 in :func:`checked`, which compares ``perf_counter()`` against the deadline
 every :data:`CHECK_EVERY` produced rows and raises
-:class:`~repro.relation.errors.StatementTimeoutError` on overrun.
+:class:`~repro.relation.errors.StatementTimeoutError` on overrun; a batch
+handed between operators (``PhysicalNode.batch``) is checked before and
+after it is built.
 
 Cooperative means exactly that: the check costs one thread-local read per
 iterator construction when no deadline is active (mirroring the tracing
@@ -66,10 +68,15 @@ def _overrun() -> StatementTimeoutError:
     )
 
 
-def checked(iterator: Iterator, deadline: float) -> Iterator:
-    """Yield from ``iterator``, enforcing ``deadline`` every few rows."""
+def check(deadline: float) -> None:
+    """Raise the typed timeout error if ``deadline`` has passed."""
     if perf_counter() > deadline:
         raise _overrun()
+
+
+def checked(iterator: Iterator, deadline: float) -> Iterator:
+    """Yield from ``iterator``, enforcing ``deadline`` every few rows."""
+    check(deadline)
     count = 0
     for row in iterator:
         count += 1

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterable, Iterator, List
 
+from repro.columnar import batch as batches
 from repro.engine.executor.base import PhysicalNode, Row
+from repro.obs import trace as obs_trace
 
 
 class AbsorbNode(PhysicalNode):
@@ -17,6 +19,9 @@ class AbsorbNode(PhysicalNode):
     Exact duplicates collapse to a single row — the ``ABSORB`` keyword of the
     SQL surface therefore subsumes ``DISTINCT``.  Groups come out in order
     of first appearance, a group's rows by ascending start.
+
+    A child that hands over a batch is absorbed as arrays
+    (:func:`repro.columnar.batch.absorb`), the same rows in the same order.
     """
 
     def __init__(self, child: PhysicalNode, start_index: int, end_index: int):
@@ -32,11 +37,24 @@ class AbsorbNode(PhysicalNode):
         )
 
     def rows(self) -> Iterator[Row]:
+        batch = self.child.batch()
+        source: Iterable[Row] = self.child
+        if batch is not None:
+            absorbed = batches.absorb(batch, self.start_index, self.end_index)
+            if absorbed is not None:
+                obs_trace.annotate(self, input="batch")
+                yield from absorbed.materialize()
+                return
+            source = batch.materialize()
+        obs_trace.annotate(self, input="rows")
+        yield from self._absorb(source)
+
+    def _absorb(self, source: Iterable[Row]) -> Iterator[Row]:
         start_index = self.start_index
         end_index = self.end_index
         group_key = self._group_key
         groups: Dict[Any, List[Row]] = {}
-        for row in self.child:
+        for row in source:
             key = group_key(row)
             group = groups.get(key)
             if group is None:

@@ -18,15 +18,26 @@ The streaming protocol, which every operator in this package observes:
   is produced.
 * ``estimated_rows``/``estimated_cost`` are annotations written by the
   planner; execution never reads them.
+
+Above a ``ColumnarAdjustment`` a second protocol applies: a consumer whose
+algorithm is blocking anyway (ABSORB, GROUP BY, the join on ``r.T = s.T``)
+asks its child for :meth:`PhysicalNode.batch` — the whole output as columns
+(:class:`~repro.columnar.batch.Batch`) — before pulling rows.  ``None``
+means the child has no batch form and has done nothing; the consumer then
+iterates it as usual.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Sequence, Tuple
+from time import perf_counter
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import deadline as _deadline
 from repro.obs.trace import _state as _trace_state
 from repro.relation.errors import PlanError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.columnar.batch import Batch
 
 Row = Tuple[Any, ...]
 
@@ -78,6 +89,34 @@ class PhysicalNode:
         if trace is None:
             return iterator
         return trace.instrument(self, iterator)
+
+    def batch(self) -> Optional[Batch]:
+        """The node's whole output as a batch, or ``None`` (see the module
+        docstring) — the batch twin of :meth:`__iter__`.
+
+        This is the second choke point: an active trace records the batch
+        as one loop of ``len(batch)`` rows and its build time, and an
+        active statement deadline is checked before and after the build.
+        """
+        limit = _deadline.active_deadline()
+        trace = _trace_state.trace
+        if limit is None and trace is None:
+            return self.produce_batch()
+        if limit is not None:
+            _deadline.check(limit)
+        started = perf_counter()
+        batch = self.produce_batch()
+        if batch is not None:
+            if trace is not None:
+                trace.record_batch(self, len(batch), perf_counter() - started)
+            if limit is not None:
+                _deadline.check(limit)
+        return batch
+
+    def produce_batch(self) -> Optional[Batch]:
+        """Build the batch :meth:`batch` hands over; ``None`` without
+        touching any input when the node has no batch form (the default)."""
+        return None
 
     def execute(self) -> List[Row]:
         """Materialise the full output (convenience for callers and tests).
@@ -136,6 +175,9 @@ class RelabelNode(PhysicalNode):
 
     def rows(self) -> Iterator[Row]:
         return iter(self.child)
+
+    def produce_batch(self) -> Optional[Batch]:
+        return self.child.batch()
 
     def describe(self) -> str:
         return f"Relabel({', '.join(self.columns)})"

@@ -24,6 +24,10 @@ Correctness never depends on the plan choice either: if drained rows cannot
 be batch-encoded (non-integer bounds), the node transparently re-runs the
 equivalent row pipeline over the same rows.  A traced execution
 (``EXPLAIN ANALYZE``) annotates the span with the path and input that ran.
+
+The kernel's output is a :class:`~repro.columnar.batch.Batch`; iterating the
+node materializes it, while a batch consumer above (ABSORB, GROUP BY, the
+``r.T = s.T`` join) takes it as it is through :meth:`PhysicalNode.batch`.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
+from repro.columnar.batch import Batch
 from repro.columnar.rows import (
     AdjustmentArrays,
     ColumnarUnsupported,
-    adjust_rows_columnar,
     arrays_from_frames,
+    arrays_from_rows,
+    batch_from_arrays,
     kernel_mode,
-    rows_from_arrays,
 )
 from repro.columnar.runtime import numpy_available
 from repro.engine.executor.base import PhysicalNode, Row
@@ -145,6 +150,15 @@ class ColumnarAdjustmentNode(PhysicalNode):
         return arrays_from_frames(rows, relation, keys, *other)
 
     def rows(self) -> Iterator[Row]:
+        yield from self._execute().materialize()
+
+    def produce_batch(self) -> Optional[Batch]:
+        # The batch forms above need NumPy; without it they get rows.
+        if not numpy_available():
+            return None
+        return self._execute()
+
+    def _execute(self) -> Batch:
         # Runtime facts go on the trace span (``executed=numpy|python|
         # row-fallback``, ``input=frame|rows``, and for a residual θ
         # ``residual=numpy|pairs pairs=… kept=…``), never on the node, so a
@@ -153,20 +167,21 @@ class ColumnarAdjustmentNode(PhysicalNode):
         facts: Dict[str, Any] = {}
         arrays = self._frame_arrays()
         if arrays is not None:
-            result = rows_from_arrays(self.task, arrays, facts)
+            batch = batch_from_arrays(self.task, arrays, facts)
             obs_trace.annotate(self, executed=kernel_mode(), input="frame", **facts)
-            yield from result
-            return
+            return batch
         left_rows = list(self.left)
         right_rows = list(self.right)
         try:
             mode = kernel_mode()
-            result = adjust_rows_columnar(self.task, left_rows, right_rows, facts)
+            arrays = arrays_from_rows(self.task, left_rows, right_rows)
+            batch = batch_from_arrays(self.task, arrays, facts)
         except ColumnarUnsupported:
             mode = "row-fallback"
-            result = run_adjustment_task(self.task, left_rows, right_rows)
+            rows = run_adjustment_task(self.task, left_rows, right_rows)
+            batch = Batch.from_rows(rows, len(self.columns))
         obs_trace.annotate(self, executed=mode, input="rows", **facts)
-        yield from result
+        return batch
 
     def describe(self) -> str:
         kind = "align" if self.task.isalign else "normalize"

@@ -10,6 +10,11 @@ key equalities — the lookup already decided it.)
 
 Null semantics follow SQL: rows whose key contains a null never match, and
 end up padded (outer joins) or retained (anti join) accordingly.
+
+The hash join also has a batch form (:func:`repro.columnar.batch.join`) for
+a batch consumer above it: ``inner``/``left`` joins whose condition is
+exactly the key equalities, over two batch-producing children — the join on
+``r.T = s.T`` of the paper's outer-join reductions.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from collections import defaultdict
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.columnar import batch as batches
 from repro.engine.executor.base import PhysicalNode, Row
 from repro.engine.executor.sort import _compare_values
 from repro.engine.expressions import (
@@ -28,6 +34,7 @@ from repro.engine.expressions import (
     conjuncts_of,
     resolve_column,
 )
+from repro.obs import trace as obs_trace
 from repro.relation.errors import PlanError, QueryError
 from repro.relation.tuple import NULL, is_null
 
@@ -216,12 +223,32 @@ class HashJoinNode(_JoinBase):
         return pairs == set(self.key_pairs)
 
     def rows(self) -> Iterator[Row]:
+        return self._join(self.left, self.right)
+
+    def produce_batch(self) -> Optional[batches.Batch]:
+        if self.kind not in ("inner", "left") or self._residual is not None:
+            return None
+        left = self.left.batch()
+        if left is None:
+            return None
+        right = self.right.batch()
+        if right is not None:
+            joined = batches.join(left, right, self.key_pairs, self.kind)
+            if joined is not None:
+                obs_trace.annotate(self, input="batch")
+                return joined
+        obs_trace.annotate(self, input="rows")
+        right_rows: Iterable[Row] = self.right if right is None else right.materialize()
+        rows = list(self._join(left.materialize(), right_rows))
+        return batches.Batch.from_rows(rows, len(self.columns))
+
+    def _join(self, left_rows: Iterable[Row], right_rows: Iterable[Row]) -> Iterator[Row]:
         kind = self.kind
         residual = self._residual
         right_key, null_key = self._right_key, self._null_key
         buckets: Dict[Any, List[Tuple[int, Row]]] = defaultdict(list)
         inner_rows: List[Row] = []
-        for index, right_row in enumerate(self.right):
+        for index, right_row in enumerate(right_rows):
             inner_rows.append(right_row)
             key = right_key(right_row)
             if not null_key(key):
@@ -231,7 +258,7 @@ class HashJoinNode(_JoinBase):
         # Every bucket key is null-free and ω equals only ω, so a probe key
         # containing a null finds no bucket: it needs no check of its own.
         left_key = self._left_key
-        for left_row in self.left:
+        for left_row in left_rows:
             matched = False
             for index, right_row in buckets.get(left_key(left_row), ()):
                 if residual is None or residual(left_row + right_row):

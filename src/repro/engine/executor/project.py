@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.executor.base import PhysicalNode, Row
 from repro.engine.expressions import Column, Expression, IndexColumn, resolve_column
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.columnar.batch import Batch
 
 
 class ProjectNode(PhysicalNode):
@@ -14,7 +17,8 @@ class ProjectNode(PhysicalNode):
 
     A projection of plain column references — the root of every query, the
     split-point projections of ``NORMALIZE`` — evaluates nothing: it picks
-    the positions out of each child row in one C-level call.
+    the positions out of each child row in one C-level call, and hands a
+    child's batch on as those columns.
     """
 
     def __init__(self, child: PhysicalNode, expressions: Sequence[Tuple[Expression, str]]):
@@ -32,6 +36,12 @@ class ProjectNode(PhysicalNode):
             # A one-column itemgetter returns the bare value; zip re-wraps it.
             return zip(map(itemgetter(positions[0]), self.child))
         return map(itemgetter(*positions), self.child)
+
+    def produce_batch(self) -> Optional[Batch]:
+        if self._positions is None:
+            return None
+        batch = self.child.batch()
+        return None if batch is None else batch.select(self._positions)
 
     def _evaluated(self) -> Iterator[Row]:
         bound = self._bound

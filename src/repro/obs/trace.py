@@ -4,7 +4,8 @@ A :class:`QueryTrace` is built from a physical plan *before* execution: one
 :class:`Span` per plan node, mirroring the ``explain()`` tree shape exactly.
 While the trace is *active* (a thread-local, managed as a stack so nested
 executions such as view recomputation keep their own traces), the executor
-base class routes every node's iterator through :meth:`QueryTrace.instrument`,
+base class routes every node's iterator through :meth:`QueryTrace.instrument`
+(and every batch a node hands over through :meth:`QueryTrace.record_batch`),
 which records
 
 * wall time — the inclusive open interval from the first row pulled to
@@ -196,6 +197,15 @@ class QueryTrace:
         finally:
             span.seconds += perf_counter() - started
             span.rows_out += rows
+
+    def record_batch(self, node: Any, rows: int, seconds: float) -> None:
+        """Account one batch a node handed over as one loop of ``rows``
+        rows taking ``seconds`` (the batch twin of :meth:`instrument`)."""
+        span = self._spans.get(id(node))
+        if span is not None:
+            span.loops += 1
+            span.rows_out += rows
+            span.seconds += seconds
 
     def annotate(self, node: Any, **attributes: Any) -> None:
         span = self._spans.get(id(node))

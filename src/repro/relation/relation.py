@@ -159,7 +159,8 @@ class TemporalRelation:
 
     def add(self, tuple_: TemporalTuple) -> TemporalTuple:
         """Add an existing tuple (its schema must match attribute-wise)."""
-        if tuple_.schema.attribute_names != self.schema.attribute_names:
+        schema = tuple_.schema
+        if schema is not self.schema and schema.attribute_names != self.schema.attribute_names:
             raise SchemaError(
                 f"tuple schema {tuple_.schema!r} does not match relation schema {self.schema!r}"
             )

@@ -62,7 +62,7 @@ class Schema:
     0
     """
 
-    __slots__ = ("attributes", "timestamp", "_index")
+    __slots__ = ("attributes", "timestamp", "_index", "attribute_names")
 
     def __init__(self, attributes: Sequence[AttributeLike], timestamp: str = "T"):
         attrs = tuple(_as_attribute(a) for a in attributes)
@@ -76,6 +76,8 @@ class Schema:
         self.attributes: Tuple[Attribute, ...] = attrs
         self.timestamp = timestamp
         self._index = {name: i for i, name in enumerate(names)}
+        #: The nontemporal attribute names, in order.
+        self.attribute_names: Tuple[str, ...] = tuple(names)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -101,11 +103,6 @@ class Schema:
         return name in self._index
 
     # -- interrogation -----------------------------------------------------
-
-    @property
-    def attribute_names(self) -> Tuple[str, ...]:
-        """The nontemporal attribute names, in order."""
-        return tuple(a.name for a in self.attributes)
 
     def index_of(self, name: str) -> int:
         """Position of ``name`` among the nontemporal attributes."""

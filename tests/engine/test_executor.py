@@ -21,7 +21,7 @@ from repro.engine.executor import (
 from repro.engine.expressions import Column, Comparison, Literal
 from repro.engine.plan import AggregateCall
 from repro.engine.table import Table
-from repro.relation.errors import PlanError
+from repro.relation.errors import PlanError, QueryError
 from repro.relation.tuple import NULL
 
 
@@ -200,6 +200,33 @@ class TestAggregation:
     def test_unknown_function_rejected(self):
         with pytest.raises(PlanError):
             AggregateCall("MEDIAN", None, "m")
+
+    MIXED = [("a", 1), ("a", "z"), ("b", 2.5)]
+
+    def _grouped(self, function):
+        node = HashAggregateNode(
+            values(["k", "x"], self.MIXED),
+            [(Column("k"), "k")],
+            [AggregateCall(function, Column("x"), "m")],
+        )
+        return node.execute()
+
+    def test_min_over_mixed_types_follows_the_sort_order(self):
+        # ORDER BY's total order: across types by type name, so 1 < 'z'.
+        ordered = SortNode(values(["x"], [(1,), ("z",)]), [(Column("x"), True)]).execute()
+        assert ordered == [(1,), ("z",)]
+        assert self._grouped("MIN") == [("a", 1), ("b", 2.5)]
+
+    def test_max_over_mixed_types_follows_the_sort_order(self):
+        assert self._grouped("MAX") == [("a", "z"), ("b", 2.5)]
+
+    def test_sum_over_a_non_numeric_value_is_a_query_error(self):
+        with pytest.raises(QueryError, match="SUM over the non-numeric value 'z'"):
+            self._grouped("SUM")
+
+    def test_avg_over_a_non_numeric_value_is_a_query_error(self):
+        with pytest.raises(QueryError, match="AVG"):
+            self._grouped("AVG")
 
 
 class TestSetOpsAndAbsorb:

@@ -63,6 +63,14 @@ class TestRoundTrip:
                 client.execute("COMMIT")
             assert txn.value.kind == "transaction"
 
+    def test_aggregate_over_a_mixed_column_is_a_typed_error(self, database, server):
+        database.get_relation("r").insert(("a", "z"), Interval(0, 10))
+        with _client(server) as client:
+            assert client.execute("SELECT k, MIN(v) m FROM r GROUP BY k").rows == [["a", 1]]
+            with pytest.raises(ServerError) as mixed:
+                client.execute("SELECT k, SUM(v) s FROM r GROUP BY k")
+            assert mixed.value.kind == "query"
+
     def test_an_error_does_not_kill_the_connection(self, server):
         with _client(server) as client:
             with pytest.raises(ServerError):
