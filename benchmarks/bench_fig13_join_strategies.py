@@ -25,7 +25,7 @@ SIZES = scaled([250, 500, 1000])
 # The experiment reads the *join strategy* off the plan, so the row pipeline
 # is pinned: with the columnar switch on, every input takes the
 # ColumnarAdjustment batch and there is no group-construction join to observe
-# (that comparison lives in the columnar_adjustment bench scenario).  The
+# (``perf/``'s ``analytic_keyed`` times that path).  The
 # switch is part of ``Settings.describe()``, the recorded setting label.
 SETTINGS = {
     "merge_hash_nestloop": Settings(enable_columnar=False),

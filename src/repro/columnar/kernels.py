@@ -12,8 +12,8 @@ Every kernel has a pure-Python twin (``bisect`` over the same sorted arrays)
 selected automatically when NumPy is unavailable — or on demand via the
 ``use_numpy`` argument — and both produce **identical** output, piece for
 piece, in the same order.  That parity is a hard gate: the property tests and
-the benchmark runner compare the kernels against the row-at-a-time sweep on
-every run.
+``tests/engine/test_one_process_adjustment.py`` compare the kernels against
+the row-at-a-time sweep on every run.
 
 Pair semantics
 --------------

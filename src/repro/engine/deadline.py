@@ -11,8 +11,8 @@ after it is built.
 
 Cooperative means exactly that: the check costs one thread-local read per
 iterator construction when no deadline is active (mirroring the tracing
-hook's discipline — the obs_overhead bench gates the executor's always-on
-overhead), and a statement blocked inside a single kernel call or a
+hook's discipline — ``benchmarks/bench_obs_overhead.py`` gates the
+executor's always-on overhead), and a statement blocked inside a single kernel call or a
 blocking syscall is not preempted.  Scopes nest by keeping the *earliest*
 deadline, so an outer caller's budget can only shrink, never grow, inside
 nested executions (view refresh during a query, for example).

@@ -27,8 +27,9 @@ Concurrency model
 * **Serial-replay invariant**: because a committed writer of a relation
   always began after the previous committed writer of that relation
   finished, re-running the committed transactions' statements serially in
-  commit-epoch order reproduces the exact final state — the property the
-  ``concurrency`` benchmark and the interleaving property test gate on.
+  commit-epoch order reproduces the exact final state — the property
+  ``tests/server/test_served_rounds.py`` and the interleaving property test
+  gate on.
 
 Auto-commit statements (mutations outside any transaction) allocate one
 epoch each through the same stamping listener, so transactional snapshots

@@ -8,8 +8,8 @@ rename, server connection drop/stall) ask :func:`fire` whether to fail;
 every trigger is counted as ``faults.injected{site}`` in the process
 metrics registry.
 
-The ``chaos`` bench scenario (docs/fault-injection.md) drives real clients
-against a served database while a plan fires and hard-gates recovery,
+``tests/server/test_served_rounds.py`` (docs/fault-injection.md) drives real
+clients against a served database while a plan fires and asserts recovery,
 client liveness and fault observability.
 """
 

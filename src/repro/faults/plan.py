@@ -19,8 +19,9 @@ Examples::
 Determinism is the point: ``every=``/``after=``/``count=`` arms fire at
 exact pass numbers, and probabilistic arms draw from a private
 ``random.Random(seed)`` — the same plan over the same workload fires at the
-same operations every run, which is what lets the chaos scenario's recovery
-gates be exact instead of statistical.
+same operations every run, which is what lets the served rounds' recovery
+gates (``tests/server/test_served_rounds.py``) be exact instead of
+statistical.
 
 :func:`fire` is the hot-path query the injection points call.  Disarmed (the
 overwhelmingly common case) it is one global read and a ``None`` check;

@@ -10,9 +10,9 @@ in the tree against this dictionary — a typo'd site name is a lint failure,
 not a fault plan that silently never triggers.
 
 Keep the descriptions honest about *mechanism*: what the injection does, not
-just where it sits, because the chaos harness's gates are phrased against
-these behaviours (e.g. ``wal.torn_tail`` must leave a half-written frame for
-recovery to truncate).
+just where it sits, because ``tests/faults/test_injection_points.py`` is
+phrased against these behaviours (e.g. ``wal.torn_tail`` must leave a
+half-written frame for recovery to truncate).
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ Three consumers read the registry:
   a plain JSON-able dict;
 * ``python -m repro.serve --metrics-port`` serves
   :meth:`MetricsRegistry.render_prometheus` (text exposition format 0.0.4);
-* the bench runner embeds a snapshot into every ``BENCH_*.json`` report.
+* ``perf/`` diffs snapshots around a measured run into its per-layer
+  counts (``REGISTRY.snapshot()`` in process, ``Client.metrics()`` from a
+  served subprocess).
 
 Tests call :func:`reset` to zero values while keeping registrations — the
 registry is process-global state, so assertions about deltas should either

@@ -123,7 +123,7 @@ class Span:
         return "\n".join([line] + [child.render(indent + 2) for child in self.children])
 
     def summary(self) -> Dict[str, Any]:
-        """JSON-able view (slow-query log, bench reports)."""
+        """JSON-able view (the slow-query log's ``trace`` field)."""
         entry: Dict[str, Any] = {
             "operator": self.label,
             "seconds": self.seconds,
@@ -232,7 +232,7 @@ class QueryTrace:
         )
 
     def summary(self) -> Dict[str, Any]:
-        """JSON-able digest for the slow-query log and bench reports."""
+        """JSON-able digest for the slow-query log."""
         return {
             "total_seconds": self.total_seconds,
             "root": self.root_span.summary(),

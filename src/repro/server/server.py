@@ -26,12 +26,13 @@ Hardening (admission control and liveness):
   activity for that many seconds, rolling their transactions back — an
   abandoned client cannot pin a session (or its transaction) forever;
 * the ``net.drop``/``net.stall`` fault sites (:mod:`repro.faults`) inject
-  connection loss and slow reads *between* requests, which is what the
-  ``chaos`` benchmark uses to prove client retry logic converges.
+  connection loss and slow reads *between* requests, which is what
+  ``tests/server/test_served_rounds.py`` uses to prove client retry logic
+  converges.
 
 :func:`serve_in_thread` runs a server in a daemon thread with its own event
-loop — the harness the tests and the ``concurrency`` benchmark use to drive
-real socket clients against an in-process database.
+loop — the harness the tests use to drive real socket clients against an
+in-process database.
 """
 
 from __future__ import annotations

@@ -70,8 +70,8 @@ class StorageEngine:
     """Durability sidecar of one database (see module docstring).
 
     Statistics live in :attr:`stats` (records/bytes appended, fsyncs,
-    checkpoints, replayed records) — the ``durability`` bench scenario and
-    the recovery tests read them.
+    checkpoints, replayed records) — ``perf/``'s ``write_recover`` workload
+    and the recovery tests read them.
     """
 
     def __init__(self, database, path: str, sync: bool = True, auto_checkpoint: int = 0):
@@ -380,7 +380,7 @@ class StorageEngine:
     def abandon(self) -> None:
         """Release the file handles *without* checkpointing.
 
-        Crash simulation for tests and the ``durability`` bench: the on-disk
+        Crash simulation for tests and ``perf/``'s ``write_recover``: the on-disk
         state stays exactly as the last committed record left it, so a
         subsequent :meth:`recover` exercises the real WAL-replay path.
         """

@@ -124,7 +124,8 @@ class _AdjustedView:
         #: Serializable definition record set by the catalog; ``None`` marks a
         #: view that cannot be persisted (opaque θ callable).
         self.definition: Optional[Dict[str, Any]] = None
-        #: Maintenance statistics (inspected by tests and the bench runner).
+        #: Maintenance statistics (inspected by tests and ``perf/``'s
+        #: ``views_resume_incrementally`` gate).
         self.stats: Dict[str, int] = {"incremental": 0, "recomputed": 0, "deltas": 0}
 
         self._left_items: Dict[int, TemporalTuple] = {}
@@ -324,7 +325,8 @@ class _AdjustedView:
 
         Fragments are emitted in base-rowid order, so the result is
         byte-identical between an incrementally maintained view and a freshly
-        recomputed one — the equality the bench gates assert.
+        recomputed one — the equality ``tests/views/test_view_maintenance.py``
+        asserts.
         """
         if refresh:
             self.refresh()

@@ -55,6 +55,7 @@ class TestWalSites:
         with pytest.raises(StorageError, match="poisoned"):
             _insert(database, "b", 2)
         assert "append" in database.storage.poisoned
+        assert faults.active().injected_counts()["wal.append_ioerror"] == 1
         faults.disarm()
         database.storage.abandon()
         reopened = _open(db_path)
@@ -67,6 +68,7 @@ class TestWalSites:
         faults.arm("wal.torn_tail:count=1")
         with pytest.raises(StorageError):
             _insert(database, "b", 2)
+        assert faults.active().injected_counts()["wal.torn_tail"] == 1
         faults.disarm()
         database.storage.abandon()
         reopened = _open(db_path)  # recovery chops the half-written frame

@@ -5,7 +5,7 @@ update — period-restricted and whole-tuple) against both relations of each
 synthetic family and asserts, mid-stream and at the end, that the
 incrementally maintained ALIGN and NORMALIZE views equal a from-scratch
 adjustment of the mutated relations.  This is the strongest form of the
-bench harness's equality gate: not one mutation stream, but any.
+maintained ≡ recomputed gate: not one mutation stream, but any.
 """
 
 from __future__ import annotations

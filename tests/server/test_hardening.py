@@ -188,5 +188,15 @@ class TestWireTimeout:
                 assert timed_out.value.kind == "timeout"
                 # The session survives and answers fast statements.
                 assert len(client.execute("SELECT k FROM r WHERE v = 0")) == 1
+                # A timeout inside an open transaction rolls it back: the
+                # uncommitted write never becomes visible.
+                client.execute("BEGIN")
+                client.execute(
+                    "INSERT INTO r (k, v) VALUES ('ghost', -1) VALID PERIOD [0, 5)"
+                )
+                with pytest.raises(ServerError) as in_transaction:
+                    client.execute("SELECT * FROM (r ALIGN r ON 1 = 1) q")
+                assert in_transaction.value.kind == "timeout"
+                assert client.execute("SELECT k FROM r WHERE k = 'ghost'").rows == []
         finally:
             handle.stop()

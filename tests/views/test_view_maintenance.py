@@ -1,8 +1,8 @@
 """Materialized view maintenance: incremental ≡ recompute, planner matching.
 
 Every maintenance path is cross-checked against a from-scratch adjustment of
-the mutated relations — the correctness bar is *exact* relation equality, the
-same gate the ``view_maintenance`` bench scenario enforces.
+the mutated relations — the correctness bar is *exact* relation equality,
+after every mutation of a mixed stream.
 """
 
 import pytest
