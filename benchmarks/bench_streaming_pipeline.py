@@ -1,6 +1,6 @@
-"""Streaming executor and interval-index benchmarks (PR 1 tentpole).
+"""Streaming executor and repeated-reference alignment benchmarks.
 
-Two claims are measured, both with built-in correctness cross-checks:
+Two measurements, both with built-in correctness cross-checks:
 
 1. **Limit-over-join short-circuits.**  A ``LIMIT k`` consumer over a join
    pipeline pulls only the upstream work its ``k`` rows require; the
@@ -10,11 +10,13 @@ Two claims are measured, both with built-in correctness cross-checks:
    :class:`~repro.engine.executor.instrument.CountingNode`), asserts the
    results are identical and that streaming is at least 2× faster.
 
-2. **Indexed overlap probe beats the rebuilt sweep on repeated references.**
-   Aligning a stream of small query relations against one shared reference
-   re-sorts the reference on every call under the plane sweep; the cached
-   :class:`~repro.temporal.interval_index.IntervalIndex` sorts it once and
-   probes.  The harness asserts identical results and an indexed speedup.
+2. **Repeated references: the kernels against the sweep.**  Aligning a
+   stream of small query relations against one shared reference re-sorts
+   the reference on every call under the plane sweep; the default
+   ``"columnar"`` strategy reuses the reference's cached frame but still
+   re-ranks its endpoints per call.  The harness asserts identical results
+   and reports both timings (no speed bar: the two are within run-to-run
+   noise of each other).
 
 Run with the other harnesses::
 
@@ -134,8 +136,8 @@ def _random_relation(rng: random.Random, size: int, span: int) -> TemporalRelati
     return relation
 
 
-def test_repeated_reference_alignment_index_vs_sweep():
-    """Amortised group construction: cached index vs per-call plane sweep."""
+def test_repeated_reference_alignment_columnar_vs_sweep():
+    """Many small alignments against one shared reference: kernels vs sweep."""
     rng = random.Random(42)
     reference = _random_relation(rng, REFERENCE_SIZE, span=10 * REFERENCE_SIZE)
     queries = [
@@ -147,19 +149,14 @@ def test_repeated_reference_alignment_index_vs_sweep():
         return [align_relation(q, reference, strategy=strategy) for q in queries]
 
     sweep_time, sweep_results = _best_of(3, lambda: run("sweep"))
-    index_time, index_results = _best_of(3, lambda: run("index"))
+    columnar_time, columnar_results = _best_of(3, lambda: run("columnar"))
 
-    assert all(s == i for s, i in zip(sweep_results, index_results))
-    output_tuples = sum(len(r) for r in index_results)
-    speedup = sweep_time / max(index_time, 1e-9)
+    assert all(s == c for s, c in zip(sweep_results, columnar_results))
+    output_tuples = sum(len(r) for r in columnar_results)
     print(
         f"\n[repeated-reference align] reference={REFERENCE_SIZE} "
         f"queries={QUERY_COUNT}x{QUERY_SIZE} output={output_tuples} "
-        f"sweep={sweep_time * 1e3:.2f}ms index={index_time * 1e3:.2f}ms "
-        f"speedup={speedup:.1f}x "
-        f"throughput={output_tuples / max(index_time, 1e-9):,.0f} tuples/s indexed"
+        f"sweep={sweep_time * 1e3:.2f}ms columnar={columnar_time * 1e3:.2f}ms "
+        f"ratio={sweep_time / max(columnar_time, 1e-9):.2f}x "
+        f"throughput={output_tuples / max(columnar_time, 1e-9):,.0f} tuples/s columnar"
     )
-    if STRICT_TIMING:
-        assert speedup > 1.0, (
-            f"indexed probe ({index_time:.4f}s) did not beat the sweep ({sweep_time:.4f}s)"
-        )

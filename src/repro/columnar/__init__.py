@@ -9,18 +9,18 @@ so NumPy stays an optional dependency.
 
 Consumers:
 
-* the relation-level operators (``align_relation``/``normalize``) expose a
-  ``"columnar"`` strategy and auto-dispatch through
-  :mod:`repro.columnar.dispatch`;
-* the engine's ``ColumnarAdjustmentNode`` executes
-  :class:`~repro.engine.executor.adjustment.AdjustmentTask` batches through
-  :mod:`repro.columnar.rows`.
+* the relation-level operators (``align_relation``/``normalize``), whose
+  default ``"columnar"`` strategy runs the kernels over cached frames;
+* the engine's ``ColumnarAdjustmentNode``, which runs one
+  :class:`~repro.engine.executor.columnar_adjustment.AdjustmentTask` per
+  execution through :mod:`repro.columnar.rows` — NumPy kernels over int64
+  bounds, the pure-Python twins over any other bounds.
 
-Everything here is bound by one hard contract: row mode and columnar mode
-produce the identical relation on every input.
+Everything here is bound by one hard contract: the kernels produce the
+identical relation as the references (core's ``"sweep"`` strategy and the
+engine's ``enable_columnar=False`` row plan) on every input.
 """
 
-from repro.columnar.dispatch import auto_columnar
 from repro.columnar.encoding import (
     ColumnarFrame,
     encode_keys,
@@ -32,26 +32,19 @@ from repro.columnar.kernels import (
     align_pieces,
     normalize_pieces,
     normalize_pieces_from_intervals,
-    overlap_pairs,
-    pieces_from_pairs,
 )
-from repro.columnar.rows import ColumnarUnsupported, adjust_rows_columnar, kernel_mode
+from repro.columnar.rows import kernel_mode
 from repro.columnar.runtime import forced_python, numpy_available
 
 __all__ = [
     "ColumnarFrame",
-    "ColumnarUnsupported",
-    "adjust_rows_columnar",
     "align_pieces",
-    "auto_columnar",
     "encode_keys",
     "encode_relation",
     "forced_python",
     "kernel_mode",
     "normalize_pieces",
     "normalize_pieces_from_intervals",
-    "overlap_pairs",
     "peek_endpoint_arrays",
-    "pieces_from_pairs",
     "remap_codes",
 ]

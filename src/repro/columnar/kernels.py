@@ -13,7 +13,9 @@ selected automatically when NumPy is unavailable — or on demand via the
 ``use_numpy`` argument — and both produce **identical** output, piece for
 piece, in the same order.  That parity is a hard gate: the property tests and
 ``tests/engine/test_one_process_adjustment.py`` compare the kernels against
-the row-at-a-time sweep on every run.
+the row-at-a-time sweep on every run.  The twins only compare bounds with
+``<`` and ``==``, so they also take bounds ``int64`` cannot hold (floats,
+fractions, strings); the engine runs such rows through them.
 
 Pair semantics
 --------------
@@ -42,6 +44,7 @@ interpreter.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.runtime import numpy_or_none, resolve_use_numpy
@@ -52,38 +55,22 @@ Pieces = Tuple[List[int], List[int], List[int]]
 #: Keeps some candidate pairs between the two steps of :func:`align_pieces`:
 #: called with the ``(left, right)`` position arrays in the backend's own
 #: form (``int64`` arrays under NumPy, lists otherwise), returns the kept
-#: pairs in the same form.
+#: pairs in the same form (:func:`keep_pairs`).
 PairFilter = Callable[[Any, Any], Tuple[Any, Any]]
 
 
 # -- public entry points ---------------------------------------------------------------
 
 
-def overlap_pairs(
-    l_starts,
-    l_ends,
-    l_codes,
-    r_starts,
-    r_ends,
-    r_codes,
-    use_numpy: Optional[bool] = None,
-    include_empty: bool = False,
-) -> Tuple[List[int], List[int]]:
-    """Matching ``(left position, right position)`` pairs of the overlap join.
-
-    The first step of :func:`align_pieces`, exposed for the relation-level
-    aligner: it filters the pairs with an opaque θ and hands the survivors
-    to :func:`pieces_from_pairs`, the second step.
-    """
-    if resolve_use_numpy(use_numpy):
-        np = numpy_or_none()
-        li, ri = _np_pairs(
-            np,
-            *_np_inputs(np, l_starts, l_ends, l_codes, r_starts, r_ends, r_codes),
-            include_empty=include_empty,
-        )
-        return li.tolist(), ri.tolist()
-    return _py_pairs(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty)
+def keep_pairs(li: Any, ri: Any, accept: Callable[[int, int], Any]) -> Tuple[Any, Any]:
+    """The pairs ``(i, j)`` of ``(li, ri)`` that ``accept(i, j)`` holds for,
+    in the form :func:`align_pieces` hands a :data:`PairFilter`."""
+    if isinstance(li, list):
+        flags = [bool(accept(i, j)) for i, j in zip(li, ri)]
+        return list(compress(li, flags)), list(compress(ri, flags))
+    flags = [bool(accept(i, j)) for i, j in zip(li.tolist(), ri.tolist())]
+    mask = numpy_or_none().asarray(flags, dtype=bool)
+    return li[mask], ri[mask]
 
 
 def align_pieces(
@@ -99,9 +86,9 @@ def align_pieces(
 ) -> Pieces:
     """The temporal aligner, batched: intersections and gaps per left row.
 
-    The composition of the two steps — candidate pairs (key codes +
-    overlap), then pieces from pairs — with ``pair_filter``, when given,
-    deciding between them which candidates stay (a residual θ).
+    The composition of two steps — candidate pairs (key codes + overlap),
+    then pieces from pairs — with ``pair_filter``, when given, deciding
+    between them which candidates stay (a residual θ, or core's opaque θ).
 
     Output pieces appear grouped by left row (ascending position) and, within
     a row, in plane-sweep order — exactly the stream the row-at-a-time
@@ -118,10 +105,10 @@ def align_pieces(
             return [], [], []
         # One distinct-endpoint array serves both steps (the dominant sort).
         vals = np.unique(np.concatenate([ls, le, rs, re]))
-        li, ri = _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=vals)
+        li, ri = _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals)
         if pair_filter is not None:
             li, ri = pair_filter(li, ri)
-        return _np_pieces(np, ls, le, rs, re, li, ri, include_empty, vals=vals)
+        return _np_pieces(np, ls, le, rs, re, li, ri, include_empty, vals)
     ls, le = list(l_starts), list(l_ends)
     rs, re = list(r_starts), list(r_ends)
     if not ls:
@@ -130,41 +117,6 @@ def align_pieces(
     if pair_filter is not None:
         li, ri = pair_filter(li, ri)
     return _py_pieces(ls, le, rs, re, li, ri, include_empty)
-
-
-def pieces_from_pairs(
-    l_starts,
-    l_ends,
-    r_starts,
-    r_ends,
-    li,
-    ri,
-    use_numpy: Optional[bool] = None,
-    include_empty: bool = False,
-) -> Pieces:
-    """The aligner's second step: pieces from already-chosen matching pairs.
-
-    ``(li[k], ri[k])`` are the ``(left, right)`` positions of the pairs that
-    make up each left row's group, in any order; they must overlap (or be
-    degenerate pairs under ``include_empty``), as :func:`overlap_pairs`
-    guarantees.  The output is :func:`align_pieces`' for exactly those
-    groups.
-    """
-    if resolve_use_numpy(use_numpy):
-        np = numpy_or_none()
-
-        def ints(values: Any) -> Any:
-            return np.asarray(values, dtype=np.int64)
-
-        ls = ints(l_starts)
-        if len(ls) == 0:
-            return [], [], []
-        return _np_pieces(
-            np, ls, ints(l_ends), ints(r_starts), ints(r_ends), ints(li), ints(ri), include_empty
-        )
-    return _py_pieces(
-        list(l_starts), list(l_ends), list(r_starts), list(r_ends), li, ri, include_empty
-    )
 
 
 def normalize_pieces(
@@ -253,22 +205,18 @@ def _np_inputs(np, l_starts, l_ends, l_codes, r_starts, r_ends, r_codes):
     )
 
 
-def _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=None):
+def _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals):
     """Enumerate matching pairs as two ``int64`` index arrays.
 
     Composite sort keys ``code * M + rank(point)`` (with ``rank`` the
-    position in the array of all distinct endpoint values and ``M`` one past
-    the largest rank) make a single ``searchsorted`` respect the
-    lexicographic ``(code, point)`` order without overflow concerns.
-    ``vals`` lets a caller that already holds the distinct-endpoint array
-    (:func:`align_pieces`) share it instead of paying the dominant sort twice.
+    position in ``vals``, the array of all distinct endpoint values, and
+    ``M`` one past the largest rank) make a single ``searchsorted`` respect
+    the lexicographic ``(code, point)`` order without overflow concerns.
     """
     empty = np.empty(0, dtype=np.int64)
     if len(ls) == 0 or len(rs) == 0:
         return empty, empty
 
-    if vals is None:
-        vals = np.unique(np.concatenate([ls, le, rs, re]))
     M = np.int64(vals.size + 1)
 
     def rank(a):
@@ -321,11 +269,11 @@ def _ragged_positions(np, offsets, counts):
     return np.repeat(offsets, counts) + within
 
 
-def _np_pieces(np, ls, le, rs, re, li, ri, include_empty, vals=None):
+def _np_pieces(np, ls, le, rs, re, li, ri, include_empty, vals):
     """Pieces of every left row from its matching pairs ``(li, ri)``.
 
-    ``vals`` must hold every intersection end ``min(le[i], re[j])``; without
-    it the distinct ends of the given pairs are ranked.
+    ``vals`` holds every endpoint, so every intersection end
+    ``min(le[i], re[j])`` has a rank in it.
     """
     n = len(ls)
     out_rows: List = []
@@ -336,8 +284,6 @@ def _np_pieces(np, ls, le, rs, re, li, ri, include_empty, vals=None):
     if li.size:
         p1 = np.maximum(ls[li], rs[ri])
         p2 = np.minimum(le[li], re[ri])
-        if vals is None:
-            vals = np.unique(p2)
         M = np.int64(vals.size + 1)
         order = np.lexsort((p2, p1, li))
         gi, q1, q2 = li[order], p1[order], p2[order]

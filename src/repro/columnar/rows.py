@@ -1,13 +1,13 @@
 """Engine adapter: run an :class:`AdjustmentTask` through the columnar kernels.
 
-An ``AdjustmentTask`` describes the row pipeline
-(``join → project → sort → plane sweep``) as data; this module executes the
-*same contract* as whole-array kernels: it returns
-exactly the rows the row pipeline would produce — same values, same order
-(left rows sorted by the engine's comparator, pieces in sweep order), same
-treatment of duplicate left rows (the pipeline's partition sort makes them
-one group) and of null join keys (an equality θ over ``ω`` is false, so such
-rows stay dangling).
+An ``AdjustmentTask`` describes one ALIGN/NORMALIZE of the engine; this
+module executes it as whole-array kernels and returns exactly the rows the
+reference row plan (``Settings(enable_columnar=False)``: join → project →
+sort → plane sweep) produces — same values, same order (left rows sorted by
+the engine's comparator, pieces in sweep order), same treatment of
+duplicate left rows (the plan's partition sort makes them one group) and of
+null join keys (an equality θ over ``ω`` is false, so such rows stay
+dangling).
 
 The work is split in two.  *Obtaining the arrays* has two sources:
 
@@ -25,18 +25,18 @@ array → row tail.  The sources differ in cost only, never in output.  Both
 carry the reference rows, so an alignment whose θ is more than its key
 equalities filters the kernel's candidate pairs with the rest of θ (the
 *residual*) between the pair and piece steps — as one NumPy mask where the
-expression compiles, else per pair with the row pipeline's own bound
+expression compiles, else per pair with the row plan's own bound
 expression.
 
-:exc:`ColumnarUnsupported` signals inputs the encoding cannot batch
-(non-integer interval bounds); callers then fall back to the row pipeline,
-so adopting a columnar plan can never change a query's result.
+Bounds that are not all ``int64`` integers (floats, fractions, strings:
+anything an engine row may hold) run the pure-Python kernels over the raw
+values; an argument row whose bound is ``ω`` is a
+:class:`~repro.relation.errors.QueryError`, as in the row plan.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import compress
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.columnar import kernels
@@ -51,10 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
 Row = Tuple[Any, ...]
 
 
-class ColumnarUnsupported(Exception):
-    """The rows cannot be columnar-encoded; use the row pipeline instead."""
-
-
 class AdjustmentArrays(NamedTuple):
     """Kernel input of one adjustment, whichever source produced it.
 
@@ -66,7 +62,9 @@ class AdjustmentArrays(NamedTuple):
     describe, which a residual θ reads.  ``cache`` is the argument
     relation's build-once cache when ``rows`` are read off it, so the
     batch's value codes over them persist (see
-    :class:`~repro.columnar.batch.Source`).
+    :class:`~repro.columnar.batch.Source`).  ``integral`` is false when a
+    bound is not an ``int64`` integer: only the pure-Python kernels take
+    such values.
     """
 
     rows: Sequence[Row]
@@ -78,11 +76,12 @@ class AdjustmentArrays(NamedTuple):
     r_ends: Optional[Any]
     r_codes: Any
     cache: Optional[Cache] = None
+    integral: bool = True
 
 
-def kernel_mode() -> str:
-    """Which kernel backend a columnar execution will use right now."""
-    return "numpy" if numpy_available() else "python"
+def kernel_mode(arrays: AdjustmentArrays) -> str:
+    """Which kernel backend a columnar execution of ``arrays`` uses right now."""
+    return "numpy" if arrays.integral and numpy_available() else "python"
 
 
 def _row_compare(left: Row, right: Row) -> int:
@@ -123,17 +122,21 @@ def _sorted_unique(rows: Sequence[Row]) -> List[Row]:
     return [rows[position] for position in sorted_unique_positions(rows)]
 
 
-def _bound_column(rows: Sequence[Row], index: int) -> List[int]:
-    """Integer interval-bound column; raises when a value cannot be batched."""
-    values: List[int] = []
-    for row in rows:
-        value = row[index]
-        if is_null(value) or not isinstance(value, int):
-            raise ColumnarUnsupported(
-                f"interval bound at column {index} is {value!r}, not an integer"
-            )
-        values.append(value)
+def _argument_bounds(task: Any, rows: Sequence[Row], index: int) -> List[Any]:
+    """Bound column ``index`` of the argument rows; ω there is an error."""
+    values = [row[index] for row in rows]
+    if any(map(is_null, values)):
+        from repro.engine.executor.adjustment import null_bound_error
+
+        raise null_bound_error(task.left_columns[index])
     return values
+
+
+def _int64(values: Sequence[Any]) -> bool:
+    """Whether ``values`` are all ``int`` within ``int64`` (NumPy's bounds)."""
+    if not values:
+        return True
+    return set(map(type, values)) == {int} and -(2**63) <= min(values) and max(values) < 2**63
 
 
 def _key_codes(
@@ -175,7 +178,8 @@ def arrays_from_rows(
     """Encode the drained rows of both inputs (works for every input).
 
     Args:
-        task: An :class:`~repro.engine.executor.adjustment.AdjustmentTask`;
+        task: An
+            :class:`~repro.engine.executor.columnar_adjustment.AdjustmentTask`;
             only its structural fields are read, so any object with the same
             attributes works.
         left_rows: Rows of the argument input (``group_width`` columns).
@@ -183,11 +187,12 @@ def arrays_from_rows(
             alignment, the split-point projection for normalization.
 
     Raises:
-        ColumnarUnsupported: When a bound column cannot be batch-encoded.
+        QueryError: When an argument row has ω as an interval bound.
     """
     unique = _sorted_unique(left_rows)
-    l_starts = _bound_column(unique, task.ts_index)
-    l_ends = _bound_column(unique, task.te_index)
+    l_starts = _argument_bounds(task, unique, task.ts_index)
+    l_ends = _argument_bounds(task, unique, task.te_index)
+    r_ends: Optional[List[Any]] = None
     if task.isalign:
         right_ts, right_te = task.bounds[2], task.bounds[3]
         # Rows with null bounds never satisfy the overlap condition: drop
@@ -197,19 +202,12 @@ def arrays_from_rows(
             for row in right_rows
             if not (is_null(row[right_ts]) or is_null(row[right_te]))
         ]
-        l_codes, r_codes = _key_codes(unique, usable, task.key_pairs)
-        return AdjustmentArrays(
-            unique,
-            l_starts,
-            l_ends,
-            l_codes,
-            usable,
-            _bound_column(usable, right_ts),
-            _bound_column(usable, right_te),
-            r_codes,
-        )
-    point_index = len(task.right_columns) - 1
-    usable = [row for row in right_rows if not is_null(row[point_index])]
+        r_starts = [row[right_ts] for row in usable]
+        r_ends = [row[right_te] for row in usable]
+    else:
+        point_index = len(task.right_columns) - 1
+        usable = [row for row in right_rows if not is_null(row[point_index])]
+        r_starts = [row[point_index] for row in usable]
     l_codes, r_codes = _key_codes(unique, usable, task.key_pairs)
     return AdjustmentArrays(
         unique,
@@ -217,9 +215,10 @@ def arrays_from_rows(
         l_ends,
         l_codes,
         usable,
-        _bound_column(usable, point_index),
-        None,
+        r_starts,
+        r_ends,
         r_codes,
+        integral=all(map(_int64, (l_starts, l_ends, r_starts, r_ends or ()))),
     )
 
 
@@ -239,8 +238,7 @@ def arrays_from_frames(
     key attribute lists are positionally paired.  Nothing here walks rows in
     Python after the first call: the frames and the argument's sorted-unique
     row order are cached on the relations and dropped by their mutation
-    funnel.  Relation bounds are integers by construction, so this source
-    never raises :exc:`ColumnarUnsupported`.  Requires NumPy.
+    funnel.  Relation bounds are integers by construction.  Requires NumPy.
     """
     np = numpy_or_none()
     left = encode_relation(argument, argument_keys)
@@ -284,7 +282,7 @@ def _residual_filter(
     NumPy pairs get one mask when the expression compiles and the batch's
     values fit it (:func:`~repro.engine.expressions.compile_pair_mask`);
     otherwise the bound expression runs per pair — the predicate the row
-    pipeline's join evaluates, over the same combined row.
+    plan's join evaluates, over the same combined row.
     """
     from repro.engine.expressions import compile_pair_mask
 
@@ -297,18 +295,13 @@ def _residual_filter(
         mask: Any = None
         if numpy_pairs and program is not None:
             mask = program(left_rows, right_rows, li, ri)
-        how = "pairs" if mask is None else "numpy"
+        facts.update(residual="pairs" if mask is None else "numpy", pairs=len(li))
         if mask is None:
             bound = residual.bind(task.left_columns + task.right_columns)
-            pairs = zip(li.tolist(), ri.tolist()) if numpy_pairs else zip(li, ri)
-            flags = [bool(bound(left_rows[i] + right_rows[j])) for i, j in pairs]
-            mask = numpy_or_none().asarray(flags, dtype=bool) if numpy_pairs else flags
-        candidates = len(li)
-        if numpy_pairs:
-            li, ri = li[mask], ri[mask]
+            li, ri = kernels.keep_pairs(li, ri, lambda i, j: bound(left_rows[i] + right_rows[j]))
         else:
-            li, ri = list(compress(li, mask)), list(compress(ri, mask))
-        facts.update(residual=how, pairs=candidates, kept=len(li))
+            li, ri = li[mask], ri[mask]
+        facts["kept"] = len(li)
         return li, ri
 
     return keep
@@ -324,9 +317,12 @@ def batch_from_arrays(
     (``residual=numpy|pairs``) and how many pairs it saw and kept.
 
     Returns:
-        The serial row pipeline's output, in its order: ``ts``/``te`` the
-        piece bounds, every other column gathered from ``arrays.rows``.
+        The row plan's output, in its order: ``ts``/``te`` the piece
+        bounds, every other column gathered from ``arrays.rows``.  Bounds
+        that are not ``int64`` (``arrays.integral`` false) run the
+        pure-Python kernels and are handed on as finished rows.
     """
+    use_numpy = None if arrays.integral else False
     left = arrays.l_starts, arrays.l_ends, arrays.l_codes
     if task.isalign:
         pair_filter = None
@@ -337,18 +333,24 @@ def batch_from_arrays(
             arrays.r_starts,
             arrays.r_ends,
             arrays.r_codes,
+            use_numpy=use_numpy,
             include_empty=True,
             pair_filter=pair_filter,
         )
     elif arrays.r_ends is None:
         rows_idx, starts, ends = kernels.normalize_pieces(
-            *left, arrays.r_starts, arrays.r_codes
+            *left, arrays.r_starts, arrays.r_codes, use_numpy=use_numpy
         )
     else:
         # Split points straight off the reference intervals; empty ones keep
-        # their point, as in the split-point projection of the row pipeline.
+        # their point, as in the split-point projection of the row plan.
         rows_idx, starts, ends = kernels.normalize_pieces_from_intervals(
-            *left, arrays.r_starts, arrays.r_ends, arrays.r_codes, include_empty=True
+            *left,
+            arrays.r_starts,
+            arrays.r_ends,
+            arrays.r_codes,
+            use_numpy=use_numpy,
+            include_empty=True,
         )
 
     source = Source(arrays.rows, rows_idx, task.group_width, arrays.cache)
@@ -356,22 +358,8 @@ def batch_from_arrays(
     columns = [
         bounds[i] if i in bounds else Gathered(source, i) for i in range(task.group_width)
     ]
-    return Batch(columns, len(rows_idx))
-
-
-def adjust_rows_columnar(
-    task: Any,
-    left_rows: Sequence[Row],
-    right_rows: Sequence[Row],
-    facts: Optional[Dict[str, Any]] = None,
-) -> List[Row]:
-    """Run one adjustment task (align or normalize) over drained rows.
-
-    :func:`arrays_from_rows`, :func:`batch_from_arrays`, then the rows:
-    the drained-row route of ``ColumnarAdjustmentNode``, materialized.
-
-    Raises:
-        ColumnarUnsupported: When a bound column cannot be batch-encoded.
-    """
-    arrays = arrays_from_rows(task, left_rows, right_rows)
-    return batch_from_arrays(task, arrays, facts).materialize()
+    batch = Batch(columns, len(rows_idx))
+    if arrays.integral:
+        return batch
+    # The batch forms above read ``Ints`` as int64: give them rows instead.
+    return Batch.from_rows(batch.materialize(), task.group_width)

@@ -1,8 +1,8 @@
 """NumPy availability gate for the columnar execution layer.
 
 NumPy is an *optional* dependency: every columnar kernel has a pure-Python
-twin, and the cost-based dispatch only volunteers the columnar strategy when
-the vectorized backend is actually importable.  The gate is centralised here
+twin, which runs wherever the vectorized backend is not importable — the
+same plans and strategies, the same output.  The gate is centralised here
 so tests (and the no-NumPy CI job) can force the fallback path without
 uninstalling anything — ``REPRO_NO_NUMPY=1`` or the :func:`forced_python`
 context manager make the whole stack behave as if NumPy were absent.

@@ -13,25 +13,27 @@ timestamps (Proposition 3), so the tuple-based operators
 {σ, ×, ⋈, ⟕, ⟖, ⟗, ▷} reduce to their nontemporal counterparts with an
 additional equality predicate on the adjusted timestamps.
 
-The group construction uses the overlap sweep of :mod:`repro.core.sweep`
-(matching the sort-merge strategy of the kernel implementation); an optional
-pair of equality keys restricts candidates the same way an equi-θ lets the
-PostgreSQL optimizer pick a hash or merge join.
+Two strategies compute it: the columnar kernels of :mod:`repro.columnar`
+(the default) and, as the independent oracle, the overlap sweep of
+:mod:`repro.core.sweep` (the sort-merge strategy of the kernel
+implementation).  An optional pair of equality keys restricts candidates
+the same way an equi-θ lets the PostgreSQL optimizer pick a hash or merge
+join.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
-from repro.columnar import dispatch as columnar_dispatch
+from repro.columnar import kernels
+from repro.core.normalization import adjust_columnar
 from repro.core.primitives import align_tuple
-from repro.core.sweep import KeyFunction, ThetaPredicate, overlap_groups, value_key
+from repro.core.sweep import ThetaPredicate, overlap_groups, value_key
 from repro.relation.relation import TemporalRelation
 from repro.relation.tuple import TemporalTuple
-from repro.temporal.interval import Interval
 
 
-ALIGN_STRATEGIES = ("auto", "sweep", "index", "columnar")
+ALIGN_STRATEGIES = ("sweep", "columnar")
 
 
 def align_relation(
@@ -40,7 +42,7 @@ def align_relation(
     theta: Optional[ThetaPredicate] = None,
     equi_attributes: Optional[Sequence[str]] = None,
     reference_equi_attributes: Optional[Sequence[str]] = None,
-    strategy: str = "auto",
+    strategy: str = "columnar",
 ) -> TemporalRelation:
     """Compute the temporal alignment ``relation Φθ reference``.
 
@@ -57,25 +59,14 @@ def align_relation(
         are considered (candidates are hash-partitioned before the sweep).
         This is the analogue of handing an equi-join θ to the optimizer.
     strategy:
-        How the overlap groups are built.  ``"sweep"`` re-runs the event
-        sweep over both inputs (right for one-shot calls); ``"index"`` probes
-        the reference's cached
-        :class:`~repro.temporal.interval_index.IntervalIndex`, building it on
-        first use — the right choice when many relations are aligned against
-        one shared reference; ``"auto"`` (default) probes the index when the
-        reference already has one cached and sweeps otherwise, so repeated
-        callers get the
-        amortised path without a flag; ``"columnar"`` encodes both relations
-        into int64 endpoint arrays with dictionary-encoded keys and runs the
-        vectorized batch kernels of :mod:`repro.columnar` (NumPy when
-        available, a pure-Python twin otherwise — results are identical).
-        ``"auto"`` additionally picks the columnar path cost-based
-        (:func:`repro.columnar.dispatch.auto_columnar`): NumPy importable, θ
-        absent or an equality key, and the combined input above the
-        crossover.  An opaque θ never auto-dispatches — with an explicit
-        ``"columnar"`` request the overlap join and the piece generation
-        still run vectorized, with θ called once per candidate pair between
-        them.
+        ``"columnar"`` (default) encodes both relations into cached int64
+        endpoint arrays with dictionary-encoded keys and runs the batch
+        kernels of :mod:`repro.columnar` (NumPy when available, the
+        pure-Python twins otherwise — results are identical); an opaque θ
+        filters the kernel's candidate pairs, called once per pair.
+        ``"sweep"`` builds the overlap groups with the event sweep of
+        :mod:`repro.core.sweep` and aligns tuple by tuple: the oracle the
+        kernels are tested against.
 
     Notes
     -----
@@ -88,47 +79,21 @@ def align_relation(
     if strategy not in ALIGN_STRATEGIES:
         raise ValueError(f"unknown alignment strategy {strategy!r}; use one of {ALIGN_STRATEGIES}")
 
-    # An empty key list restricts nothing — treat it exactly like "no key",
-    # so every strategy (notably the indexed paths, whose plain-vs-keyed
-    # index flavour follows the attribute list) agrees on the semantics.
-    if not equi_attributes:
-        equi_attributes = None
-        reference_equi_attributes = None
-
-    # The reference side's key attributes drive both the sweep's hash
-    # partition and the keyed index, so compute them exactly once.
-    left_key: Optional[KeyFunction] = None
-    right_key: Optional[KeyFunction] = None
-    index_attrs: Sequence[str] = ()
-    if equi_attributes is not None:
-        index_attrs = (
-            reference_equi_attributes if reference_equi_attributes is not None else equi_attributes
-        )
-        left_key = value_key(equi_attributes)
-        right_key = value_key(index_attrs)
+    # An empty key list restricts nothing: treat it exactly like "no key".
+    keys: Sequence[str] = equi_attributes or ()
+    reference_keys: Sequence[str] = ()
+    if keys:
+        reference_keys = keys if reference_equi_attributes is None else reference_equi_attributes
 
     if strategy == "columnar":
-        return _align_columnar(relation, reference, theta, equi_attributes, index_attrs)
-    if (
-        strategy == "auto"
-        and not reference.has_interval_index(index_attrs)
-        and columnar_dispatch.auto_columnar(
-            len(relation), len(reference), opaque_theta=theta is not None
-        )
-    ):
-        return _align_columnar(relation, reference, theta, equi_attributes, index_attrs)
-
-    index = None
-    if strategy == "index" or (strategy == "auto" and reference.has_interval_index(index_attrs)):
-        index = reference.interval_index(index_attrs)
+        return _align_columnar(relation, reference, theta, keys, reference_keys)
 
     groups = overlap_groups(
         relation.tuples(),
         reference.tuples(),
         theta=theta,
-        left_key=left_key,
-        right_key=right_key,
-        index=index,
+        left_key=value_key(keys) if keys else None,
+        right_key=value_key(reference_keys) if keys else None,
     )
 
     result = TemporalRelation(relation.schema)
@@ -138,62 +103,34 @@ def align_relation(
     return result
 
 
-# -- the columnar strategy ----------------------------------------------------
-
-
 def _align_columnar(
     relation: TemporalRelation,
     reference: TemporalRelation,
     theta: Optional[ThetaPredicate],
-    equi_attributes: Optional[Sequence[str]],
+    equi_attributes: Sequence[str],
     reference_equi_attributes: Sequence[str],
 ) -> TemporalRelation:
-    """``align_relation`` over the columnar encoding (see :mod:`repro.columnar`).
+    """``align_relation`` through :func:`kernels.align_pieces`; an opaque θ
+    keeps the candidate pairs it accepts (its ``pair_filter``)."""
+    pair_filter: Optional[kernels.PairFilter] = None
+    if theta is not None:
+        accepts = theta
+        left_tuples, right_tuples = relation.tuples(), reference.tuples()
 
-    Both relations are encoded once (cached on ``derived``, invalidated by
-    the ``_after_mutation`` funnel) and the whole alignment — overlap join,
-    intersection/gap generation, deduplication — runs as array kernels;
-    tuples materialise only here, at the boundary.  An opaque θ cannot be
-    vectorized: it is called once per candidate pair between the kernel's
-    two steps (:func:`~repro.columnar.kernels.overlap_pairs`, then
-    :func:`~repro.columnar.kernels.pieces_from_pairs`).
-    """
-    from repro.columnar import encoding, kernels
+        def keep(li: Any, ri: Any) -> Tuple[Any, Any]:
+            return kernels.keep_pairs(
+                li, ri, lambda i, j: accepts(left_tuples[i], right_tuples[j])
+            )
 
-    left_frame = encoding.encode_relation(relation, equi_attributes or ())
-    right_frame = encoding.encode_relation(reference, reference_equi_attributes)
-    left_codes = encoding.remap_codes(left_frame, right_frame)
-    left_tuples = relation.tuples()
-    arrays = (
-        left_frame.starts,
-        left_frame.ends,
-        left_codes,
-        right_frame.starts,
-        right_frame.ends,
-        right_frame.codes,
+        pair_filter = keep
+    return adjust_columnar(
+        relation,
+        reference,
+        equi_attributes,
+        reference_equi_attributes,
+        kernels.align_pieces,
+        pair_filter=pair_filter,
     )
-
-    if theta is None:
-        rows, starts, ends = kernels.align_pieces(*arrays)
-    else:
-        li, ri = kernels.overlap_pairs(*arrays)
-        right_tuples = reference.tuples()
-        kept = [
-            (i, j) for i, j in zip(li, ri) if theta(left_tuples[i], right_tuples[j])
-        ]
-        rows, starts, ends = kernels.pieces_from_pairs(
-            left_frame.starts,
-            left_frame.ends,
-            right_frame.starts,
-            right_frame.ends,
-            [i for i, _ in kept],
-            [j for _, j in kept],
-        )
-    result = TemporalRelation(relation.schema)
-    add = result.add
-    for i, start, end in zip(rows, starts, ends):
-        add(left_tuples[i].with_interval(Interval(start, end)))
-    return result
 
 
 def align_pair(

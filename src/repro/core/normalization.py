@@ -11,30 +11,33 @@ plain equality.
 The implementation mirrors the kernel algorithm of Sec. 6.3: the group of
 each ``r``-tuple is built by joining ``r`` with the split points of ``s``
 (equality on ``B``), and a sweep over the sorted split points produces the
-adjusted tuples.  The native version here partitions by ``B`` with a hash
-table and sweeps per group — equivalent to the hash-join strategy the
-PostgreSQL optimizer picks for the group-construction join.
+adjusted tuples.  By default the columnar kernels of :mod:`repro.columnar`
+do that over cached arrays (:func:`adjust_columnar`, shared with
+alignment); the ``"sweep"`` oracle partitions by ``B`` with a hash table
+and sweeps per group — equivalent to the hash-join strategy the PostgreSQL
+optimizer picks for the group-construction join.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.columnar import dispatch as columnar_dispatch
+from repro.columnar import kernels
+from repro.columnar.encoding import encode_relation, remap_codes
 from repro.relation.errors import SchemaError
 from repro.relation.relation import TemporalRelation
 from repro.temporal.interval import Interval
 
 
-NORMALIZE_STRATEGIES = ("auto", "sweep", "columnar")
+NORMALIZE_STRATEGIES = ("sweep", "columnar")
 
 
 def normalize(
     relation: TemporalRelation,
     reference: TemporalRelation,
     attributes: Sequence[str] = (),
-    strategy: str = "auto",
+    strategy: str = "columnar",
 ) -> TemporalRelation:
     """Compute ``N_B(relation; reference)`` for ``B = attributes``.
 
@@ -42,15 +45,12 @@ def normalize(
     the empty sequence (``N_{}``) splits against *all* reference tuples,
     which is the most expensive case evaluated in Fig. 14.
 
-    ``strategy`` selects how the per-group sweeps run: ``"sweep"`` partitions
-    by ``B`` with a hash table and sweeps the groups serially; ``"columnar"``
-    encodes the reference endpoints and the ``B`` keys into arrays and
-    generates the split pieces with the vectorized batch kernels of
-    :mod:`repro.columnar` (pure-Python twin when NumPy is absent).
-    ``"auto"`` picks the columnar path cost-based (NumPy importable and the
-    combined input above the crossover of
-    :func:`repro.columnar.dispatch.auto_columnar`) and sweeps otherwise.  All
-    strategies produce the same relation.
+    ``strategy`` selects how the split pieces are computed: ``"columnar"``
+    (default) encodes the endpoints and the ``B`` keys into cached arrays and
+    generates the pieces with the batch kernels of :mod:`repro.columnar`
+    (pure-Python twins when NumPy is absent); ``"sweep"``, the oracle,
+    partitions by ``B`` with a hash table and sweeps the groups serially.
+    Both produce the same relation.
 
     The result keeps the schema of ``relation``.  Every result tuple is
     derived from exactly one input tuple (its lineage); change preservation
@@ -67,11 +67,10 @@ def normalize(
     if attrs and not reference.schema.has_attributes(attrs):
         raise SchemaError(f"normalization attributes {attrs} missing from {reference.schema!r}")
 
-    if strategy == "columnar" or (
-        strategy == "auto"
-        and columnar_dispatch.auto_columnar(len(relation), len(reference))
-    ):
-        return _normalize_columnar(relation, reference, attrs)
+    if strategy == "columnar":
+        return adjust_columnar(
+            relation, reference, attrs, attrs, kernels.normalize_pieces_from_intervals
+        )
 
     split_points = _split_points_by_key(reference, attrs)
 
@@ -84,38 +83,40 @@ def normalize(
     return result
 
 
-def _normalize_columnar(
+def adjust_columnar(
     relation: TemporalRelation,
     reference: TemporalRelation,
-    attrs: Tuple[str, ...],
+    attributes: Sequence[str],
+    reference_attributes: Sequence[str],
+    kernel: Callable[..., kernels.Pieces],
+    **options: Any,
 ) -> TemporalRelation:
-    """``normalize`` over the columnar encoding (see :mod:`repro.columnar`).
+    """One adjustment through the columnar kernels (see :mod:`repro.columnar`).
 
-    The reference's endpoint/key arrays are encoded once (cached on
-    ``derived`` exactly like the row-mode split points) and every argument
-    interval is split against them in one batched
-    ``searchsorted``/``repeat`` pass; tuples materialise only here at the
-    boundary.
+    Both relations are encoded once (cached on ``derived``, invalidated by
+    the ``_after_mutation`` funnel), ``relation``'s key codes are remapped
+    into ``reference``'s dictionary, and ``kernel`` —
+    :func:`~repro.columnar.kernels.align_pieces` or
+    :func:`~repro.columnar.kernels.normalize_pieces_from_intervals`, with
+    ``options`` — computes every piece; tuples materialise only here, at
+    the boundary.
     """
-    from repro.columnar import encoding, kernels
-
-    left_frame = encoding.encode_relation(relation, attrs)
-    right_frame = encoding.encode_relation(reference, attrs)
-    left_codes = encoding.remap_codes(left_frame, right_frame)
-    left_tuples = relation.tuples()
-
-    rows, starts, ends = kernels.normalize_pieces_from_intervals(
-        left_frame.starts,
-        left_frame.ends,
-        left_codes,
-        right_frame.starts,
-        right_frame.ends,
-        right_frame.codes,
+    left = encode_relation(relation, attributes)
+    right = encode_relation(reference, reference_attributes)
+    rows, starts, ends = kernel(
+        left.starts,
+        left.ends,
+        remap_codes(left, right),
+        right.starts,
+        right.ends,
+        right.codes,
+        **options,
     )
+    tuples = relation.tuples()
     result = TemporalRelation(relation.schema)
     add = result.add
     for i, start, end in zip(rows, starts, ends):
-        add(left_tuples[i].with_interval(Interval(start, end)))
+        add(tuples[i].with_interval(Interval(start, end)))
     return result
 
 
@@ -193,23 +194,3 @@ def _split_interval(interval: Interval, sorted_points: Sequence[int]) -> List[In
         return [interval]
     bounds = [interval.start] + interior + [interval.end]
     return [Interval(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def normalization_output_size(
-    relation: TemporalRelation,
-    reference: TemporalRelation,
-    attributes: Sequence[str] = (),
-) -> int:
-    """Cardinality of ``N_B(relation; reference)`` without materialising it.
-
-    Used by benchmarks that only report output sizes (Fig. 13(b), 14(b)).
-    """
-    attrs = tuple(attributes)
-    split_points = _split_points_by_key(reference, attrs)
-    total = 0
-    for r in relation:
-        key = r.values_of(attrs) if attrs else ()
-        points = split_points.get(key, ())
-        interior = sum(1 for p in points if r.start < p < r.end)
-        total += interior + 1 if not r.interval.is_empty() else 0
-    return total

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import attrgetter
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.relation.tuple import TemporalTuple
 from repro.temporal.interval import Interval
-from repro.temporal.interval_index import IntervalIndex, KeyedIntervalIndex
 
 #: A θ predicate over one tuple of each argument relation.
 ThetaPredicate = Callable[[TemporalTuple, TemporalTuple], bool]
@@ -37,7 +36,6 @@ def overlap_groups(
     theta: Optional[ThetaPredicate] = None,
     left_key: Optional[KeyFunction] = None,
     right_key: Optional[KeyFunction] = None,
-    index: Optional[Union[IntervalIndex, KeyedIntervalIndex]] = None,
 ) -> List[List[TemporalTuple]]:
     """For every tuple of ``left`` return the overlapping matches in ``right``.
 
@@ -48,28 +46,17 @@ def overlap_groups(
     function is the native analogue, with the strategy chosen by its
     arguments:
 
-    * no key, no index — event-based plane sweep (sort-merge analogue);
+    * no key — event-based plane sweep (sort-merge analogue);
     * ``left_key``/``right_key`` — hash partition by key, sweep per partition
-      (hash-join analogue, used by normalization for its ``B`` attributes);
-    * ``index`` — probe a prebuilt
-      :class:`~repro.temporal.interval_index.IntervalIndex` (indexed
-      nested-loop analogue).  This wins when ``right`` is referenced by many
-      calls: the index is built once and each call pays only
-      ``O(|left| · log |right| + |output|)``.
+      (hash-join analogue, for an alignment's equality key).
 
     Args:
         left: Argument tuples; the result is parallel to this sequence.
-        right: Reference tuples searched for overlapping matches.  Ignored
-            when ``index`` is given (the index *is* the reference side).
+        right: Reference tuples searched for overlapping matches.
         theta: Optional residual predicate over ``(left tuple, right tuple)``
             checked after the overlap/key match.
         left_key, right_key: Optional equality-key functions restricting
             candidate pairs to equal keys; must be given together.
-        index: Optional prebuilt index over the reference side, as returned by
-            :meth:`TemporalRelation.interval_index
-            <repro.relation.relation.TemporalRelation.interval_index>`.  Must
-            be a :class:`KeyedIntervalIndex` when ``left_key`` is given and a
-            plain :class:`IntervalIndex` otherwise.
 
     Returns:
         A list parallel to ``left``: entry ``i`` holds the tuples of ``right``
@@ -77,46 +64,11 @@ def overlap_groups(
         optional equality key and residual ``theta`` predicate.  All
         strategies produce the same groups (up to member order).
     """
-    if index is not None:
-        if isinstance(index, KeyedIntervalIndex):
-            if left_key is None:
-                raise ValueError("a KeyedIntervalIndex requires a left_key function")
-        elif left_key is not None or right_key is not None:
-            raise ValueError("an equality key requires a KeyedIntervalIndex")
-        return _indexed_overlap_groups(left, theta, left_key, index)
     if left_key is not None or right_key is not None:
         if left_key is None or right_key is None:
             raise ValueError("left_key and right_key must be given together")
         return _keyed_overlap_groups(left, right, theta, left_key, right_key)
     return _sweep_overlap_groups(left, right, theta)
-
-
-def _indexed_overlap_groups(
-    left: Sequence[TemporalTuple],
-    theta: Optional[ThetaPredicate],
-    left_key: Optional[KeyFunction],
-    index: Union[IntervalIndex, KeyedIntervalIndex],
-) -> List[List[TemporalTuple]]:
-    """Probe a prebuilt interval index once per left tuple.
-
-    The amortised strategy for the repeated-reference case: the reference side
-    was sorted once at index build time, so each call is output-sensitive
-    instead of re-sorting the reference (as the sweep must).
-    """
-    keyed = isinstance(index, KeyedIntervalIndex)
-    groups: List[List[TemporalTuple]] = []
-    for r in left:
-        if r.interval.is_empty():
-            groups.append([])
-            continue
-        if keyed:
-            members = index.probe(left_key(r), r.start, r.end)
-        else:
-            members = index.probe(r.start, r.end)
-        if theta is not None:
-            members = [s for s in members if theta(r, s)]
-        groups.append(members)
-    return groups
 
 
 def _keyed_overlap_groups(

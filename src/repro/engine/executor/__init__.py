@@ -21,8 +21,12 @@ from repro.engine.executor.interval_join import IntervalJoinNode
 from repro.engine.executor.instrument import CountingNode
 from repro.engine.executor.aggregate import HashAggregateNode
 from repro.engine.executor.setops import DistinctNode, SetOpNode
-from repro.engine.executor.adjustment import AdjustmentNode, AdjustmentTask, run_adjustment_task
-from repro.engine.executor.columnar_adjustment import ColumnarAdjustmentNode, ReferenceInput
+from repro.engine.executor.adjustment import AdjustmentNode
+from repro.engine.executor.columnar_adjustment import (
+    AdjustmentTask,
+    ColumnarAdjustmentNode,
+    ReferenceInput,
+)
 from repro.engine.executor.absorb import AbsorbNode
 from repro.engine.executor.limit import LimitNode
 from repro.engine.executor.view_scan import ViewScanNode
@@ -47,7 +51,6 @@ __all__ = [
     "AdjustmentTask",
     "ColumnarAdjustmentNode",
     "ReferenceInput",
-    "run_adjustment_task",
     "AbsorbNode",
     "LimitNode",
     "ViewScanNode",

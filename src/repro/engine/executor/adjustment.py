@@ -18,26 +18,25 @@ One executor node serves both temporal primitives:
 
 The node is fully pipelined: it looks at one input row at a time and emits at
 most a bounded number of rows per input row, mirroring the constant-memory
-claim of Sec. 6.1/6.3.
+claim of Sec. 6.1/6.3.  It is the reference plan
+(``Settings(enable_columnar=False)``) the columnar kernels are held to.
 
-:class:`AdjustmentTask` describes that whole pipeline as plain data, and
-:func:`run_adjustment_task` rebuilds it over materialised rows — what the
-columnar node falls back to when its input cannot be batch-encoded.
+An argument row whose interval bound is ω has no interval to adjust: both
+this node and the kernels raise :func:`null_bound_error` for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
-from repro.engine.executor.base import PhysicalNode, Row, ValuesNode
-from repro.engine.executor.interval_join import IntervalJoinNode
-from repro.engine.executor.joins import HashJoinNode, MergeJoinNode, NestedLoopJoinNode
-from repro.engine.executor.project import ProjectNode
-from repro.engine.executor.sort import SortNode
-from repro.engine.expressions import Expression, IndexColumn
-from repro.relation.errors import PlanError
+from repro.engine.executor.base import PhysicalNode, Row
+from repro.relation.errors import PlanError, QueryError
 from repro.relation.tuple import is_null
+
+
+def null_bound_error(column: str) -> QueryError:
+    """The error of an ALIGN/NORMALIZE argument row with ω in ``column``."""
+    return QueryError(f"ALIGN/NORMALIZE argument row has a null interval bound in {column!r}")
 
 
 class AdjustmentNode(PhysicalNode):
@@ -90,6 +89,13 @@ class AdjustmentNode(PhysicalNode):
 
     # -- helpers ------------------------------------------------------------------
 
+    def _open(self, group: Row) -> Row:
+        """``group`` as the sweep's next group, its bounds checked for ω."""
+        for index in (self.ts_index, self.te_index):
+            if is_null(group[index]):
+                raise null_bound_error(self.columns[index])
+        return group
+
     def _emit(self, group: Row, start: int, end: int) -> Row:
         values = list(group)
         values[self.ts_index] = start
@@ -116,7 +122,7 @@ class AdjustmentNode(PhysicalNode):
             if key != group:
                 if group is not None and sweepline < group[self.te_index]:
                     yield self._emit(group, sweepline, group[self.te_index])
-                group = key
+                group = self._open(key)
                 sweepline = group[self.ts_index]
                 last_intersection = None
 
@@ -148,7 +154,7 @@ class AdjustmentNode(PhysicalNode):
             if key != group:
                 if group is not None and sweepline < group[self.te_index]:
                     yield self._emit(group, sweepline, group[self.te_index])
-                group = key
+                group = self._open(key)
                 sweepline = group[self.ts_index]
 
             if is_null(point):
@@ -164,63 +170,3 @@ class AdjustmentNode(PhysicalNode):
 
     def describe(self) -> str:
         return f"Adjustment({'align' if self.isalign else 'normalize'})"
-
-
-@dataclass(frozen=True)
-class AdjustmentTask:
-    """The adjustment pipeline ``join → project → sort → AdjustmentNode`` as data.
-
-    The exact plan shape of Fig. 12(b), with the join strategy the planner
-    chose; fields are plain data or
-    :class:`~repro.engine.expressions.Expression` trees.
-    """
-
-    left_columns: Tuple[str, ...]
-    right_columns: Tuple[str, ...]
-    join_strategy: str  # "hash" | "merge" | "nestloop" | "probe" | "sweep"
-    join_kind: str
-    condition: Optional[Expression]
-    key_pairs: Tuple[Tuple[int, int], ...]
-    bounds: Optional[Tuple[int, int, int, int]]  # interval-join bound indexes
-    projections: Tuple[Tuple[Expression, str], ...]
-    sort_width: int  # leading output columns forming the partition/sort key
-    group_width: int
-    ts_index: int
-    te_index: int
-    isalign: bool
-    #: The part of an alignment's θ that key codes and the overlap do not
-    #: capture (``None``: nothing), bound like ``condition`` against
-    #: ``left_columns + right_columns``.  The columnar kernels evaluate it
-    #: per candidate pair; the row pipeline evaluates ``condition`` whole.
-    residual: Optional[Expression] = None
-
-
-def run_adjustment_task(
-    task: AdjustmentTask, left_rows: Sequence[Row], right_rows: Sequence[Row]
-) -> List[Row]:
-    """Run the row pipeline of ``task`` over materialised input rows."""
-    left = ValuesNode(task.left_columns, left_rows)
-    right = ValuesNode(task.right_columns, right_rows)
-
-    if task.join_strategy in ("probe", "sweep"):
-        join: PhysicalNode = IntervalJoinNode(
-            left, right, task.join_kind, task.condition, task.bounds, strategy=task.join_strategy
-        )
-    elif task.join_strategy == "hash":
-        join = HashJoinNode(left, right, task.join_kind, task.condition, list(task.key_pairs))
-    elif task.join_strategy == "merge":
-        join = MergeJoinNode(left, right, task.join_kind, task.condition, list(task.key_pairs))
-    else:
-        join = NestedLoopJoinNode(left, right, task.join_kind, task.condition)
-
-    projected = ProjectNode(join, list(task.projections))
-    keys = [(IndexColumn(i), True) for i in range(task.sort_width)]
-    sorted_node = SortNode(projected, keys)
-    adjustment = AdjustmentNode(
-        sorted_node,
-        group_width=task.group_width,
-        ts_index=task.ts_index,
-        te_index=task.te_index,
-        isalign=task.isalign,
-    )
-    return adjustment.execute()

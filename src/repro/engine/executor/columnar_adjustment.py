@@ -20,10 +20,10 @@ are never pulled (*frame* input); every other input is drained and encoded
 per execution (*rows* input).  Both feed the same kernel call and row
 builder, so the source changes the cost, never the result.
 
-Correctness never depends on the plan choice either: if drained rows cannot
-be batch-encoded (non-integer bounds), the node transparently re-runs the
-equivalent row pipeline over the same rows.  A traced execution
-(``EXPLAIN ANALYZE``) annotates the span with the path and input that ran.
+Drained rows whose bounds are not all ``int64`` integers (floats, fractions,
+strings) run the pure-Python kernels over their raw values; there is no
+other route.  A traced execution (``EXPLAIN ANALYZE``) annotates the span
+with the kernels and the input that ran.
 
 The kernel's output is a :class:`~repro.columnar.batch.Batch`; iterating the
 node materializes it, while a batch consumer above (ABSORB, GROUP BY, the
@@ -38,7 +38,6 @@ from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 from repro.columnar.batch import Batch
 from repro.columnar.rows import (
     AdjustmentArrays,
-    ColumnarUnsupported,
     arrays_from_frames,
     arrays_from_rows,
     batch_from_arrays,
@@ -46,10 +45,36 @@ from repro.columnar.rows import (
 )
 from repro.columnar.runtime import numpy_available
 from repro.engine.executor.base import PhysicalNode, Row
-from repro.engine.executor.adjustment import AdjustmentTask, run_adjustment_task
 from repro.engine.executor.scan import SeqScanNode
+from repro.engine.expressions import Expression
 from repro.obs import trace as obs_trace
 from repro.relation.relation import TemporalRelation
+
+
+@dataclass(frozen=True)
+class AdjustmentTask:
+    """One ALIGN/NORMALIZE as the kernels read it: plain data.
+
+    ``left_columns``/``right_columns`` are the node's inputs (the argument,
+    and the reference or its split-point projection); ``key_pairs`` pairs
+    their equality-key positions; ``bounds`` are ALIGN's interval-bound
+    indexes ``(left ts, left te, right ts, right te)``, ``None`` for
+    NORMALIZE.  The output is the first ``group_width`` argument columns
+    with ``ts_index``/``te_index`` adjusted.
+    """
+
+    left_columns: Tuple[str, ...]
+    right_columns: Tuple[str, ...]
+    key_pairs: Tuple[Tuple[int, int], ...]
+    bounds: Optional[Tuple[int, int, int, int]]
+    group_width: int
+    ts_index: int
+    te_index: int
+    isalign: bool
+    #: The part of an alignment's θ that key codes and the overlap do not
+    #: capture (``None``: nothing), bound against
+    #: ``left_columns + right_columns`` and evaluated per candidate pair.
+    residual: Optional[Expression] = None
 
 
 @dataclass(frozen=True)
@@ -103,9 +128,7 @@ class ColumnarAdjustmentNode(PhysicalNode):
         alignment, the split-point projection for normalization (the same
         shape the serial pipeline consumes).
     task:
-        The :class:`AdjustmentTask` describing bounds, keys and kind; the
-        row-pipeline fallback is literally the Fig. 12(b) plan it describes,
-        run over the same rows.
+        The :class:`AdjustmentTask` describing bounds, keys and kind.
     reference:
         For a normalization, the input whose split points ``right`` projects
         (an alignment reads the same facts off ``right`` and ``task``).
@@ -159,28 +182,19 @@ class ColumnarAdjustmentNode(PhysicalNode):
         return self._execute()
 
     def _execute(self) -> Batch:
-        # Runtime facts go on the trace span (``executed=numpy|python|
-        # row-fallback``, ``input=frame|rows``, and for a residual θ
-        # ``residual=numpy|pairs pairs=… kept=…``), never on the node, so a
-        # silently degraded batch is visible in EXPLAIN ANALYZE without
-        # leaking state between executions.
+        # Runtime facts go on the trace span (``executed=numpy|python``,
+        # ``input=frame|rows``, and for a residual θ ``residual=numpy|pairs
+        # pairs=… kept=…``), never on the node, so which kernels ran is
+        # visible in EXPLAIN ANALYZE without leaking state between
+        # executions.
         facts: Dict[str, Any] = {}
+        source = "frame"
         arrays = self._frame_arrays()
-        if arrays is not None:
-            batch = batch_from_arrays(self.task, arrays, facts)
-            obs_trace.annotate(self, executed=kernel_mode(), input="frame", **facts)
-            return batch
-        left_rows = list(self.left)
-        right_rows = list(self.right)
-        try:
-            mode = kernel_mode()
-            arrays = arrays_from_rows(self.task, left_rows, right_rows)
-            batch = batch_from_arrays(self.task, arrays, facts)
-        except ColumnarUnsupported:
-            mode = "row-fallback"
-            rows = run_adjustment_task(self.task, left_rows, right_rows)
-            batch = Batch.from_rows(rows, len(self.columns))
-        obs_trace.annotate(self, executed=mode, input="rows", **facts)
+        if arrays is None:
+            source = "rows"
+            arrays = arrays_from_rows(self.task, list(self.left), list(self.right))
+        batch = batch_from_arrays(self.task, arrays, facts)
+        obs_trace.annotate(self, executed=kernel_mode(arrays), input=source, **facts)
         return batch
 
     def describe(self) -> str:

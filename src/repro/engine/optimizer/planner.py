@@ -242,10 +242,7 @@ class Planner:
             left,
             right,
             keys=keys,
-            condition=condition,
             bounds=bounds,
-            selectivity=selectivity,
-            projections=expressions,
             group_width=left_width,
             ts_index=left_ts,
             te_index=left_te,
@@ -340,10 +337,7 @@ class Planner:
             left,
             split_points,
             keys=keys,
-            condition=condition,
             bounds=None,
-            selectivity=None,
-            projections=expressions,
             group_width=left_width,
             ts_index=left_ts,
             te_index=left_te,
@@ -445,27 +439,29 @@ class Planner:
             )
         return indexes
 
-    def _cheapest_join(
+    def _choose_join(
         self,
-        left_estimate: Estimate,
-        right_estimate: Estimate,
+        left: PhysicalNode,
+        right: PhysicalNode,
         kind: str,
+        condition: Optional[Expression],
         keys: Sequence[Tuple[int, int]],
         bounds: Optional[Tuple[int, int, int, int]] = None,
         selectivity: Optional[float] = None,
-    ) -> Tuple[Estimate, str]:
-        """The cheapest enabled join strategy and its estimate.
+    ) -> PhysicalNode:
+        """Plan a join with the cheapest enabled strategy.
 
         ``bounds`` marks the overlap-shaped group-construction join of
         ``ALIGN``: its rows come from the overlap selectivity, and it admits
         the two interval strategies that exploit the overlap predicate
         itself — the indexed probe (build an interval index over the
         reference side, probe per argument row — streams the outer input) and
-        the event plane sweep (sort both sides once).  Shared by the serial
-        join choice and the task of a ``ColumnarAdjustment`` (its
-        row-pipeline fallback).
+        the event plane sweep (sort both sides once).  The chosen operator is
+        visible in ``EXPLAIN`` output, mirroring how the paper's Fig. 13
+        experiment reads the strategy off the PostgreSQL plan.
         """
         settings = self.settings
+        left_estimate, right_estimate = self._estimate(left), self._estimate(right)
         candidates: List[Tuple[Estimate, str]] = []
         if bounds is not None:
             rows = cost.overlap_join_rows(settings, left_estimate, right_estimate, kind, selectivity)
@@ -484,27 +480,7 @@ class Planner:
             candidates.append((cost.merge_join_cost(settings, left_estimate, right_estimate, rows), "merge"))
         if settings.enable_nestloop or not candidates:
             candidates.append((cost.nested_loop_cost(settings, left_estimate, right_estimate, rows), "nestloop"))
-        return min(candidates, key=lambda item: item[0].cost)
-
-    def _choose_join(
-        self,
-        left: PhysicalNode,
-        right: PhysicalNode,
-        kind: str,
-        condition: Optional[Expression],
-        keys: Sequence[Tuple[int, int]],
-        bounds: Optional[Tuple[int, int, int, int]] = None,
-        selectivity: Optional[float] = None,
-    ) -> PhysicalNode:
-        """Plan a join with the cheapest strategy (:meth:`_cheapest_join`).
-
-        The chosen operator is visible in ``EXPLAIN`` output, mirroring how
-        the paper's Fig. 13 experiment reads the strategy off the PostgreSQL
-        plan.
-        """
-        estimate, strategy = self._cheapest_join(
-            self._estimate(left), self._estimate(right), kind, keys, bounds, selectivity
-        )
+        estimate, strategy = min(candidates, key=lambda item: item[0].cost)
         # The full condition is evaluated as a residual predicate by every
         # strategy, so correctness never depends on the choice.
         if strategy in ("probe", "sweep"):
@@ -524,10 +500,7 @@ class Planner:
         left: PhysicalNode,
         right: PhysicalNode,
         keys: Sequence[Tuple[int, int]],
-        condition: Optional[Expression],
         bounds: Optional[Tuple[int, int, int, int]],
-        selectivity: Optional[float],
-        projections: Sequence[Tuple[Expression, str]],
         group_width: int,
         ts_index: int,
         te_index: int,
@@ -550,19 +523,11 @@ class Planner:
         if not self.settings.enable_columnar:
             _STRATEGY_COUNTER.inc(label="row")
             return serial
-        _, strategy = self._cheapest_join(
-            self._estimate(left), self._estimate(right), "left", keys, bounds, selectivity
-        )
         task = AdjustmentTask(
             left_columns=tuple(left.columns),
             right_columns=tuple(right.columns),
-            join_strategy=strategy,
-            join_kind="left",
-            condition=condition,
             key_pairs=tuple(keys),
             bounds=bounds,
-            projections=tuple(projections),
-            sort_width=len(projections),
             group_width=group_width,
             ts_index=ts_index,
             te_index=te_index,

@@ -703,9 +703,9 @@ class TemporalRelation:
         equi part of an alignment θ).
 
         The index is a snapshot of the current tuple set; inserting into the
-        relation invalidates it and the next call rebuilds.  Repeatedly
-        aligning different query relations against one reference therefore
-        sorts the reference once instead of once per call.
+        relation invalidates it and the next call rebuilds.  A maintained
+        ALIGN view probes it once per changed base tuple, so the reference
+        is sorted once per mutation instead of once per probe.
         """
         from repro.temporal.interval_index import index_tuples
 
@@ -714,10 +714,6 @@ class TemporalRelation:
         return self.derived(
             ("interval_index", attrs), lambda: index_tuples(self._tuples, key_function)
         )
-
-    def has_interval_index(self, attributes: Sequence[str] = ()) -> bool:
-        """Whether :meth:`interval_index` for ``attributes`` is already cached."""
-        return ("interval_index", tuple(attributes)) in self._derived_cache
 
     # -- the paper's schema-level operators -----------------------------------
 

@@ -4,9 +4,10 @@ The group construction of both adjustment primitives (normalize ``N_B``,
 align ``Φθ``) is an interval overlap join (Sec. 5/6.1 of the paper).  The
 event-based plane sweep in :mod:`repro.core.sweep` is the right strategy when
 both inputs are seen once: it sorts both sides and pays ``O((n+m) log(n+m))``
-per call.  But alignment and normalization repeatedly reference the *same*
-relation — every incoming query relation is adjusted against one shared
-reference — and then re-sorting the reference on every call is wasted work.
+per call.  But a maintained ALIGN view re-aligns every changed base tuple
+against the *same* reference relation, and then re-sorting the reference on
+every probe is wasted work (the row plan's probe join builds one per
+execution for the same reason).
 
 :class:`IntervalIndex` is the amortised alternative: sort the reference side
 **once** into endpoint arrays plus a static centered interval tree, then

@@ -10,11 +10,10 @@ from repro.columnar import (
     encode_relation,
     normalize_pieces,
     normalize_pieces_from_intervals,
-    overlap_pairs,
     peek_endpoint_arrays,
-    pieces_from_pairs,
     remap_codes,
 )
+from repro.columnar.kernels import keep_pairs
 from repro.columnar.runtime import forced_python, numpy_available, resolve_use_numpy
 
 
@@ -132,13 +131,20 @@ class TestKernels:
             [5], [5], [0], [], [], [], use_numpy=use_numpy, include_empty=False
         ) == ([], [], [])
 
-    def test_overlap_pairs_respects_keys_and_touching_intervals(self, use_numpy):
-        li, ri = overlap_pairs(
-            [0, 0], [5, 5], [0, 1], [5, 3], [9, 4], [0, 0], use_numpy=use_numpy
+    def test_candidate_pairs_respect_keys_and_touching_intervals(self, use_numpy):
+        seen = []
+
+        def record(li, ri):
+            seen.extend(zip(list(li), list(ri)))
+            return li, ri
+
+        align_pieces(
+            [0, 0], [5, 5], [0, 1], [5, 3], [9, 4], [0, 0],
+            use_numpy=use_numpy, pair_filter=record,
         )
         # [0,5) touches [5,9) only at the boundary (no overlap) and key 1
         # matches nothing; only ([0,5), [3,4)) overlaps.
-        assert sorted(zip(li, ri)) == [(0, 1)]
+        assert sorted(seen) == [(0, 1)]
 
     def test_normalize_splits_at_interior_points_only(self, use_numpy):
         rows, starts, ends = normalize_pieces(
@@ -170,23 +176,19 @@ class TestKernels:
     def test_empty_inputs(self, use_numpy):
         assert align_pieces([], [], [], [], [], [], use_numpy=use_numpy) == ([], [], [])
         assert normalize_pieces([], [], [], [], [], use_numpy=use_numpy) == ([], [], [])
-        assert pieces_from_pairs([], [], [], [], [], [], use_numpy=use_numpy) == ([], [], [])
 
-    def test_align_is_pairs_then_pieces_with_a_filter_between(self, use_numpy):
-        # Randomised: the pair step, any subset of its pairs in any order,
-        # then the piece step — standalone (ranking only the given ends)
-        # equals the composition with the same subset kept by a filter.
+    def test_filtered_pairs_equal_masking_their_reference_rows(self, use_numpy):
+        # Randomised: a pair filter that drops every pair of some reference
+        # rows yields the pieces of the same input with those rows' codes
+        # set to no-match, and the filter sees the backend's own arrays.
         import random
 
         rng = random.Random(7)
         seen = []
 
-        def drop_every_third(li, ri):
+        def drop_every_third_reference(li, ri):
             seen.append(isinstance(li, list))
-            keep = [k for k in range(len(li)) if k % 3]
-            if isinstance(li, list):
-                return [li[k] for k in keep], [ri[k] for k in keep]
-            return li[keep], ri[keep]
+            return keep_pairs(li, ri, lambda i, j: j % 3)
 
         for _ in range(20):
             n, m = rng.randrange(0, 25), rng.randrange(0, 25)
@@ -196,22 +198,12 @@ class TestKernels:
             re = [s + rng.randrange(0, 6) for s in rs]
             lc = [rng.randrange(-1, 3) for _ in range(n)]
             rc = [rng.randrange(-1, 3) for _ in range(m)]
+            masked = [code if j % 3 else -1 for j, code in enumerate(rc)]
             for include_empty in (False, True):
-                args = (ls, le, lc, rs, re, rc)
                 options = dict(use_numpy=use_numpy, include_empty=include_empty)
-                li, ri = overlap_pairs(*args, **options)
-                assert pieces_from_pairs(ls, le, rs, re, li, ri, **options) == align_pieces(
-                    *args, **options
-                )
-                kept = [(i, j) for k, (i, j) in enumerate(zip(li, ri)) if k % 3]
-                rng.shuffle(kept)
-                standalone = pieces_from_pairs(
-                    ls, le, rs, re, [i for i, _ in kept], [j for _, j in kept], **options
-                )
-                assert standalone == align_pieces(
-                    *args, pair_filter=drop_every_third, **options
-                )
-        # The filter sees the backend's own form of the pair arrays.
+                assert align_pieces(
+                    ls, le, lc, rs, re, rc, pair_filter=drop_every_third_reference, **options
+                ) == align_pieces(ls, le, lc, rs, re, masked, **options)
         assert seen and all(on_lists != use_numpy for on_lists in seen)
 
 

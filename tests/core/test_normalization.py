@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.normalization import (
-    normalization_output_size,
-    normalize,
-    normalize_pair,
-    self_normalize,
-)
+from repro.core.normalization import normalize, normalize_pair, self_normalize
 from repro.relation.errors import SchemaError
 from repro.workloads.hotel import HOTEL_TIMELINE
 from repro.workloads.incumben import IncumbenConfig, generate_incumben
@@ -101,18 +96,11 @@ class TestPropositions:
 
 
 class TestOutputSize:
-    def test_output_size_matches_materialised_result(self):
-        relation = generate_incumben(config=IncumbenConfig(size=300, seed=1))
-        for attrs in ((), ("pcn",), ("ssn",)):
-            predicted = normalization_output_size(relation, relation, attrs)
-            actual = len(normalize(relation, relation, attrs))
-            assert predicted == actual
-
     def test_figure_14_ordering(self):
         """|N_{}| ≥ |N_{pcn}| ≥ |N_{ssn}| ≥ |r| — the shape of Fig. 14(b)."""
         relation = generate_incumben(config=IncumbenConfig(size=400, seed=2))
-        none = normalization_output_size(relation, relation, ())
-        pcn = normalization_output_size(relation, relation, ("pcn",))
-        ssn = normalization_output_size(relation, relation, ("ssn",))
+        none = len(normalize(relation, relation, ()))
+        pcn = len(normalize(relation, relation, ("pcn",)))
+        ssn = len(normalize(relation, relation, ("ssn",)))
         assert none >= pcn >= ssn >= len(relation)
         assert none > ssn  # strict on any realistically overlapping dataset

@@ -156,10 +156,12 @@ class TestColumnarExecution:
         # The static plan text never mutates — annotations live on the trace.
         assert "executed=" not in physical.explain()
 
-    def test_unencodable_rows_fall_back_to_row_pipeline(self):
+    def test_unencodable_bounds_run_the_python_kernels(self):
         from repro.engine.table import Table
 
-        # An empty reference leaves every argument row dangling, whole.
+        # String and fractional bounds: NumPy cannot hold them, the Python
+        # twins take them as they are.  An empty reference leaves every
+        # argument row dangling, whole.
         for reference, odd in (([("a", 2, 5)], ("b", "x", "y")), ([], ("b", 1.5, 3.5))):
             database = Database()
             database.register_table(Table("l", ["cat", "ts", "te"], [("a", 0, 10), odd]))
@@ -173,7 +175,7 @@ class TestColumnarExecution:
             assert isinstance(physical, ColumnarAdjustmentNode)
             with obs_trace.collect(physical) as trace:
                 rows = sorted(physical.execute())
-            assert trace.span_for(physical).attributes["executed"] == "row-fallback"
+            assert trace.span_for(physical).attributes["executed"] == "python"
             assert rows == sorted(database.execute(plan, ROW).rows)
         assert rows == [("a", 0, 10), odd]
 

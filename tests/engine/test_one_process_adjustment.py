@@ -8,26 +8,25 @@ the query shapes of the benchmark (keyed, unkeyed, with a residual θ, over
 bare scans whose cached frames the node reads and over filtered CTEs whose
 rows it drains), with NumPy kernels and with their pure-Python twins.
 
-The row pipeline is also what the node itself falls back to when drained
-rows cannot be batch-encoded: :func:`run_adjustment_task` rebuilds it from
-the node's :class:`AdjustmentTask`, under whichever join strategy the task
-names.
+Bounds the NumPy kernels cannot hold (floats, fractions, strings) run the
+pure-Python twins — the node has no other route — and an argument row with
+ω as a bound is one typed error on both plans.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
 from repro.columnar.runtime import forced_python, numpy_available
 from repro.engine.database import Database
-from repro.engine.executor import AdjustmentNode, ColumnarAdjustmentNode, run_adjustment_task
+from repro.engine.executor import AdjustmentNode, ColumnarAdjustmentNode
 from repro.engine.expressions import Column, Comparison
 from repro.engine.optimizer.settings import Settings
 from repro.engine.table import Table
 from repro.engine.temporal_plans import align_plan, normalize_plan, scan
 from repro.obs import trace as obs_trace
+from repro.relation.errors import QueryError
+from repro.relation.tuple import NULL
 from repro.sql.interface import Connection
 from repro.workloads.synthetic import (
     SyntheticConfig,
@@ -136,23 +135,6 @@ def _shape_plan(database, shape):
 
 SHAPES = ["align-keyed", "align-unkeyed", "normalize-keyed", "normalize-unkeyed"]
 
-#: (shape, join strategy) pairs the row pipeline can run: the interval
-#: strategies need ALIGN's overlap bounds, hash and merge need key pairs.
-JOIN_STRATEGIES = [
-    ("align-keyed", "hash"),
-    ("align-keyed", "merge"),
-    ("align-keyed", "nestloop"),
-    ("align-keyed", "probe"),
-    ("align-keyed", "sweep"),
-    ("align-unkeyed", "nestloop"),
-    ("align-unkeyed", "probe"),
-    ("align-unkeyed", "sweep"),
-    ("normalize-keyed", "hash"),
-    ("normalize-keyed", "merge"),
-    ("normalize-keyed", "nestloop"),
-    ("normalize-unkeyed", "nestloop"),
-]
-
 
 def _kernel_node(database, shape):
     physical = database.plan(_shape_plan(database, shape), COLUMNAR)
@@ -160,44 +142,26 @@ def _kernel_node(database, shape):
     return physical
 
 
-class TestRunAdjustmentTask:
-    """The row pipeline rebuilt from a kernel node's task is the same function."""
-
-    @pytest.mark.parametrize("shape, strategy", JOIN_STRATEGIES)
-    def test_every_join_strategy_rebuilds_the_same_rows(self, shape, strategy):
-        left, right = generate_random(config=SyntheticConfig(size=80, categories=6, seed=4))
-        database = Database()
-        database.register_relation("l", left)
-        database.register_relation("r", right)
-        node = _kernel_node(database, shape)
-        planned = [s for sh, s in JOIN_STRATEGIES if sh == shape]
-        assert node.task.join_strategy in planned
-        task = replace(node.task, join_strategy=strategy)
-        rebuilt = run_adjustment_task(task, list(node.left), list(node.right))
-        assert rebuilt == node.execute()
-        assert rebuilt == database.execute(_shape_plan(database, shape), ROW).rows
-
+class TestEmptyInputs:
     @pytest.mark.parametrize("shape", ["align-keyed", "normalize-keyed"])
     def test_empty_reference_leaves_every_argument_row_whole(self, shape):
         argument = [("a", 0, 10), ("b", 3, 7)]
         database = _plain_database(argument, [])
-        node = _kernel_node(database, shape)
-        assert run_adjustment_task(node.task, list(node.left), []) == argument
-        assert node.execute() == argument
+        assert _kernel_node(database, shape).execute() == argument
+        assert database.execute(_shape_plan(database, shape), ROW).rows == argument
 
     @pytest.mark.parametrize("shape", ["align-keyed", "normalize-keyed"])
     def test_empty_argument_yields_nothing(self, shape):
         database = _plain_database([], [("a", 0, 10)])
-        node = _kernel_node(database, shape)
-        assert run_adjustment_task(node.task, [], list(node.right)) == []
-        assert node.execute() == []
+        assert _kernel_node(database, shape).execute() == []
+        assert database.execute(_shape_plan(database, shape), ROW).rows == []
 
 
-class TestRowFallback:
-    """Rows the kernels cannot encode re-run the row pipeline, same result."""
+class TestNonIntegerBounds:
+    """Bounds NumPy cannot hold run the pure-Python kernels, same result."""
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_fractional_bounds_fall_back_to_the_row_pipeline(self, shape):
+    def test_fractional_bounds_run_the_python_kernels(self, shape):
         database = _plain_database(
             [("a", 0, 10), ("b", 1.5, 3.5), ("c", 4, 6)],
             [("a", 2, 5), ("b", 2, 3), ("c", 5, 9)],
@@ -205,7 +169,62 @@ class TestRowFallback:
         node = _kernel_node(database, shape)
         with obs_trace.collect(node) as trace:
             rows = node.execute()
-        assert trace.span_for(node).attributes["executed"] == "row-fallback"
+        assert trace.span_for(node).attributes["executed"] == "python"
         assert rows == database.execute(_shape_plan(database, shape), ROW).rows
         # The fractional row is adjusted, not dropped: it keeps its start.
         assert any(row[0] == "b" and row[1] == 1.5 for row in rows)
+
+    @pytest.mark.parametrize("shape", ["align-keyed", "normalize-keyed"])
+    def test_integers_beyond_int64_run_the_python_kernels(self, shape):
+        big = 2**63
+        database = _plain_database([("a", big, big + 10)], [("a", big + 2, big + 5)])
+        node = _kernel_node(database, shape)
+        with obs_trace.collect(node) as trace:
+            rows = node.execute()
+        assert trace.span_for(node).attributes["executed"] == "python"
+        assert rows == [("a", big, big + 2), ("a", big + 2, big + 5), ("a", big + 5, big + 10)]
+        assert rows == database.execute(_shape_plan(database, shape), ROW).rows
+
+
+#: The row plan under each group-construction join it may choose.
+ROW_PLANS = {
+    "interval": ROW.copy(enable_hashjoin=False, enable_mergejoin=False, enable_nestloop=False),
+    "hash": ROW.copy(enable_intervaljoin=False, enable_mergejoin=False, enable_nestloop=False),
+    "merge": ROW.copy(enable_intervaljoin=False, enable_hashjoin=False, enable_nestloop=False),
+    "nestloop": ROW.copy(enable_intervaljoin=False, enable_hashjoin=False, enable_mergejoin=False),
+}
+
+
+class TestNullArgumentBounds:
+    """ω (or Python ``None``) as an argument row's bound is a typed error that
+    names the column, on the kernel node and on every row plan.  A reference
+    row with an ω bound matches nothing under ALIGN; under NORMALIZE its
+    other bound is still a split point (the split points are the reference's
+    starts and ends, ω dropped point by point)."""
+
+    @pytest.mark.parametrize("null", [NULL, None], ids=["omega", "none"])
+    @pytest.mark.parametrize("column", ["ts", "te"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("plan", ["kernel", *ROW_PLANS])
+    def test_argument_null_bound_is_a_query_error(self, plan, shape, column, null):
+        odd = ("a", null, 10) if column == "ts" else ("a", 0, null)
+        database = _plain_database([("a", 0, 10), odd], [("a", 2, 5)])
+        settings = COLUMNAR if plan == "kernel" else ROW_PLANS[plan]
+        with pytest.raises(QueryError, match=f"'l.{column}'"):
+            database.execute(_shape_plan(database, shape), settings)
+        with forced_python(), pytest.raises(QueryError, match=f"'l.{column}'"):
+            database.execute(_shape_plan(database, shape), settings)
+
+    @pytest.mark.parametrize("null", [NULL, None], ids=["omega", "none"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_reference_null_bound_matches_nothing(self, shape, null):
+        database = _plain_database(
+            [("a", 0, 10)], [("a", 2, 5), ("a", null, 8), ("a", 6, null)]
+        )
+        plan = _shape_plan(database, shape)
+        expected = [("a", 0, 2), ("a", 2, 5), ("a", 5, 10)]
+        if shape.startswith("normalize"):
+            expected = [("a", 0, 2), ("a", 2, 5), ("a", 5, 6), ("a", 6, 8), ("a", 8, 10)]
+        assert database.execute(plan, COLUMNAR).rows == expected
+        for settings in ROW_PLANS.values():
+            assert database.execute(plan, settings).rows == expected

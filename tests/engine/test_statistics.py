@@ -54,7 +54,7 @@ class TestStatisticsAreCacheNeutral:
         # Still nothing cached: the scan path never populates `derived`.
         for backend in ("np", "py"):
             assert relation.peek_derived(("columnar", "endpoints", backend)) is None
-        assert not relation.has_interval_index()
+        assert relation.peek_derived(("interval_index", ())) is None
 
     def test_existing_caches_survive_statistics(self):
         _, relation, table = _registered()

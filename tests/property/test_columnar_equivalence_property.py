@@ -1,17 +1,20 @@
 """Property test: every adjustment strategy is the same function.
 
 The load-bearing contract of the columnar layer is strategy transparency:
-row sweep ≡ interval index ≡ columnar (NumPy) ≡ columnar (pure-Python
-fallback), on every input.  Hypothesis drives the comparison over all
-three synthetic families plus an adversarial edge family with empty
-relations, empty intervals, point-adjacent intervals and duplicate
-endpoints — exactly the inputs where off-by-one bugs in ``searchsorted``
-boundaries would hide.
+row sweep ≡ columnar (NumPy) ≡ columnar (pure-Python twins), on every
+input.  Hypothesis drives the comparison over all three synthetic families
+plus an adversarial edge family with empty relations, empty intervals,
+point-adjacent intervals and duplicate endpoints — exactly the inputs where
+off-by-one bugs in ``searchsorted`` boundaries would hide.  In the engine
+the kernel node must equal the ``enable_columnar=False`` row plan as
+ordered lists, including over bounds NumPy cannot hold (floats, fractions,
+int/float ties, strings), which only the pure-Python twins take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Tuple
 from unittest.mock import patch
 
@@ -109,7 +112,6 @@ def relation_pairs():
 def _align_all_strategies(left, right, theta, equi):
     results = {
         "sweep": align_relation(left, right, theta, equi_attributes=equi, strategy="sweep"),
-        "index": align_relation(left, right, theta, equi_attributes=equi, strategy="index"),
         "columnar": align_relation(
             left, right, theta, equi_attributes=equi, strategy="columnar"
         ),
@@ -224,6 +226,14 @@ def _keyed_pairs():
     )
 
 
+def _drained(physical):
+    """``physical``'s rows with the frame input declined: drained, encoded."""
+    from repro.engine.executor import ColumnarAdjustmentNode
+
+    with patch.object(ColumnarAdjustmentNode, "_frame_arrays", lambda self: None):
+        return physical.execute()
+
+
 class TestFrameInputEquivalence:
     """The columnar node's two array sources and the row pipeline agree as
     *ordered lists*, whatever the relations hold — and so do the pure-Python
@@ -233,7 +243,6 @@ class TestFrameInputEquivalence:
     ROW = EngineSettings(enable_columnar=False)
 
     def _check(self, database, plan):
-        from repro.columnar.rows import adjust_rows_columnar
         from repro.engine.executor import ColumnarAdjustmentNode
         from repro.obs import trace as obs_trace
 
@@ -243,10 +252,7 @@ class TestFrameInputEquivalence:
             frame = physical.execute()
         source = "frame" if numpy_available() else "rows"
         assert trace.span_for(physical).attributes["input"] == source
-        drained = adjust_rows_columnar(
-            physical.task, list(physical.left), list(physical.right)
-        )
-        assert frame == drained
+        assert frame == _drained(physical)
         assert frame == database.execute(plan, self.ROW).rows
         # A second run serves every structure from the relations' caches.
         assert physical.execute() == frame
@@ -447,7 +453,6 @@ class TestResidualThetaEquivalence:
     @SETTINGS
     @given(relation_pairs(), THETAS, st.booleans())
     def test_columnar_equals_row_adjustment_in_order(self, pair, theta, keyed):
-        from repro.columnar.rows import adjust_rows_columnar
         from repro.engine.executor import ColumnarAdjustmentNode
 
         left, right = (_widen(relation) for relation in pair)
@@ -467,7 +472,102 @@ class TestResidualThetaEquivalence:
         assert physical.execute() == expected
         with patch("repro.engine.expressions.compile_pair_mask", lambda *a: None):
             assert physical.execute() == expected
-        drained = adjust_rows_columnar(physical.task, list(physical.left), list(physical.right))
-        assert drained == expected
+        assert _drained(physical) == expected
+        with forced_python():
+            assert physical.execute() == expected
+
+
+# -- engine: bounds NumPy cannot hold — pure-Python kernels ≡ row plan ----------------
+
+BOUND_KINDS = ["float", "fraction", "int-float-ties", "str"]
+
+
+def _bound(kind: str, point: int, flip: bool):
+    """Grid point ``point`` as a bound of ``kind``, in the grid's order."""
+    if kind == "float":
+        return point / 2
+    if kind == "fraction":
+        return Fraction(point, 3)
+    if kind == "str":
+        return f"{point:02d}"
+    return float(point) if flip else point  # 2 and 2.0 are one point
+
+
+@st.composite
+def non_integer_tables(draw):
+    """Two tables ``(cat, n, ts, te)`` whose bounds are one non-``int64``
+    kind, over a tiny grid: empty intervals, shared and adjacent endpoints."""
+    kind = draw(st.sampled_from(BOUND_KINDS))
+
+    def rows():
+        drawn = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["C0", "C1"]),
+                    st.integers(min_value=0, max_value=3),
+                    st.integers(min_value=0, max_value=12),
+                    st.integers(min_value=0, max_value=3),
+                    st.booleans(),
+                    st.booleans(),
+                ),
+                max_size=12,
+            )
+        )
+        return [
+            (cat, n, _bound(kind, start, a), _bound(kind, start + length, b))
+            for cat, n, start, length, a, b in drawn
+        ]
+
+    return rows(), rows()
+
+
+#: Keyed, unkeyed and residual-θ ALIGN; keyed and unkeyed NORMALIZE.
+NON_INTEGER_SHAPES = [
+    "align-keyed", "align-unkeyed", "align-residual", "normalize-keyed", "normalize-unkeyed",
+]
+
+
+def _non_integer_plan(database, shape):
+    from repro.engine.temporal_plans import normalize_plan
+
+    left, right = scan(database, "l", "l"), scan(database, "r", "r")
+    key = Comparison("=", Column("l.cat"), Column("r.cat"))
+    if shape == "align-keyed":
+        return align_plan(left, right, key)
+    if shape == "align-unkeyed":
+        return align_plan(left, right, None)
+    if shape == "align-residual":
+        return align_plan(left, right, And(key, Comparison("<=", Column("l.n"), Column("r.n"))))
+    return normalize_plan(left, right, ["cat"] if shape == "normalize-keyed" else [])
+
+
+class TestNonIntegerBoundEquivalence:
+    """The kernel node ≡ the ``enable_columnar=False`` row plan as ordered
+    lists over float, fraction, mixed int/float and string bounds."""
+
+    COLUMNAR = EngineSettings()
+    ROW = EngineSettings(enable_columnar=False)
+
+    @SETTINGS
+    @given(non_integer_tables(), st.sampled_from(NON_INTEGER_SHAPES))
+    def test_kernel_node_equals_the_row_plan(self, tables, shape):
+        from repro.engine.executor import ColumnarAdjustmentNode
+        from repro.engine.table import Table
+        from repro.obs import trace as obs_trace
+
+        left_rows, right_rows = tables
+        database = Database()
+        database.register_table(Table("l", ["cat", "n", "ts", "te"], left_rows))
+        database.register_table(Table("r", ["cat", "n", "ts", "te"], right_rows))
+        plan = _non_integer_plan(database, shape)
+        expected = database.execute(plan, self.ROW).rows
+        physical = database.plan(plan, self.COLUMNAR)
+        assert isinstance(physical, ColumnarAdjustmentNode)
+
+        integral = all(type(v) is int for row in left_rows + right_rows for v in row[2:])
+        with obs_trace.collect(physical) as trace:
+            assert physical.execute() == expected
+        executed = "numpy" if integral and numpy_available() else "python"
+        assert trace.span_for(physical).attributes["executed"] == executed
         with forced_python():
             assert physical.execute() == expected

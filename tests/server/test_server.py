@@ -15,6 +15,7 @@ import pytest
 
 from repro.client import Client, ConflictError, ServerError
 from repro.engine.database import Database
+from repro.engine.table import Table
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import Schema
 from repro.server import serve_in_thread
@@ -70,6 +71,20 @@ class TestRoundTrip:
             with pytest.raises(ServerError) as mixed:
                 client.execute("SELECT k, SUM(v) s FROM r GROUP BY k")
             assert mixed.value.kind == "query"
+
+    def test_a_null_argument_bound_is_a_query_error(self, database, server):
+        # An ω interval bound in an ALIGN/NORMALIZE argument: typed, and it
+        # names the column, not an ``internal`` TypeError.
+        database.register_table(Table("n", ["k", "ts", "te"], [("a", None, 10), ("b", 0, 5)]))
+        with _client(server) as client:
+            for sql, column in (
+                ("SELECT * FROM (n ALIGN r ON n.k = r.k) x", "'n.ts'"),
+                ("SELECT * FROM (n n1 NORMALIZE r r1 USING(k)) x", "'n1.ts'"),
+            ):
+                with pytest.raises(ServerError) as null_bound:
+                    client.execute(sql)
+                assert null_bound.value.kind == "query"
+                assert column in str(null_bound.value)
 
     def test_an_error_does_not_kill_the_connection(self, server):
         with _client(server) as client:

@@ -6,7 +6,6 @@ import pytest
 
 from repro import Interval, Schema, TemporalRelation
 from repro.core.alignment import align_relation
-from repro.core.sweep import overlap_groups
 from repro.temporal.interval_index import IntervalIndex, KeyedIntervalIndex, index_tuples
 
 
@@ -107,12 +106,12 @@ class TestRelationIndexCache:
 
     def test_index_is_cached_until_mutation(self):
         relation = self._relation()
-        assert not relation.has_interval_index()
+        assert relation.peek_derived(("interval_index", ())) is None
         first = relation.interval_index()
-        assert relation.has_interval_index()
+        assert relation.peek_derived(("interval_index", ())) is first
         assert relation.interval_index() is first  # cached
         relation.insert(("c",), Interval(1, 3))
-        assert not relation.has_interval_index()  # invalidated
+        assert relation.peek_derived(("interval_index", ())) is None  # invalidated
         rebuilt = relation.interval_index()
         assert rebuilt is not first
         assert len(rebuilt) == 3
@@ -132,51 +131,6 @@ class TestRelationIndexCache:
         assert len(calls) == 1
 
 
-class TestOverlapGroupsWithIndex:
-    def test_index_strategy_matches_sweep(self):
-        rng = random.Random(3)
-
-        def random_relation(n):
-            relation = TemporalRelation(Schema(["k", "v"]))
-            for i in range(n):
-                start = rng.randrange(0, 40)
-                relation.insert((rng.randrange(3), i), Interval(start, start + rng.randrange(0, 9)))
-            return relation
-
-        for _ in range(15):
-            left, right = random_relation(25), random_relation(25)
-            swept = overlap_groups(left.tuples(), right.tuples())
-            probed = overlap_groups(left.tuples(), right.tuples(), index=right.interval_index())
-            assert [sorted(g, key=id) for g in swept] == [sorted(g, key=id) for g in probed]
-
-    def test_keyed_index_requires_key_function(self):
-        relation = TemporalRelation(Schema(["k"]))
-        relation.insert(("a",), Interval(0, 5))
-        keyed = relation.interval_index(["k"])
-        with pytest.raises(ValueError):
-            overlap_groups(relation.tuples(), relation.tuples(), index=keyed)
-
-    def test_plain_index_rejects_key_function(self):
-        relation = TemporalRelation(Schema(["k"]))
-        relation.insert(("a",), Interval(0, 5))
-        with pytest.raises(ValueError):
-            overlap_groups(
-                relation.tuples(),
-                relation.tuples(),
-                left_key=lambda t: t["k"],
-                right_key=lambda t: t["k"],
-                index=relation.interval_index(),
-            )
-        # A lone right_key must not be silently dropped either.
-        with pytest.raises(ValueError):
-            overlap_groups(
-                relation.tuples(),
-                relation.tuples(),
-                right_key=lambda t: t["k"],
-                index=relation.interval_index(),
-            )
-
-
 class TestAlignmentStrategies:
     def test_strategies_produce_identical_relations(self):
         rng = random.Random(11)
@@ -191,25 +145,11 @@ class TestAlignmentStrategies:
         for _ in range(10):
             left, right = random_relation(30), random_relation(30)
             assert align_relation(left, right, strategy="sweep") == align_relation(
-                left, right, strategy="index"
+                left, right, strategy="columnar"
             )
             assert align_relation(
                 left, right, equi_attributes=["k"], strategy="sweep"
-            ) == align_relation(left, right, equi_attributes=["k"], strategy="index")
-
-    def test_auto_uses_cached_index(self):
-        relation = TemporalRelation(Schema(["k"]))
-        relation.insert(("a",), Interval(0, 5))
-        reference = TemporalRelation(Schema(["k"]))
-        reference.insert(("a",), Interval(2, 8))
-        align_relation(relation, reference, strategy="index")
-        assert reference.has_interval_index()
-        # auto now reuses it (behavioural check: results still correct)
-        result = align_relation(relation, reference, strategy="auto")
-        assert {(t.values, t.interval) for t in result} == {
-            (("a",), Interval(0, 2)),
-            (("a",), Interval(2, 5)),
-        }
+            ) == align_relation(left, right, equi_attributes=["k"], strategy="columnar")
 
     def test_unknown_strategy_rejected(self):
         relation = TemporalRelation(Schema(["k"]))
