@@ -455,17 +455,17 @@ def aggregate(
     ``calls`` are ``(function, argument column)``, ``None`` for
     ``COUNT(*)``.  Groups in order of first appearance, keys from each
     group's first row.  Declines without group columns, for ``AVG``, for a
-    ``SUM``/``MIN``/``MAX`` argument that is not an integer column, and for
-    a ``SUM`` that could leave ``int64``.
+    ``COUNT``/``SUM``/``MIN``/``MAX`` argument that is not an integer
+    column, and for a ``SUM`` that could leave ``int64``.
     """
     if not group_indexes:
         return None
     arguments: List[Ints] = []
     for function, index in calls:
-        if function == "COUNT":
+        if function == "COUNT" and index is None:
             continue
         column = batch.columns[index] if index is not None else None
-        if function not in _REDUCERS or not isinstance(column, Ints):
+        if function not in ("COUNT", *_REDUCERS) or not isinstance(column, Ints):
             return None
         arguments.append(column)
     np = numpy_or_none()
@@ -480,9 +480,13 @@ def aggregate(
     sorter = np.argsort(inverse, kind="stable") if arguments else None
     starts = np.cumsum(counts) - counts
     for function, index in calls:
-        # COUNT(x) counts ω too, as the row operator's accumulator does.
         if function == "COUNT":
-            columns.append(Ints(counts[order]))
+            # COUNT(*) counts rows, COUNT(x) the non-ω values of x.
+            if index is not None:
+                counted = _present(np, arguments.pop(0), sorter, starts, counts)
+            else:
+                counted = counts
+            columns.append(Ints(counted[order]))
             continue
         reduced = _reduce(np, function, arguments.pop(0), sorter, starts, counts)
         if reduced is None:
@@ -490,6 +494,13 @@ def aggregate(
         values, nulls = reduced
         columns.append(Ints(values[order], None if nulls is None else nulls[order]))
     return Batch(columns, len(first))
+
+
+def _present(np: Any, column: Ints, sorter: Any, starts: Any, counts: Any) -> Any:
+    """Per group (as in :func:`_reduce`) the number of non-ω values."""
+    if column.nulls is None or len(counts) == 0:
+        return counts
+    return np.add.reduceat((~column.nulls)[sorter].astype(np.int64), starts)
 
 
 def _reduce(
@@ -502,7 +513,7 @@ def _reduce(
     if len(counts) == 0:
         return values[:0], None
     present = None if column.nulls is None else ~column.nulls
-    seen = counts if present is None else np.add.reduceat(present[sorter].astype(np.int64), starts)
+    seen = _present(np, column, sorter, starts, counts)
     if function == "SUM":
         largest = max(abs(int(values.min())), abs(int(values.max())))
         if largest * len(values) >= 2**63:

@@ -43,7 +43,7 @@ from repro.columnar import kernels
 from repro.columnar.batch import Batch, Cache, Gathered, Ints, Source
 from repro.columnar.encoding import NO_MATCH, encode_relation, remap_codes
 from repro.columnar.runtime import numpy_available, numpy_or_none
-from repro.relation.tuple import is_null
+from repro.relation.tuple import compare_values, is_null
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.relation.relation import TemporalRelation
@@ -85,10 +85,8 @@ def kernel_mode(arrays: AdjustmentArrays) -> str:
 
 
 def _row_compare(left: Row, right: Row) -> int:
-    from repro.engine.executor.sort import _compare_values
-
     for a, b in zip(left, right):
-        result = _compare_values(a, b)
+        result = compare_values(a, b)
         if result != 0:
             return result
     return 0

@@ -8,12 +8,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.columnar import batch as batches
 from repro.engine.executor.base import PhysicalNode, Row
 from repro.engine.executor.project import _column_positions
-from repro.engine.executor.sort import _compare_values
 from repro.engine.expressions import Expression
 from repro.engine.plan import AggregateCall
 from repro.obs import trace as obs_trace
 from repro.relation.errors import QueryError
-from repro.relation.tuple import NULL, is_null
+from repro.relation.tuple import NULL, compare_values, is_null
 
 
 class _Accumulator:
@@ -32,21 +31,20 @@ class _Accumulator:
         self.maximum: Any = None
 
     def add(self, value: Any) -> None:
-        if self.function == "COUNT":
-            self.count += 1
-            return
         if is_null(value):
             return
         self.count += 1
+        if self.function == "COUNT":
+            return
         if self.function in ("SUM", "AVG"):
             if not isinstance(value, Number):
                 raise QueryError(f"{self.function} over the non-numeric value {value!r}")
             self.total = self.total + value
         if self.function == "MIN":
-            if self.minimum is None or _compare_values(value, self.minimum) < 0:
+            if self.minimum is None or compare_values(value, self.minimum) < 0:
                 self.minimum = value
         if self.function == "MAX":
-            if self.maximum is None or _compare_values(value, self.maximum) > 0:
+            if self.maximum is None or compare_values(value, self.maximum) > 0:
                 self.maximum = value
 
     def result(self) -> Any:
@@ -66,9 +64,9 @@ class _Accumulator:
 class HashAggregateNode(PhysicalNode):
     """Group rows by the grouping expressions and evaluate aggregate calls.
 
-    ``COUNT(*)`` (an aggregate call without argument) counts rows, and so
-    does ``COUNT(expr)``, nulls included; ``SUM``, ``AVG``, ``MIN`` and
-    ``MAX`` skip null inputs.  With an empty grouping list a single output row
+    ``COUNT(*)`` (an aggregate call without argument) counts rows;
+    ``COUNT(expr)``, ``SUM``, ``AVG``, ``MIN`` and ``MAX`` skip null inputs,
+    as in SQL.  With an empty grouping list a single output row
     is produced even for empty input (like SQL aggregate queries without
     ``GROUP BY``).
 

@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro.columnar import batch as batches
 from repro.engine.executor.base import PhysicalNode, Row
-from repro.engine.executor.sort import _compare_values
 from repro.engine.expressions import (
     Column,
     Comparison,
@@ -36,7 +35,7 @@ from repro.engine.expressions import (
 )
 from repro.obs import trace as obs_trace
 from repro.relation.errors import PlanError, QueryError
-from repro.relation.tuple import NULL, is_null
+from repro.relation.tuple import NULL, compare_values, is_null
 
 JOIN_KINDS = ("inner", "left", "right", "full", "semi", "anti", "cross")
 
@@ -308,7 +307,7 @@ class MergeJoinNode(_JoinBase):
     def _sorted(self, rows: List[Row], indexes: List[int]) -> List[Row]:
         def compare(a: Row, b: Row) -> int:
             for i in indexes:
-                result = _compare_values(a[i], b[i])
+                result = compare_values(a[i], b[i])
                 if result != 0:
                     return result
             return 0
@@ -334,7 +333,7 @@ class MergeJoinNode(_JoinBase):
             if b is None:
                 return 1
             for x, y in zip(a, b):
-                result = _compare_values(x, y)
+                result = compare_values(x, y)
                 if result != 0:
                     return result
             return 0

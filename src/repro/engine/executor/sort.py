@@ -3,37 +3,11 @@
 from __future__ import annotations
 
 import functools
-from typing import Any, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.engine.executor.base import PhysicalNode, Row
 from repro.engine.expressions import Expression
-from repro.relation.tuple import is_null
-
-
-def _compare_values(a: Any, b: Any) -> int:
-    """Total order over heterogeneous values: nulls first, then by value.
-
-    Values of incomparable types are ordered by type name, which keeps the
-    sort total without failing on mixed columns (the engine is dynamically
-    typed).
-    """
-    a_null = is_null(a)
-    b_null = is_null(b)
-    if a_null and b_null:
-        return 0
-    if a_null:
-        return -1
-    if b_null:
-        return 1
-    try:
-        if a < b:
-            return -1
-        if b < a:
-            return 1
-        return 0
-    except TypeError:
-        a_key, b_key = type(a).__name__, type(b).__name__
-        return -1 if a_key < b_key else (1 if b_key < a_key else 0)
+from repro.relation.tuple import compare_values
 
 
 class SortNode(PhysicalNode):
@@ -51,7 +25,7 @@ class SortNode(PhysicalNode):
 
         def compare(left: Row, right: Row) -> int:
             for evaluate, ascending in bound:
-                result = _compare_values(evaluate(left), evaluate(right))
+                result = compare_values(evaluate(left), evaluate(right))
                 if result != 0:
                     return result if ascending else -result
             return 0

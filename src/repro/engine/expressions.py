@@ -22,7 +22,7 @@ import operator
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.relation.errors import QueryError
-from repro.relation.tuple import NULL, is_null
+from repro.relation.tuple import NULL, compare_values, is_null
 from repro.temporal.interval import Interval
 
 Row = Tuple[Any, ...]
@@ -193,7 +193,12 @@ class IndexColumn(Expression):
 
 
 class Comparison(Expression):
-    """Binary comparison; any ``NULL`` operand makes the result false."""
+    """Binary comparison; any ``NULL`` operand makes the result false.
+
+    Operands of types Python does not order (``1 < 'a'``) compare in
+    ``ORDER BY``'s total order (:func:`~repro.relation.tuple.compare_values`),
+    as SQLite compares across storage classes.
+    """
 
     _OPERATORS: Dict[str, Callable[[Any, Any], bool]] = {
         "=": lambda a, b: a == b,
@@ -222,7 +227,10 @@ class Comparison(Expression):
             b = right(row)
             if is_null(a) or is_null(b):
                 return False
-            return op(a, b)
+            try:
+                return op(a, b)
+            except TypeError:
+                return op(compare_values(a, b), 0)
 
         return evaluate
 
@@ -278,8 +286,14 @@ class Not(Expression):
         return f"Not({self.operand!r})"
 
 
+def _operand_error(symbol: str, *operands: Any) -> QueryError:
+    types = " and ".join(type(operand).__name__ for operand in operands)
+    return QueryError(f"operator {symbol} is not defined for {types}")
+
+
 class Arithmetic(Expression):
-    """Binary arithmetic; ``NULL`` operands propagate."""
+    """Binary arithmetic; ``NULL`` operands propagate, operands the operator
+    does not accept raise :class:`QueryError`."""
 
     _OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
         "+": lambda a, b: a + b,
@@ -297,7 +311,8 @@ class Arithmetic(Expression):
         self.right = right
 
     def bind(self, columns: Sequence[str]) -> BoundExpression:
-        op = self._OPERATORS[self.operator]
+        symbol = self.operator
+        op = self._OPERATORS[symbol]
         left = self.left.bind(columns)
         right = self.right.bind(columns)
 
@@ -306,7 +321,10 @@ class Arithmetic(Expression):
             b = right(row)
             if is_null(a) or is_null(b):
                 return NULL
-            return op(a, b)
+            try:
+                return op(a, b)
+            except TypeError:
+                raise _operand_error(symbol, a, b) from None
 
         return evaluate
 
@@ -326,7 +344,12 @@ class Negate(Expression):
 
         def evaluate(row: Row) -> Any:
             value = bound(row)
-            return NULL if is_null(value) else -value
+            if is_null(value):
+                return NULL
+            try:
+                return -value
+            except TypeError:
+                raise _operand_error("-", value) from None
 
         return evaluate
 
@@ -374,7 +397,10 @@ class Between(Expression):
             hi = high(row)
             if is_null(v) or is_null(lo) or is_null(hi):
                 return False
-            return lo <= v <= hi
+            try:
+                return lo <= v <= hi
+            except TypeError:  # across types: Comparison's total order
+                return compare_values(lo, v) <= 0 and compare_values(v, hi) <= 0
 
         return evaluate
 

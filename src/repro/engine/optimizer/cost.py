@@ -16,7 +16,21 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.engine.optimizer.settings import Settings
+#: Cost charged per tuple-level operation (PostgreSQL's ``cpu_operator_cost``).
+CPU_OPERATOR_COST = 0.0025
+#: Cost charged per emitted tuple (PostgreSQL's ``cpu_tuple_cost``).
+CPU_TUPLE_COST = 0.01
+#: Cost charged per scanned base-table row (stand-in for page I/O).
+SEQ_SCAN_COST_PER_ROW = 0.01
+#: Default selectivity of a non-equality predicate.
+DEFAULT_SELECTIVITY = 0.33
+#: Default selectivity of an equality predicate with unknown statistics.
+EQUALITY_SELECTIVITY = 0.005
+#: Fixed per-delta work assumed by the view-maintenance cost model on top of
+#: the logarithmic index probes (fragment rewrite, bookkeeping).  The
+#: crossover between incremental maintenance and full recompute moves with
+#: this constant: larger values fall back to recompute earlier.
+VIEW_DELTA_OVERHEAD = 16.0
 
 
 @dataclass
@@ -27,36 +41,34 @@ class Estimate:
     cost: float
 
 
-def scan_cost(settings: Settings, rows: int) -> Estimate:
-    return Estimate(rows=float(rows), cost=rows * settings.seq_scan_cost_per_row)
+def scan_cost(rows: int) -> Estimate:
+    return Estimate(rows=float(rows), cost=rows * SEQ_SCAN_COST_PER_ROW)
 
 
-def filter_cost(settings: Settings, child: Estimate, selectivity: float) -> Estimate:
+def filter_cost(child: Estimate, selectivity: float) -> Estimate:
     rows = max(1.0, child.rows * selectivity)
-    return Estimate(rows=rows, cost=child.cost + settings.cpu_operator_cost * child.rows)
+    return Estimate(rows=rows, cost=child.cost + CPU_OPERATOR_COST * child.rows)
 
 
-def project_cost(settings: Settings, child: Estimate, width: int) -> Estimate:
+def project_cost(child: Estimate, width: int) -> Estimate:
     return Estimate(
         rows=child.rows,
-        cost=child.cost + settings.cpu_operator_cost * child.rows * max(1, width),
+        cost=child.cost + CPU_OPERATOR_COST * child.rows * max(1, width),
     )
 
 
-def sort_cost(settings: Settings, child: Estimate) -> Estimate:
+def sort_cost(child: Estimate) -> Estimate:
     rows = max(2.0, child.rows)
     return Estimate(
         rows=child.rows,
-        cost=child.cost + settings.cpu_operator_cost * rows * math.log2(rows),
+        cost=child.cost + CPU_OPERATOR_COST * rows * math.log2(rows),
     )
 
 
-def join_output_rows(
-    settings: Settings, left: Estimate, right: Estimate, has_equality: bool, kind: str
-) -> float:
+def join_output_rows(left: Estimate, right: Estimate, has_equality: bool, kind: str) -> float:
     if kind == "cross":
         return left.rows * right.rows
-    selectivity = settings.equality_selectivity if has_equality else settings.default_selectivity
+    selectivity = EQUALITY_SELECTIVITY if has_equality else DEFAULT_SELECTIVITY
     rows = left.rows * right.rows * selectivity
     if kind in ("left", "full", "anti", "semi"):
         rows = max(rows, left.rows)
@@ -65,30 +77,30 @@ def join_output_rows(
     return max(1.0, rows)
 
 
-def nested_loop_cost(settings: Settings, left: Estimate, right: Estimate, rows: float) -> Estimate:
+def nested_loop_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
     return Estimate(
         rows=rows,
         cost=left.cost
         + right.cost
-        + settings.cpu_operator_cost * left.rows * max(1.0, right.rows)
-        + settings.cpu_tuple_cost * rows,
+        + CPU_OPERATOR_COST * left.rows * max(1.0, right.rows)
+        + CPU_TUPLE_COST * rows,
     )
 
 
-def hash_join_cost(settings: Settings, left: Estimate, right: Estimate, rows: float) -> Estimate:
+def hash_join_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
     return Estimate(
         rows=rows,
         cost=left.cost
         + right.cost
-        + settings.cpu_operator_cost * (left.rows + right.rows)
-        + settings.cpu_tuple_cost * rows,
+        + CPU_OPERATOR_COST * (left.rows + right.rows)
+        + CPU_TUPLE_COST * rows,
     )
 
 
-def merge_join_cost(settings: Settings, left: Estimate, right: Estimate, rows: float) -> Estimate:
+def merge_join_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
     def sort_term(estimate: Estimate) -> float:
         n = max(2.0, estimate.rows)
-        return settings.cpu_operator_cost * n * math.log2(n)
+        return CPU_OPERATOR_COST * n * math.log2(n)
 
     return Estimate(
         rows=rows,
@@ -96,16 +108,12 @@ def merge_join_cost(settings: Settings, left: Estimate, right: Estimate, rows: f
         + right.cost
         + sort_term(left)
         + sort_term(right)
-        + settings.cpu_tuple_cost * rows,
+        + CPU_TUPLE_COST * rows,
     )
 
 
 def overlap_join_rows(
-    settings: Settings,
-    left: Estimate,
-    right: Estimate,
-    kind: str,
-    selectivity: Optional[float] = None,
+    left: Estimate, right: Estimate, kind: str, selectivity: Optional[float] = None
 ) -> float:
     """Output estimate of the overlap-shaped group-construction join.
 
@@ -116,7 +124,7 @@ def overlap_join_rows(
     Fig. 8).
     """
     if selectivity is None:
-        selectivity = settings.default_selectivity
+        selectivity = DEFAULT_SELECTIVITY
     rows = left.rows * right.rows * selectivity
     if kind in ("left", "full", "anti", "semi"):
         rows = max(rows, left.rows)
@@ -125,9 +133,7 @@ def overlap_join_rows(
     return max(1.0, rows)
 
 
-def interval_probe_join_cost(
-    settings: Settings, left: Estimate, right: Estimate, rows: float
-) -> Estimate:
+def interval_probe_join_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
     """Indexed overlap probe: sort/index the inner side once, probe per outer row.
 
     ``O(m log m)`` build plus ``O(log m)`` per outer row plus the output —
@@ -140,14 +146,12 @@ def interval_probe_join_cost(
         rows=rows,
         cost=left.cost
         + right.cost
-        + settings.cpu_operator_cost * (m * log_m + n * log_m)
-        + settings.cpu_tuple_cost * rows,
+        + CPU_OPERATOR_COST * (m * log_m + n * log_m)
+        + CPU_TUPLE_COST * rows,
     )
 
 
-def interval_sweep_join_cost(
-    settings: Settings, left: Estimate, right: Estimate, rows: float
-) -> Estimate:
+def interval_sweep_join_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
     """Event-based plane sweep over both inputs: sort both, sweep once.
 
     ``O((n+m) log(n+m) + output)`` — the sort-merge analogue for the overlap
@@ -158,48 +162,48 @@ def interval_sweep_join_cost(
         rows=rows,
         cost=left.cost
         + right.cost
-        + settings.cpu_operator_cost * total * math.log2(total)
-        + settings.cpu_tuple_cost * rows,
+        + CPU_OPERATOR_COST * total * math.log2(total)
+        + CPU_TUPLE_COST * rows,
     )
 
 
-def aggregate_cost(settings: Settings, child: Estimate, groups_hint: float = 0.1) -> Estimate:
+def aggregate_cost(child: Estimate, groups_hint: float = 0.1) -> Estimate:
     rows = max(1.0, child.rows * groups_hint)
-    return Estimate(rows=rows, cost=child.cost + settings.cpu_operator_cost * child.rows)
+    return Estimate(rows=rows, cost=child.cost + CPU_OPERATOR_COST * child.rows)
 
 
-def distinct_cost(settings: Settings, child: Estimate) -> Estimate:
+def distinct_cost(child: Estimate) -> Estimate:
     return Estimate(rows=max(1.0, child.rows * 0.9),
-                    cost=child.cost + settings.cpu_operator_cost * child.rows)
+                    cost=child.cost + CPU_OPERATOR_COST * child.rows)
 
 
-def setop_cost(settings: Settings, left: Estimate, right: Estimate, kind: str) -> Estimate:
+def setop_cost(left: Estimate, right: Estimate, kind: str) -> Estimate:
     rows = left.rows + right.rows if kind in ("union", "union_all") else left.rows
     return Estimate(
         rows=max(1.0, rows),
-        cost=left.cost + right.cost + settings.cpu_operator_cost * (left.rows + right.rows),
+        cost=left.cost + right.cost + CPU_OPERATOR_COST * (left.rows + right.rows),
     )
 
 
-def alignment_cost(settings: Settings, child: Estimate, width: int) -> Estimate:
+def alignment_cost(child: Estimate, width: int) -> Estimate:
     """Sec. 6.2: every input tuple can produce up to three output tuples."""
     rows = 3.0 * child.rows
     return Estimate(
         rows=max(1.0, rows),
-        cost=child.cost + 2 * settings.cpu_operator_cost * child.rows * max(1, width),
+        cost=child.cost + 2 * CPU_OPERATOR_COST * child.rows * max(1, width),
     )
 
 
-def normalization_cost(settings: Settings, child: Estimate, width: int) -> Estimate:
+def normalization_cost(child: Estimate, width: int) -> Estimate:
     """Sec. 6.3: every split point can produce up to two output tuples."""
     rows = 2.0 * child.rows
     return Estimate(
         rows=max(1.0, rows),
-        cost=child.cost + settings.cpu_operator_cost * child.rows * max(1, width),
+        cost=child.cost + CPU_OPERATOR_COST * child.rows * max(1, width),
     )
 
 
-def view_scan_cost(settings: Settings, rows: float) -> Estimate:
+def view_scan_cost(rows: float) -> Estimate:
     """Scanning a materialized view: emit the stored tuples, nothing else.
 
     This is what makes a fresh view beat re-running the adjustment pipeline
@@ -207,29 +211,25 @@ def view_scan_cost(settings: Settings, rows: float) -> Estimate:
     sweep.
     """
     rows = max(1.0, rows)
-    return Estimate(rows=rows, cost=settings.cpu_tuple_cost * rows)
+    return Estimate(rows=rows, cost=CPU_TUPLE_COST * rows)
 
 
-def incremental_maintenance_cost(
-    settings: Settings, pending: int, base_rows: int, reference_rows: int
-) -> Estimate:
+def incremental_maintenance_cost(pending: int, base_rows: int, reference_rows: int) -> Estimate:
     """Cost of folding ``pending`` deltas into a materialized adjustment view.
 
     Each delta pays two index probes (finding the affected overlap groups on
     one side, recomputing fragments against the other) plus a fixed
-    bookkeeping overhead (``Settings.view_delta_overhead``).  Deliberately
+    bookkeeping overhead (``VIEW_DELTA_OVERHEAD``).  Deliberately
     pessimistic about fan-out so that near-full-relation delta batches lose
     against :func:`full_recompute_cost` and the catalog falls back.
     """
     n = max(2.0, float(base_rows))
     m = max(2.0, float(reference_rows))
-    per_delta = math.log2(n) + math.log2(m) + settings.view_delta_overhead
-    return Estimate(
-        rows=float(pending), cost=settings.cpu_operator_cost * pending * per_delta
-    )
+    per_delta = math.log2(n) + math.log2(m) + VIEW_DELTA_OVERHEAD
+    return Estimate(rows=float(pending), cost=CPU_OPERATOR_COST * pending * per_delta)
 
 
-def full_recompute_cost(settings: Settings, base_rows: int, reference_rows: int) -> Estimate:
+def full_recompute_cost(base_rows: int, reference_rows: int) -> Estimate:
     """Cost of rebuilding a materialized adjustment view from scratch.
 
     The sweep bound of the native strategies — ``O((n+m) log(n+m))`` group
@@ -240,14 +240,11 @@ def full_recompute_cost(settings: Settings, base_rows: int, reference_rows: int)
     rows = 3.0 * max(1.0, float(base_rows))
     return Estimate(
         rows=rows,
-        cost=settings.cpu_operator_cost * total * math.log2(total)
-        + settings.cpu_tuple_cost * rows,
+        cost=CPU_OPERATOR_COST * total * math.log2(total) + CPU_TUPLE_COST * rows,
     )
 
 
-def maintenance_strategy(
-    settings: Settings, pending: int, base_rows: int, reference_rows: int
-) -> str:
+def maintenance_strategy(pending: int, base_rows: int, reference_rows: int) -> str:
     """Decide ``"incremental"`` vs ``"recompute"`` for a stale view.
 
     The staleness threshold of the view catalog is not a magic constant but
@@ -256,15 +253,15 @@ def maintenance_strategy(
     """
     if pending <= 0:
         return "incremental"
-    incremental = incremental_maintenance_cost(settings, pending, base_rows, reference_rows)
-    recompute = full_recompute_cost(settings, base_rows, reference_rows)
+    incremental = incremental_maintenance_cost(pending, base_rows, reference_rows)
+    recompute = full_recompute_cost(base_rows, reference_rows)
     return "incremental" if incremental.cost < recompute.cost else "recompute"
 
 
-def absorb_cost(settings: Settings, child: Estimate) -> Estimate:
-    return Estimate(rows=child.rows, cost=child.cost + settings.cpu_operator_cost * child.rows)
+def absorb_cost(child: Estimate) -> Estimate:
+    return Estimate(rows=child.rows, cost=child.cost + CPU_OPERATOR_COST * child.rows)
 
 
-def limit_cost(settings: Settings, child: Estimate, count: int) -> Estimate:
+def limit_cost(child: Estimate, count: int) -> Estimate:
     rows = min(child.rows, float(count))
     return Estimate(rows=rows, cost=child.cost)

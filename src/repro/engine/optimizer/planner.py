@@ -89,12 +89,10 @@ class Planner:
         view = self._catalog_view(node.table_name)
         if view is not None:
             physical: PhysicalNode = ViewScanNode(view, columns=node.columns)
-            return self._estimated(
-                physical, cost.view_scan_cost(self.settings, view.estimated_rows())
-            )
+            return self._estimated(physical, cost.view_scan_cost(view.estimated_rows()))
         table = self.database.get_table(node.table_name)
         physical = SeqScanNode(table, node.alias)
-        estimate = cost.scan_cost(self.settings, len(table))
+        estimate = cost.scan_cost(len(table))
         return self._estimated(physical, estimate)
 
     def _plan_values(self, node: logical.Values) -> PhysicalNode:
@@ -106,15 +104,13 @@ class Planner:
     def _plan_filter(self, node: logical.Filter) -> PhysicalNode:
         child = self.plan(node.child)
         physical = FilterNode(child, node.condition)
-        estimate = cost.filter_cost(
-            self.settings, self._estimate(child), self.settings.default_selectivity
-        )
+        estimate = cost.filter_cost(self._estimate(child), cost.DEFAULT_SELECTIVITY)
         return self._estimated(physical, estimate)
 
     def _plan_project(self, node: logical.Project) -> PhysicalNode:
         child = self.plan(node.child)
         physical = ProjectNode(child, node.expressions)
-        estimate = cost.project_cost(self.settings, self._estimate(child), len(node.expressions))
+        estimate = cost.project_cost(self._estimate(child), len(node.expressions))
         return self._estimated(physical, estimate)
 
     def _plan_rename(self, node: logical.Rename) -> PhysicalNode:
@@ -125,24 +121,22 @@ class Planner:
     def _plan_sort(self, node: logical.Sort) -> PhysicalNode:
         child = self.plan(node.child)
         physical = SortNode(child, node.keys)
-        return self._estimated(physical, cost.sort_cost(self.settings, self._estimate(child)))
+        return self._estimated(physical, cost.sort_cost(self._estimate(child)))
 
     def _plan_distinct(self, node: logical.Distinct) -> PhysicalNode:
         child = self.plan(node.child)
         physical = DistinctNode(child)
-        return self._estimated(physical, cost.distinct_cost(self.settings, self._estimate(child)))
+        return self._estimated(physical, cost.distinct_cost(self._estimate(child)))
 
     def _plan_limit(self, node: logical.Limit) -> PhysicalNode:
         child = self.plan(node.child)
         physical = LimitNode(child, node.count)
-        return self._estimated(
-            physical, cost.limit_cost(self.settings, self._estimate(child), node.count)
-        )
+        return self._estimated(physical, cost.limit_cost(self._estimate(child), node.count))
 
     def _plan_aggregate(self, node: logical.Aggregate) -> PhysicalNode:
         child = self.plan(node.child)
         physical = HashAggregateNode(child, node.group_by, node.aggregates)
-        estimate = cost.aggregate_cost(self.settings, self._estimate(child))
+        estimate = cost.aggregate_cost(self._estimate(child))
         return self._estimated(physical, estimate)
 
     def _plan_absorb(self, node: logical.Absorb) -> PhysicalNode:
@@ -150,7 +144,7 @@ class Planner:
         start_index = resolve_column(node.start, child.columns)
         end_index = resolve_column(node.end, child.columns)
         physical = AbsorbNode(child, start_index, end_index)
-        return self._estimated(physical, cost.absorb_cost(self.settings, self._estimate(child)))
+        return self._estimated(physical, cost.absorb_cost(self._estimate(child)))
 
     # -- binary nodes ---------------------------------------------------------------------
 
@@ -158,9 +152,7 @@ class Planner:
         left = self.plan(node.left)
         right = self.plan(node.right)
         physical = SetOpNode(node.kind, left, right)
-        estimate = cost.setop_cost(
-            self.settings, self._estimate(left), self._estimate(right), node.kind
-        )
+        estimate = cost.setop_cost(self._estimate(left), self._estimate(right), node.kind)
         return self._estimated(physical, estimate)
 
     def _plan_join(self, node: logical.Join) -> PhysicalNode:
@@ -220,9 +212,7 @@ class Planner:
             (FunctionCall("LEAST", [IndexColumn(left_te), IndexColumn(right_te)]), "__p2")
         )
         projected = ProjectNode(join, expressions)
-        self._estimated(
-            projected, cost.project_cost(self.settings, self._estimate(join), len(expressions))
-        )
+        self._estimated(projected, cost.project_cost(self._estimate(join), len(expressions)))
 
         sorted_node = self._partition_sort(projected, left_width, extra=2)
         adjustment = AdjustmentNode(
@@ -233,9 +223,7 @@ class Planner:
             isalign=True,
             columns=left_columns,
         )
-        estimate = cost.alignment_cost(
-            self.settings, self._estimate(sorted_node), len(left_columns)
-        )
+        estimate = cost.alignment_cost(self._estimate(sorted_node), len(left_columns))
         self._estimated(adjustment, estimate)
 
         return self._dispatch_adjustment(
@@ -281,7 +269,7 @@ class Planner:
             projection = ProjectNode(right, expressions)
             self._estimated(
                 projection,
-                cost.project_cost(self.settings, self._estimate(right), len(expressions)),
+                cost.project_cost(self._estimate(right), len(expressions)),
             )
             return projection
 
@@ -290,9 +278,7 @@ class Planner:
         )
         self._estimated(
             split_points,
-            cost.setop_cost(
-                self.settings, self._estimate(right), self._estimate(right), "union_all"
-            ),
+            cost.setop_cost(self._estimate(right), self._estimate(right), "union_all"),
         )
 
         # Group construction join: equality on the USING attributes plus the
@@ -315,9 +301,7 @@ class Planner:
         expressions = [(IndexColumn(i), name) for i, name in enumerate(left_columns)]
         expressions.append((IndexColumn(point_index), "__p1"))
         projected = ProjectNode(join, expressions)
-        self._estimated(
-            projected, cost.project_cost(self.settings, self._estimate(join), len(expressions))
-        )
+        self._estimated(projected, cost.project_cost(self._estimate(join), len(expressions)))
 
         sorted_node = self._partition_sort(projected, left_width, extra=1)
         adjustment = AdjustmentNode(
@@ -328,9 +312,7 @@ class Planner:
             isalign=False,
             columns=left_columns,
         )
-        estimate = cost.normalization_cost(
-            self.settings, self._estimate(sorted_node), len(left_columns)
-        )
+        estimate = cost.normalization_cost(self._estimate(sorted_node), len(left_columns))
         self._estimated(adjustment, estimate)
 
         return self._dispatch_adjustment(
@@ -412,9 +394,7 @@ class Planner:
         ):
             return None
         physical = ViewScanNode(view, columns=node.left.columns)
-        return self._estimated(
-            physical, cost.view_scan_cost(self.settings, view.estimated_rows())
-        )
+        return self._estimated(physical, cost.view_scan_cost(view.estimated_rows()))
 
     # -- helpers ---------------------------------------------------------------------------
 
@@ -422,7 +402,7 @@ class Planner:
         """Sort by the partition key (all group columns) then the sweep columns."""
         keys = [(IndexColumn(i), True) for i in range(group_width + extra)]
         sorted_node = SortNode(child, keys)
-        self._estimated(sorted_node, cost.sort_cost(self.settings, self._estimate(child)))
+        self._estimated(sorted_node, cost.sort_cost(self._estimate(child)))
         return sorted_node
 
     def _key_indexes(
@@ -464,22 +444,22 @@ class Planner:
         left_estimate, right_estimate = self._estimate(left), self._estimate(right)
         candidates: List[Tuple[Estimate, str]] = []
         if bounds is not None:
-            rows = cost.overlap_join_rows(settings, left_estimate, right_estimate, kind, selectivity)
+            rows = cost.overlap_join_rows(left_estimate, right_estimate, kind, selectivity)
             if settings.enable_intervaljoin:
                 candidates.append(
-                    (cost.interval_probe_join_cost(settings, left_estimate, right_estimate, rows), "probe")
+                    (cost.interval_probe_join_cost(left_estimate, right_estimate, rows), "probe")
                 )
                 candidates.append(
-                    (cost.interval_sweep_join_cost(settings, left_estimate, right_estimate, rows), "sweep")
+                    (cost.interval_sweep_join_cost(left_estimate, right_estimate, rows), "sweep")
                 )
         else:
-            rows = cost.join_output_rows(settings, left_estimate, right_estimate, bool(keys), kind)
+            rows = cost.join_output_rows(left_estimate, right_estimate, bool(keys), kind)
         if keys and settings.enable_hashjoin:
-            candidates.append((cost.hash_join_cost(settings, left_estimate, right_estimate, rows), "hash"))
+            candidates.append((cost.hash_join_cost(left_estimate, right_estimate, rows), "hash"))
         if keys and settings.enable_mergejoin:
-            candidates.append((cost.merge_join_cost(settings, left_estimate, right_estimate, rows), "merge"))
+            candidates.append((cost.merge_join_cost(left_estimate, right_estimate, rows), "merge"))
         if settings.enable_nestloop or not candidates:
-            candidates.append((cost.nested_loop_cost(settings, left_estimate, right_estimate, rows), "nestloop"))
+            candidates.append((cost.nested_loop_cost(left_estimate, right_estimate, rows), "nestloop"))
         estimate, strategy = min(candidates, key=lambda item: item[0].cost)
         # The full condition is evaluated as a residual predicate by every
         # strategy, so correctness never depends on the choice.

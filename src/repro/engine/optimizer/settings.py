@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 @dataclass
 class Settings:
-    """Optimizer switches and cost constants."""
+    """Optimizer switches; the cost constants live in :mod:`repro.engine.optimizer.cost`."""
 
     #: Allow nested-loop joins (always used as a fallback when nothing else fits).
     enable_nestloop: bool = True
@@ -26,18 +26,6 @@ class Settings:
     #: join path; off reproduces a stock engine without interval support).
     enable_intervaljoin: bool = True
 
-    #: Cost charged per tuple-level operation (PostgreSQL's ``cpu_operator_cost``).
-    cpu_operator_cost: float = 0.0025
-    #: Cost charged per emitted tuple (PostgreSQL's ``cpu_tuple_cost``).
-    cpu_tuple_cost: float = 0.01
-    #: Cost charged per scanned base-table row (stand-in for page I/O).
-    seq_scan_cost_per_row: float = 0.01
-
-    #: Default selectivity of a non-equality predicate.
-    default_selectivity: float = 0.33
-    #: Default selectivity of an equality predicate with unknown statistics.
-    equality_selectivity: float = 0.005
-
     #: Plan every ALIGN/NORMALIZE as one ``ColumnarAdjustment`` node, at any
     #: input size and for any θ — what its key equalities leave over filters
     #: the candidate pairs.  NumPy is a kernel detail: without it the node
@@ -48,12 +36,6 @@ class Settings:
     #: Allow the planner to substitute matching materialized views
     #: (``ViewScan`` nodes) for ALIGN/NORMALIZE subtrees and view-name scans.
     enable_viewscan: bool = True
-    #: Fixed per-delta work assumed by the view-maintenance cost model on top
-    #: of the logarithmic index probes (fragment rewrite, bookkeeping).  The
-    #: crossover between incremental maintenance and full recompute moves
-    #: with this constant: larger values make the optimizer fall back to
-    #: recompute earlier.
-    view_delta_overhead: float = 16.0
 
     #: Per-statement execution timeout in milliseconds; 0 disables.  Enforced
     #: cooperatively: the executor checks a thread-local deadline every few

@@ -4,10 +4,10 @@ A *site* is a named place in the code where :func:`repro.faults.fire` asks
 "should this operation fail right now?".  The catalog below is the single
 source of truth: arming a spec that names an undeclared site is a
 :class:`~repro.faults.plan.FaultSpecError`, firing an undeclared site raises
-``KeyError`` at the call site, and the ``fault-site-registered`` static rule
-(docs/static-analysis.md) checks every literal ``faults.fire(...)`` argument
-in the tree against this dictionary — a typo'd site name is a lint failure,
-not a fault plan that silently never triggers.
+``KeyError`` at the call site, and the ``fault-site-registered`` invariant
+test (docs/static-analysis.md) checks every literal ``faults.fire(...)``
+argument in the tree against this dictionary — a typo'd site name is a test
+failure, not a fault plan that silently never triggers.
 
 Keep the descriptions honest about *mechanism*: what the injection does, not
 just where it sits, because ``tests/faults/test_injection_points.py`` is

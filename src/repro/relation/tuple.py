@@ -61,6 +61,33 @@ def is_null(value: Any) -> bool:
     return value is None or isinstance(value, _NullType)
 
 
+def compare_values(a: Any, b: Any) -> int:
+    """Total order over heterogeneous values: nulls first, then by value.
+
+    Values of incomparable types are ordered by type name, which keeps the
+    order total without failing on mixed columns (the engine is dynamically
+    typed): ``ORDER BY``, ``MIN``/``MAX`` and ordering comparisons across
+    types all follow it.
+    """
+    a_null = is_null(a)
+    b_null = is_null(b)
+    if a_null and b_null:
+        return 0
+    if a_null:
+        return -1
+    if b_null:
+        return 1
+    try:
+        if a < b:
+            return -1
+        if b < a:
+            return 1
+        return 0
+    except TypeError:
+        a_key, b_key = type(a).__name__, type(b).__name__
+        return -1 if a_key < b_key else (1 if b_key < a_key else 0)
+
+
 class TemporalTuple:
     """An immutable tuple of nontemporal values plus one valid-time interval.
 

@@ -297,7 +297,6 @@ class ViewCatalog:
             theta=theta,
             equi_attributes=equi,
             reference_equi_attributes=ref_equi,
-            settings=self.database.settings,
             downstream=downstream,
             fingerprint=fingerprint,
             base_name=base_name,
@@ -346,7 +345,6 @@ class ViewCatalog:
             base,
             reference,
             attributes=attrs,
-            settings=self.database.settings,
             downstream=downstream,
             fingerprint=fingerprint,
             base_name=base_name,

@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.primitives import align_tuple
 from repro.core.sweep import ThetaPredicate
 from repro.engine.optimizer import cost
-from repro.engine.optimizer.settings import Settings
 from repro.engine.table import Table
 from repro.obs import metrics as obs_metrics
 from repro.relation.changelog import ChangeLogTruncatedError, Delta
@@ -99,7 +98,6 @@ class _AdjustedView:
         name: str,
         base: TemporalRelation,
         reference: TemporalRelation,
-        settings: Optional[Settings] = None,
         downstream: Sequence[DownstreamOp] = (),
         fingerprint: Optional[str] = None,
         base_name: str = "",
@@ -115,7 +113,6 @@ class _AdjustedView:
         self.reference = reference
         self.base_name = base_name
         self.reference_name = reference_name
-        self.settings = settings if settings is not None else Settings()
         #: Serializable downstream spec (what snapshots persist) …
         self.downstream_spec: Tuple[DownstreamOp, ...] = tuple(downstream)
         #: … and its compiled per-fragment form (what maintenance runs).
@@ -210,9 +207,7 @@ class _AdjustedView:
         pending = len(base_deltas)
         if self.reference is not self.base:
             pending += len(ref_deltas)
-        strategy = cost.maintenance_strategy(
-            self.settings, pending, len(self.base), len(self.reference)
-        )
+        strategy = cost.maintenance_strategy(pending, len(self.base), len(self.reference))
         if strategy == "recompute":
             self.recompute()
             return _count_refresh("recomputed")

@@ -11,6 +11,7 @@ are cached on the relation like its frames.
 
 from __future__ import annotations
 
+import sqlite3
 import time
 
 import pytest
@@ -263,3 +264,61 @@ def _walk(node):
     yield node
     for child in node.children:
         yield from _walk(child)
+
+
+class TestAggregatesAgainstSqlite:
+    """GROUP BY over a column with ω, both forms against the stdlib ``sqlite3``
+    (ω is SQL NULL: ``COUNT(x)`` and the reducers skip it, ``COUNT(*)`` does not)."""
+
+    PROBE = [("a", 1), ("a", NULL), ("a", 3), ("b", NULL), ("b", 2), ("c", 5)]
+    CALLS = [
+        AggregateCall("COUNT", Column("x"), "cx"),
+        AggregateCall("COUNT", None, "c"),
+        AggregateCall("SUM", Column("x"), "s"),
+        AggregateCall("MIN", Column("x"), "lo"),
+        AggregateCall("MAX", Column("x"), "hi"),
+    ]
+
+    def _sqlite(self):
+        connection = sqlite3.connect(":memory:")
+        try:
+            connection.execute("CREATE TABLE r (k TEXT, x INTEGER)")
+            rows = [(k, None if x is NULL else x) for k, x in self.PROBE]
+            connection.executemany("INSERT INTO r VALUES (?, ?)", rows)
+            return sorted(connection.execute(
+                "SELECT k, COUNT(x), COUNT(*), SUM(x), MIN(x), MAX(x) FROM r GROUP BY k"
+            ).fetchall())
+        finally:
+            connection.close()
+
+    def _run(self, child):
+        node = HashAggregateNode(child, [(Column("k"), "k")], self.CALLS)
+        with obs_trace.collect(node) as trace:
+            rows = node.execute()
+        bag = sorted(tuple(None if v is NULL else v for v in row) for row in rows)
+        return bag, trace.span_for(node).attributes.get("input")
+
+    def test_row_form(self):
+        bag, _ = self._run(ValuesNode(["k", "x"], self.PROBE))
+        assert bag == self._sqlite() == [
+            ("a", 2, 3, 4, 1, 3), ("b", 1, 2, 2, 2, 2), ("c", 1, 1, 5, 5, 5)
+        ]
+
+    @needs_numpy
+    def test_batch_form(self):
+        np = numpy_or_none()
+        keys = [k for k, _ in self.PROBE]
+        nulls = np.array([x is NULL for _, x in self.PROBE])
+        xs = [0 if x is NULL else x for _, x in self.PROBE]
+        bag, source = self._run(_handed(["k", "x"], keys, [xs], nulls=nulls))
+        assert source == "batch"
+        assert bag == self._sqlite()
+
+    @needs_numpy
+    def test_count_of_a_non_integer_column_declines_to_rows(self):
+        child = _handed(["k", "x"], ["a", "a"], [[1, 2]])
+        count = [AggregateCall("COUNT", Column("k"), "c")]
+        node = HashAggregateNode(child, [(Column("x"), "x")], count)
+        with obs_trace.collect(node) as trace:
+            assert node.execute() == [(1, 1), (2, 1)]
+        assert trace.span_for(node).attributes.get("input") == "rows"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.columnar.runtime import numpy_available, numpy_or_none
+from repro.columnar.runtime import forced_python, numpy_available, numpy_or_none
+from repro.engine.database import Database
 from repro.engine.expressions import (
     And,
     Arithmetic,
@@ -29,6 +30,7 @@ from repro.relation.errors import QueryError, SchemaError
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import Schema
 from repro.relation.tuple import NULL
+from repro.sql.interface import Connection
 from repro.temporal.interval import Interval
 
 
@@ -299,3 +301,44 @@ class TestPairMask:
             assert mask == flags and flags.count(True) == 6  # s.b = ω: false
         beyond = [(2**64, "x", 0, 10)] * 3  # no int64 at all
         assert self._evaluate(compare, left_rows=beyond)[0] is None
+
+
+class TestMixedTypes:
+    """Operands of types Python rejects: an ordering comparison follows
+    ORDER BY's total order (int < str, as SQLite), arithmetic is a
+    ``QueryError`` naming the operator and the types; with NumPy and
+    without."""
+
+    @pytest.fixture(params=["numpy", "python"])
+    def connection(self, request):
+        def relation(attributes, rows):
+            result = TemporalRelation(Schema(attributes))
+            for *values, start, end in rows:
+                result.insert(tuple(values), Interval(start, end))
+            return result
+
+        connection = Connection(Database())
+        connection.register_relation("r", relation(["x", "cat"], [(1, "a", 0, 5), (2, "b", 3, 8)]))
+        connection.register_relation("s", relation(["cat"], [("a", 1, 4), ("b", 2, 9)]))
+        if request.param == "numpy":
+            yield connection
+        else:
+            with forced_python():
+                yield connection
+
+    def test_ordering_comparisons_across_types(self, connection):
+        assert connection.execute("SELECT * FROM r WHERE r.x > 'a'").rows == []
+        assert len(connection.execute("SELECT * FROM r WHERE r.x < 'a'").rows) == 2
+        assert len(connection.execute("SELECT * FROM r WHERE r.x BETWEEN 0 AND 'z'").rows) == 2
+        # Every int orders before every str, so θ holds for every pair.
+        mixed = connection.execute("SELECT * FROM (r ALIGN s ON r.x < s.cat) x").rows
+        assert mixed == connection.execute("SELECT * FROM (r ALIGN s ON TRUE) x").rows
+
+    @pytest.mark.parametrize("sql, message", [
+        ("SELECT * FROM r WHERE r.cat / 2 = 1", "operator / is not defined for str and int"),
+        ("SELECT * FROM r JOIN s ON r.cat / s.cat = 1", "operator / is not defined for str and str"),
+        ("SELECT * FROM r WHERE -r.cat = 1", "operator - is not defined for str"),
+    ])
+    def test_arithmetic_on_rejected_operands_is_a_query_error(self, connection, sql, message):
+        with pytest.raises(QueryError, match=f"^{message}$"):
+            connection.execute(sql)

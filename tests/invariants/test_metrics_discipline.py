@@ -1,8 +1,8 @@
-"""R6 ``metrics-discipline``: literal names, one label, module-scope registration.
+"""``metrics-discipline``: literal names, one label, module-scope registration.
 
-The metrics registry (PR 8) is get-or-create by *name*: a dynamic or
-misspelled name silently forks a metric into two series, and a name outside
-the ``snake.dotted`` grammar stops round-tripping through the Prometheus
+The metrics registry is get-or-create by *name*: a dynamic or misspelled
+name silently forks a metric into two series, and a name outside the
+``snake.dotted`` grammar stops round-tripping through the Prometheus
 sanitizer (``relation.derived`` → ``relation_derived``) — two raw names can
 even collide post-sanitization.  Registration also takes the registry lock;
 doing it per call on a hot path (the derived-cache counter sits inside every
@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
-from repro.analysis.findings import Finding, finding
-from repro.analysis.registry import rule
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.driver import AnalysisSession, ModuleContext
+import walker
+from walker import Finding, Module
 
 RULE_ID = "metrics-discipline"
+#: The registry's own implementation and wrappers.
+EXEMPT = "obs/metrics.py"
 
 _KINDS = {"counter", "gauge", "histogram"}
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
@@ -37,29 +36,25 @@ _ALLOWED_KWARGS = {"counter": {"label_name"}, "gauge": set(), "histogram": {"buc
 _MAX_POSITIONAL = {"counter": 2, "gauge": 1, "histogram": 2}
 
 
-def _registration_kind(module: ModuleContext, call: ast.Call) -> Optional[str]:
+def _registration_kind(module: Module, call: ast.Call) -> Optional[str]:
     """``counter``/``gauge``/``histogram`` when ``call`` registers a metric."""
     func = call.func
     if isinstance(func, ast.Name):
-        resolved = module.resolve(func) or ""
-        head, _, tail = resolved.rpartition(".")
+        head, _, tail = (module.resolve(func) or "").rpartition(".")
         if tail in _KINDS and head in ("repro.obs.metrics", "repro.obs"):
             return tail
         return None
     if isinstance(func, ast.Attribute) and func.attr in _KINDS:
         base = module.resolve(func.value) or ""
-        if base in ("repro.obs.metrics", "repro.obs.metrics.REGISTRY") or base.endswith(
-            ".REGISTRY"
-        ) or base == "REGISTRY":
+        if base in ("repro.obs.metrics", "REGISTRY") or base.endswith(".REGISTRY"):
             return func.attr
     return None
 
 
-@rule(RULE_ID, "metric registration is literal, single-label and module-scope")
-def check(module: ModuleContext, session: AnalysisSession) -> Iterator[Finding]:
-    if module.relative_to("obs", "metrics.py"):
-        return  # the registry's own implementation and wrappers
-    for call in ast.walk(module.tree):
+def check(module: Module) -> Iterator[Finding]:
+    if module.within(EXEMPT):
+        return
+    for call in module.nodes:
         if not isinstance(call, ast.Call):
             continue
         kind = _registration_kind(module, call)
@@ -71,60 +66,69 @@ def check(module: ModuleContext, session: AnalysisSession) -> Iterator[Finding]:
             if keyword.arg == "name":
                 name_arg = keyword.value
         if not (isinstance(name_arg, ast.Constant) and isinstance(name_arg.value, str)):
-            yield finding(
-                module.display,
+            yield module.finding(
                 call,
                 RULE_ID,
-                f"{kind}() needs a literal string name; a dynamic name can "
-                "silently fork a metric into two series",
+                f"{kind}() needs a literal string name; a dynamic name can silently "
+                "fork a metric into two series",
             )
         elif not _NAME_RE.match(name_arg.value):
-            yield finding(
-                module.display,
+            yield module.finding(
                 call,
                 RULE_ID,
-                f"metric name {name_arg.value!r} is outside the "
-                "snake.dotted grammar [a-z][a-z0-9_]*(.[a-z0-9_]+)* that "
-                "survives Prometheus sanitization unambiguously",
+                f"metric name {name_arg.value!r} is outside the snake.dotted grammar "
+                "[a-z][a-z0-9_]*(.[a-z0-9_]+)* that survives Prometheus sanitization "
+                "unambiguously",
             )
 
         if len(call.args) > _MAX_POSITIONAL[kind]:
-            yield finding(
-                module.display,
+            yield module.finding(
                 call,
                 RULE_ID,
-                f"{kind}() takes at most {_MAX_POSITIONAL[kind]} positional "
-                "argument(s); metrics carry at most one label dimension",
+                f"{kind}() takes at most {_MAX_POSITIONAL[kind]} positional argument(s); "
+                "metrics carry at most one label dimension",
             )
         for keyword in call.keywords:
             if keyword.arg in (None, "name"):
                 continue
             if keyword.arg not in _ALLOWED_KWARGS[kind]:
-                yield finding(
-                    module.display,
+                yield module.finding(
                     call,
                     RULE_ID,
-                    f"{kind}() does not accept {keyword.arg!r}; metrics carry "
-                    "at most one label dimension (label_name on counters)",
+                    f"{kind}() does not accept {keyword.arg!r}; metrics carry at most "
+                    "one label dimension (label_name on counters)",
                 )
             elif keyword.arg == "label_name" and not (
                 isinstance(keyword.value, ast.Constant)
                 and isinstance(keyword.value.value, str)
                 and _LABEL_RE.match(keyword.value.value)
             ):
-                yield finding(
-                    module.display,
-                    call,
-                    RULE_ID,
-                    "label_name must be a literal matching [a-z][a-z0-9_]*",
+                yield module.finding(
+                    call, RULE_ID, "label_name must be a literal matching [a-z][a-z0-9_]*"
                 )
 
-        if not module.at_module_scope(call):
-            yield finding(
-                module.display,
+        if module.enclosing_function(call) is not None:
+            yield module.finding(
                 call,
                 RULE_ID,
-                f"{kind}() registered inside a function; register the "
-                "instrument once at module scope and call .inc()/.observe() "
-                "on the constant (registration takes the registry lock)",
+                f"{kind}() registered inside a function; register the instrument once "
+                "at module scope and call .inc()/.observe() on the constant "
+                "(registration takes the registry lock)",
             )
+
+
+def test_committed_tree_is_clean():
+    walker.assert_tree_clean(RULE_ID, check)
+
+
+def test_bad_fixture_fires():
+    findings = walker.run(RULE_ID, check, walker.fixture("metrics")).findings
+    assert [f.line for f in findings] == [7, 8, 9, 13]
+
+
+def test_quiet_on_the_other_fixtures():
+    walker.assert_quiet_on_other_fixtures(RULE_ID, check, "metrics")
+
+
+def test_exemption_names_a_module_of_the_tree():
+    walker.assert_scopes_match(EXEMPT)

@@ -1,34 +1,33 @@
-"""R8 ``swallowed-error``: no silent broad except where poisoning matters.
+"""``swallowed-error``: no silent broad except where poisoning matters.
 
 The storage engine's failure semantics are deliberate: a failed WAL append
 or checkpoint *poisons* the engine (it refuses further commits rather than
 let memory lead the log), and the server maps every error onto a typed wire
 response.  A ``except: pass`` — or a broad ``except Exception`` whose body
-only ``pass``/``break``/``continue``s — in these modules converts a
+only ``pass``/``break``/``continue``\\ s — in these modules converts a
 poison-worthy failure into silent divergence between memory and disk (or a
 client left waiting).  Scoped to ``storage/``, ``server/`` and ``serve.py``;
 narrow except types (``FileNotFoundError``, ``ConnectionError``,
 ``CancelledError``) are fine — it is silence about *unknown* failures that
-is banned.
+is banned.  The WAL's torn-tail truncation carries the one allow: an
+unpicklable tail frame *is* the torn tail the recovery contract truncates.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator, Optional
 
-from repro.analysis.findings import Finding, finding
-from repro.analysis.registry import rule
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.driver import AnalysisSession, ModuleContext
+import walker
+from walker import Finding, Module
 
 RULE_ID = "swallowed-error"
+SCOPE = ("storage/", "server/", "serve.py")
 
 _BROAD = {"Exception", "BaseException"}
 
 
-def _is_broad(type_node: ast.expr | None) -> bool:
+def _is_broad(type_node: Optional[ast.expr]) -> bool:
     if type_node is None:
         return True  # bare except
     if isinstance(type_node, ast.Name):
@@ -51,27 +50,40 @@ def _swallows(handler: ast.ExceptHandler) -> bool:
     return True
 
 
-@rule(RULE_ID, "storage/server code must not silently swallow broad exceptions")
-def check(module: ModuleContext, session: AnalysisSession) -> Iterator[Finding]:
-    parts = module.path.parts
-    if not ("storage" in parts or "server" in parts or module.path.name == "serve.py"):
+def check(module: Module) -> Iterator[Finding]:
+    if not any(module.within(scope) for scope in SCOPE):
         return
-    for handler in ast.walk(module.tree):
+    for handler in module.nodes:
         if not isinstance(handler, ast.ExceptHandler):
             continue
         if handler.type is None:
-            yield finding(
-                module.display,
+            yield module.finding(
                 handler,
                 RULE_ID,
-                "bare except: in poisoning-sensitive code; name the "
-                "exceptions this path is allowed to absorb",
+                "bare except: in poisoning-sensitive code; name the exceptions "
+                "this path is allowed to absorb",
             )
         elif _is_broad(handler.type) and _swallows(handler):
-            yield finding(
-                module.display,
+            yield module.finding(
                 handler,
                 RULE_ID,
                 "broad except swallows the failure silently; storage/server "
                 "failures must poison, propagate, or be handled visibly",
             )
+
+
+def test_committed_tree_is_clean():
+    walker.assert_tree_clean(RULE_ID, check)
+
+
+def test_bad_fixture_fires():
+    findings = walker.run(RULE_ID, check, walker.fixture("storage")).findings
+    assert [f.line for f in findings] == [7, 14]
+
+
+def test_quiet_on_the_other_fixtures():
+    walker.assert_quiet_on_other_fixtures(RULE_ID, check, "storage")
+
+
+def test_scope_matches_the_tree():
+    walker.assert_scopes_match(*SCOPE)

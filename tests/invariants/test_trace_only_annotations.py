@@ -1,27 +1,26 @@
-"""R2 ``trace-only-annotations``: executors annotate traces, not node state.
+"""``trace-only-annotations``: executors annotate traces, not node state.
 
-PR 8 moved the executor's post-run facts (``executed=``, ``ship=``) off the
-physical nodes and onto trace spans so that ``explain()`` is static before
+The executor's post-run facts (``executed=``, ``input=``) live on trace
+spans, not on the physical nodes, so that ``explain()`` is static before
 *and* after execution and a plan can be re-run without leaking state between
 runs.  An operator that assigns ``self.<attr>`` after ``__init__`` regresses
 exactly that: node state survives across iterations, EXPLAIN output starts
 depending on execution history, and concurrent traces of the same plan tree
 race.  Run-time facts belong on the active span via
-:func:`repro.obs.trace.annotate`.
+:func:`repro.obs.trace.annotate`.  ``CountingNode`` carries the documented
+exceptions: counting pulls is that instrumentation node's whole output.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.analysis.findings import Finding, finding
-from repro.analysis.registry import rule
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.driver import AnalysisSession, ModuleContext
+import walker
+from walker import Finding, Module
 
 RULE_ID = "trace-only-annotations"
+SCOPE = "executor/"
 
 
 def _is_node_class(class_def: ast.ClassDef) -> bool:
@@ -33,11 +32,10 @@ def _is_node_class(class_def: ast.ClassDef) -> bool:
     return False
 
 
-@rule(RULE_ID, "executor operators must not assign node attributes post-__init__")
-def check(module: ModuleContext, session: AnalysisSession) -> Iterator[Finding]:
-    if "executor" not in module.path.parts:
+def check(module: Module) -> Iterator[Finding]:
+    if not module.within(SCOPE):
         return
-    for class_def in ast.walk(module.tree):
+    for class_def in module.nodes:
         if not isinstance(class_def, ast.ClassDef) or not _is_node_class(class_def):
             continue
         for method in class_def.body:
@@ -46,21 +44,39 @@ def check(module: ModuleContext, session: AnalysisSession) -> Iterator[Finding]:
             if method.name == "__init__":
                 continue
             for node in ast.walk(method):
-                if not isinstance(node, (ast.Assign, ast.AugAssign)):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AugAssign):
+                    targets = [node.target]
+                else:
                     continue
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
                     if (
                         isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
                         and target.value.id == "self"
                     ):
-                        yield finding(
-                            module.display,
+                        yield module.finding(
                             node,
                             RULE_ID,
-                            f"{class_def.name}.{method.name} assigns "
-                            f"self.{target.attr} at run time; operators record "
-                            "run-time facts via trace.annotate(node, ...), not "
-                            "node state",
+                            f"{class_def.name}.{method.name} assigns self.{target.attr} "
+                            "at run time; operators record run-time facts via "
+                            "trace.annotate(node, ...), not node state",
                         )
+
+
+def test_committed_tree_is_clean():
+    walker.assert_tree_clean(RULE_ID, check)
+
+
+def test_bad_fixture_fires():
+    findings = walker.run(RULE_ID, check, walker.fixture("executor")).findings
+    assert [f.line for f in findings] == [15, 16]
+
+
+def test_quiet_on_the_other_fixtures():
+    walker.assert_quiet_on_other_fixtures(RULE_ID, check, "executor")
+
+
+def test_scope_matches_the_tree():
+    walker.assert_scopes_match(SCOPE)

@@ -72,6 +72,13 @@ class TestRoundTrip:
                 client.execute("SELECT k, SUM(v) s FROM r GROUP BY k")
             assert mixed.value.kind == "query"
 
+    def test_mixed_type_operands_are_query_errors_or_ordered(self, server):
+        with _client(server) as client:
+            assert client.execute("SELECT k FROM r WHERE r.v > 'a'").rows == []
+            with pytest.raises(ServerError) as arithmetic:
+                client.execute("SELECT k FROM r WHERE r.k / 2 = 1")
+            assert arithmetic.value.kind == "query"
+
     def test_a_null_argument_bound_is_a_query_error(self, database, server):
         # An ω interval bound in an ALIGN/NORMALIZE argument: typed, and it
         # names the column, not an ``internal`` TypeError.
