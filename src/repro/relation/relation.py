@@ -25,6 +25,7 @@ incremental view maintenance of :mod:`repro.views` consumes.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.obs import metrics as obs_metrics
@@ -284,71 +285,99 @@ class TemporalRelation:
         relation._changelog.restore(changelog_version, trimmed_below)
         return relation
 
-    def replay_deltas(self, records: Sequence[Tuple[str, int, TemporalTuple, int]]) -> bool:
-        """Re-apply one logged mutation batch during recovery.
+    def replay_deltas(
+        self, batches: Sequence[Sequence[Tuple[str, int, TemporalTuple, int]]]
+    ) -> int:
+        """Re-apply a run of logged mutation batches during recovery.
 
-        ``records`` are ``(sign, rowid, tuple, version)`` in their original
-        (interleaved) order: a removal is followed by the fragments that
-        replaced it, which lets replay rebuild the *exact* physical layout —
-        fragments take the position of the tuple they replaced, plain inserts
-        append — so a recovered relation is byte-identical to the lost one,
-        including iteration order.
+        Each batch holds ``(sign, rowid, tuple, version)`` records in their
+        original (interleaved) order: a removal is followed by the fragments
+        that replaced it, which lets replay rebuild the *exact* physical
+        layout — fragments take the position of the tuple they replaced,
+        plain inserts append — so a recovered relation is byte-identical to
+        the lost one, including iteration order.
 
-        A batch whose last version is not newer than the current change-log
-        version is skipped entirely (it is already contained in the snapshot
-        the relation was restored from — the idempotence check that makes
-        recovery safe when a crash hits between the snapshot rename and the
-        WAL reset).  Returns whether the batch was applied.
+        The run costs one pass over the relation plus one over the records,
+        however many batches it holds.  Every removal is validated against
+        the live rowids (and every version against the log) *before* the
+        change log is touched, so a failing run leaves the relation as it
+        was.  The layout is then rebuilt once, expanding fragment-of-fragment
+        chains iteratively, and :meth:`_after_mutation` runs once per applied
+        batch in log order — generations, listeners and their MVCC stamps
+        see the same sequence of batches a batch-at-a-time replay would.
 
-        Rowids and versions are preserved exactly; listeners fire as for a
-        live mutation so the engine re-derives its table snapshots.
+        A batch whose last version is not newer than the log's version at
+        that point of the run is skipped entirely (it is already contained
+        in the snapshot the relation was restored from — the idempotence
+        check that makes recovery safe when a crash hits between the
+        snapshot rename and the WAL reset).  Returns the number of batches
+        applied.
         """
-        if not records:
-            return False
         if not self.tracks_changes:
             raise SchemaError("replay requires change tracking on the relation")
-        if records[-1][3] <= self.version:
-            return False
-
-        position_of = {rowid: i for i, rowid in enumerate(self._rowids)}
-        replacements: Dict[int, List[Tuple[int, TemporalTuple]]] = {}
-        appended: List[Tuple[int, TemporalTuple]] = []
-        current: Optional[List[Tuple[int, TemporalTuple]]] = None
-        deltas: List[Delta] = []
         assert self._changelog is not None
-        for sign, rowid, tuple_, version in records:
-            if sign == "-":
-                try:
-                    position = position_of[rowid]
-                except KeyError:
+        version = self._changelog.version
+        applied: List[Sequence[Tuple[str, int, TemporalTuple, int]]] = []
+        live = set(self._rowids)
+        for batch in batches:
+            if not batch or batch[-1][3] <= version:
+                continue
+            for sign, rowid, _tuple, record_version in batch:
+                if record_version != version + 1:
+                    raise SchemaError(
+                        f"replayed version {record_version} does not follow log "
+                        f"version {version}; the log does not continue this "
+                        "relation's history"
+                    )
+                version = record_version
+                if sign == "+":
+                    live.add(rowid)
+                elif rowid in live:
+                    live.remove(rowid)
+                else:
                     raise SchemaError(
                         f"replayed batch removes unknown rowid {rowid}; the log "
                         "does not continue this relation's history"
-                    ) from None
-                current = replacements.setdefault(position, [])
-            else:
-                (appended if current is None else current).append((rowid, tuple_))
-                if rowid >= self._next_rowid:
-                    self._next_rowid = rowid + 1
-            deltas.append(self._changelog.append_replay(sign, rowid, tuple_, version))
+                    )
+            applied.append(batch)
+        if not applied:
+            return 0
+
+        #: Removed rowid -> the ``(rowid, tuple)`` fragments that replaced it.
+        replaced: Dict[int, List[Tuple[int, TemporalTuple]]] = {}
+        appended: List[Tuple[int, TemporalTuple]] = []
+        batch_deltas: List[List[Delta]] = []
+        for batch in applied:
+            current: Optional[List[Tuple[int, TemporalTuple]]] = None
+            deltas: List[Delta] = []
+            for sign, rowid, tuple_, record_version in batch:
+                if sign == "-":
+                    current = replaced[rowid] = []
+                else:
+                    (appended if current is None else current).append((rowid, tuple_))
+                    if rowid >= self._next_rowid:
+                        self._next_rowid = rowid + 1
+                deltas.append(self._changelog.append_replay(sign, rowid, tuple_, record_version))
+            batch_deltas.append(deltas)
 
         new_tuples: List[TemporalTuple] = []
         new_rowids: List[int] = []
-        for i, (rowid, t) in enumerate(zip(self._rowids, self._tuples)):
-            if i in replacements:
-                for fragment_rowid, fragment in replacements[i]:
-                    new_tuples.append(fragment)
-                    new_rowids.append(fragment_rowid)
-            else:
-                new_tuples.append(t)
-                new_rowids.append(rowid)
-        for rowid, t in appended:
-            new_tuples.append(t)
-            new_rowids.append(rowid)
+        pending: List[Tuple[int, TemporalTuple]] = []
+        for row in chain(zip(self._rowids, self._tuples), appended):
+            pending.append(row)
+            while pending:  # a stack, so chains of any depth expand in order
+                rowid, t = pending.pop()
+                fragments = replaced.get(rowid)
+                if fragments is None:
+                    new_tuples.append(t)
+                    new_rowids.append(rowid)
+                else:
+                    pending.extend(reversed(fragments))
         self._tuples = new_tuples
         self._rowids = new_rowids
-        self._after_mutation(deltas)
-        return True
+        for deltas in batch_deltas:
+            self._after_mutation(deltas)
+        return len(applied)
 
     def _after_mutation(self, deltas: List[Delta]) -> None:
         """Shared epilogue of every mutation path.

@@ -9,7 +9,7 @@ package adds the missing persistence layer with the classic architecture:
   and ``fsync``'d before the statement returns;
 * a :mod:`snapshot <repro.storage.snapshot>` periodically serializes the full
   database state — relations with rowids and change-log counters, and every
-  materialized view's fragment store, lineage and cursors;
+  materialized view's cursors and per-rowid fragment endpoints;
 * recovery (:mod:`repro.storage.engine`) loads the latest snapshot and
   replays the WAL suffix, after which maintained views resume *incremental*
   maintenance — their cursors say exactly which change-log suffix is still

@@ -2,16 +2,22 @@
 
 A snapshot captures, for every registered relation, the tuples *with their
 rowids* plus the change-log counters (version, trim horizon), and for every
-materialized view its definition and maintained state (fragment store,
-lineage, cursors, statistics).  Rowids and cursors are the whole point:
-restoring them is what lets recovered views keep addressing the right base
-tuples and fold only the WAL suffix — incremental maintenance survives the
-restart.
+materialized view its definition and maintained state.  An incremental
+view's state is its change-log cursors, statistics and per-rowid fragment
+endpoints — nothing else: ALIGN and NORMALIZE only split intervals, so each
+fragment is its base tuple over a persisted interval, and the lineage is
+rebuilt from the restored base relation.  Rowids and cursors are the whole
+point: restoring them is what lets recovered views keep addressing the right
+base tuples and fold only the WAL suffix — incremental maintenance survives
+the restart.
 
 Layout: the WAL header/frame format of :mod:`repro.storage.wal` with magic
-``b"RSNP"`` and a single frame holding the pickled state.  The file is
-written to a temporary sibling, fsync'd, then renamed over the previous
-snapshot — a crash mid-checkpoint leaves the old snapshot intact.
+``b"RSNP"``, its own format number :data:`SNAPSHOT_FORMAT`, and a single
+frame holding the pickled state.  A snapshot of another format version is
+refused with :class:`~repro.storage.wal.WalCorruptionError`, never read as
+something it is not.  The file is written to a temporary sibling, fsync'd,
+then renamed over the previous snapshot — a crash mid-checkpoint leaves the
+old snapshot intact.
 
 Views whose definition cannot be serialized (an opaque θ callable, a plan
 embedding a Python predicate) are skipped with a :class:`UserWarning`; they
@@ -41,6 +47,9 @@ from repro.storage.wal import (
 )
 
 SNAPSHOT_MAGIC = b"RSNP"
+#: Version 2: views persist fragment endpoints instead of fragment and
+#: lineage tuples.  The WAL keeps its own number (``wal.FORMAT_VERSION``).
+SNAPSHOT_FORMAT = 2
 
 State = Dict[str, Any]
 
@@ -127,10 +136,12 @@ def restore_database(database, state: State) -> None:
     """Install a snapshot into a *fresh* database (no logging side effects:
     the caller suppresses its WAL hooks while this runs).
 
-    Relations are restored first, then views — a view's reference-side
-    support structure is rebuilt from the relation state its cursors refer
-    to, which is exactly the snapshot state (checkpoints refresh every view
-    before serializing, so cursors and relation versions agree).
+    Relations are restored first, then views — a view's lineage and
+    reference-side support structure are rebuilt from the relation state its
+    cursors refer to, which is exactly the snapshot state (checkpoints
+    refresh every view before serializing, so cursors and relation versions
+    agree; a view whose cursors disagree raises
+    :class:`~repro.storage.wal.WalCorruptionError`).
     """
     for name, record in state["relations"]:
         database.register_relation(name, decode_relation(record))
@@ -141,7 +152,7 @@ def restore_database(database, state: State) -> None:
 
 def write_snapshot(path: str, epoch: int, state: State) -> int:
     """Atomically replace the snapshot at ``path``; returns bytes written."""
-    blob = pack_header(epoch, magic=SNAPSHOT_MAGIC) + pack_frame(state)
+    blob = pack_header(epoch, magic=SNAPSHOT_MAGIC, version=SNAPSHOT_FORMAT) + pack_frame(state)
     temporary = path + ".tmp"
     with open(temporary, "wb") as handle:
         handle.write(blob)
@@ -159,16 +170,16 @@ def write_snapshot(path: str, epoch: int, state: State) -> int:
 def read_snapshot(path: str) -> Optional[Tuple[int, State]]:
     """Load ``(epoch, state)``, or ``None`` when no snapshot exists.
 
-    A malformed snapshot raises :class:`WalCorruptionError`: snapshots are
-    written atomically, so unlike a torn WAL tail this is never an expected
-    crash artifact.
+    A malformed snapshot, or one of another format version, raises
+    :class:`WalCorruptionError`: snapshots are written atomically, so unlike
+    a torn WAL tail this is never an expected crash artifact.
     """
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except FileNotFoundError:
         return None
-    epoch = unpack_header(blob, magic=SNAPSHOT_MAGIC)
+    epoch = unpack_header(blob, magic=SNAPSHOT_MAGIC, version=SNAPSHOT_FORMAT, path=path)
     if epoch is None:
         raise WalCorruptionError(f"snapshot {path!r} has a malformed header")
     records, _valid_end = read_frames(blob, HEADER_SIZE)

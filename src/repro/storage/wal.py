@@ -51,20 +51,34 @@ Record = Dict[str, Any]
 
 
 class WalCorruptionError(ValueError):
-    """A WAL/snapshot header is malformed (not raised for torn tails)."""
+    """A WAL/snapshot file is malformed or of an unknown format version (not
+    raised for torn tails)."""
 
 
-def pack_header(epoch: int, magic: bytes = MAGIC) -> bytes:
-    return _HEADER.pack(magic, FORMAT_VERSION, epoch)
+def pack_header(epoch: int, magic: bytes = MAGIC, version: int = FORMAT_VERSION) -> bytes:
+    return _HEADER.pack(magic, version, epoch)
 
 
-def unpack_header(blob: bytes, magic: bytes = MAGIC) -> Optional[int]:
-    """The epoch of a valid header, or ``None`` when it is short/foreign."""
+def unpack_header(
+    blob: bytes, magic: bytes = MAGIC, version: int = FORMAT_VERSION, path: str = ""
+) -> Optional[int]:
+    """The epoch of a valid header, or ``None`` when it is short/foreign.
+
+    Only a short header or a foreign magic can be a crash artifact (a torn
+    creation).  Our magic with another format version is a file this build
+    cannot read: :class:`WalCorruptionError` naming both versions, never
+    ``None`` — the caller would otherwise recreate the file over it.
+    """
     if len(blob) < _HEADER.size:
         return None
-    found_magic, version, epoch = _HEADER.unpack_from(blob)
-    if found_magic != magic or version != FORMAT_VERSION:
+    found_magic, found_version, epoch = _HEADER.unpack_from(blob)
+    if found_magic != magic:
         return None
+    if found_version != version:
+        raise WalCorruptionError(
+            f"{path or magic.decode()} has format version {found_version}, "
+            f"expected {version}; refusing to read or overwrite it"
+        )
     return epoch
 
 
@@ -108,14 +122,15 @@ def read_wal(path: str) -> Tuple[Optional[int], List[Record], int]:
     """Read a WAL file: ``(epoch, records, valid_length)``.
 
     ``epoch`` is ``None`` when the file is missing or its header is torn (a
-    crash during creation) — the caller then treats the log as empty.
+    crash during creation) — the caller then treats the log as empty.  A log
+    of another format version raises :class:`WalCorruptionError`.
     """
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except FileNotFoundError:
         return None, [], 0
-    epoch = unpack_header(blob)
+    epoch = unpack_header(blob, path=path)
     if epoch is None:
         return None, [], 0
     records, valid_end = read_frames(blob, _HEADER.size)

@@ -41,6 +41,8 @@ from repro.relation.changelog import ChangeLogTruncatedError, Delta
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import Schema
 from repro.relation.tuple import TemporalTuple
+from repro.storage.wal import WalCorruptionError
+from repro.temporal.interval import Interval
 
 #: A downstream operator folded into fragment maintenance, in *serializable*
 #: form: ``("filter", where_expression, bound_columns)`` — an engine
@@ -51,6 +53,9 @@ from repro.relation.tuple import TemporalTuple
 DownstreamOp = Tuple[Any, ...]
 
 _REFRESH_COUNTER = obs_metrics.counter("view.refresh", label_name="outcome")
+
+#: The keys of an incremental view's persisted state (:meth:`_AdjustedView.export_state`).
+_ADJUSTED_STATE_KEYS = {"fragments", "base_cursor", "ref_cursor", "stats"}
 
 
 def _count_refresh(outcome: str) -> str:
@@ -389,16 +394,24 @@ class _AdjustedView:
     # -- durability support ---------------------------------------------------
 
     def export_state(self) -> Dict[str, Any]:
-        """The maintained state a snapshot persists: fragment store, lineage
-        (base tuples by rowid), change-log cursors and statistics.
+        """The maintained state a snapshot persists: per-rowid fragment
+        endpoints, change-log cursors and statistics.
+
+        ALIGN and NORMALIZE never change a tuple's nontemporal values, they
+        only split its interval — so a fragment is fully described by its
+        base rowid and two endpoints, ``(rowid, (s0, e0, s1, e1, …))``.  The
+        lineage (base tuples by rowid) is not persisted: it is the base
+        relation itself, which the snapshot already holds.
 
         Restoring this state (instead of recomputing) is what lets a view
         resume *incremental* maintenance after a restart: the cursors say
         exactly which change-log suffix is still unapplied.
         """
         return {
-            "left_items": list(self._left_items.items()),
-            "fragments": [(rowid, list(f)) for rowid, f in self._fragments.items()],
+            "fragments": [
+                (rowid, tuple(point for f in fragments for point in (f.start, f.end)))
+                for rowid, fragments in self._fragments.items()
+            ],
             "base_cursor": self._base_cursor,
             "ref_cursor": self._ref_cursor,
             "stats": dict(self.stats),
@@ -409,14 +422,49 @@ class _AdjustedView:
 
         Must run while the base/reference relations hold exactly the state
         the cursors refer to (i.e. after the snapshot restored the relations
-        and *before* the WAL suffix is replayed): the reference-side support
-        structure is rebuilt from the live relation and has to agree with
-        the cursor position, or delta folding would double-apply changes.
+        and *before* the WAL suffix is replayed).  Checkpoints refresh every
+        view before serializing, so the cursors must equal the relation
+        versions; a mismatch — or a state of another layout, or a fragment
+        whose rowid the base does not hold — is a bad snapshot and raises
+        :class:`~repro.storage.wal.WalCorruptionError` naming the view.
+        The lineage is the restored base relation (its tuple objects are
+        shared), and every fragment is that tuple over a persisted interval.
+        The lineage's order differs from a maintained one's and does not
+        matter: every consumer sorts by rowid or collects into a set.
         """
-        self._left_items = dict(state["left_items"])
-        self._fragments = {rowid: list(f) for rowid, f in state["fragments"]}
-        self._base_cursor = state["base_cursor"]
-        self._ref_cursor = state["ref_cursor"]
+        if set(state) != _ADJUSTED_STATE_KEYS:
+            raise WalCorruptionError(
+                f"snapshot state of view {self.name!r} has keys {sorted(state)}, "
+                f"expected {sorted(_ADJUSTED_STATE_KEYS)}"
+            )
+        cursors = (state["base_cursor"], state["ref_cursor"])
+        if cursors != (self.base.version, self.reference.version):
+            raise WalCorruptionError(
+                f"snapshot view {self.name!r} has cursors {cursors} but its relations "
+                f"are at versions {(self.base.version, self.reference.version)}"
+            )
+        left = dict(self.base.rows_with_ids())
+        fragments: Dict[int, List[TemporalTuple]] = {}
+        for rowid, points in state["fragments"]:
+            source = left.get(rowid)
+            if source is None:
+                raise WalCorruptionError(
+                    f"snapshot view {self.name!r} has fragments of rowid {rowid}, "
+                    "which its base relation does not hold"
+                )
+            if points == (source.start, source.end):
+                fragments[rowid] = [source]  # unsplit: the fragment *is* the tuple
+                continue
+            ends = iter(points)
+            fragments[rowid] = [source.with_interval(Interval(s, e)) for s, e in zip(ends, ends)]
+        if len(fragments) != len(left):
+            raise WalCorruptionError(
+                f"snapshot view {self.name!r} has fragments of {len(fragments)} rowids "
+                f"but its base relation holds {len(left)}"
+            )
+        self._left_items = left
+        self._fragments = fragments
+        self._base_cursor, self._ref_cursor = cursors
         self.stats = dict(state["stats"])
         self._rebuild_key_map()
         self._rebuild_reference_state()
