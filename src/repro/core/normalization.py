@@ -72,12 +72,12 @@ def normalize(
             relation, reference, attrs, attrs, kernels.normalize_pieces_from_intervals
         )
 
-    split_points = _split_points_by_key(reference, attrs)
+    points_by_key = split_points(reference, attrs)
 
     result = TemporalRelation(relation.schema)
     for r in relation:
         key = r.values_of(attrs) if attrs else ()
-        points = split_points.get(key, ())
+        points = points_by_key.get(key, ())
         for piece in _split_interval(r.interval, points):
             result.add(r.with_interval(piece))
     return result
@@ -151,10 +151,7 @@ def self_normalize(
     return normalize(relation, relation, attributes)
 
 
-# -- internals ----------------------------------------------------------------
-
-
-def _split_points_by_key(
+def split_points(
     reference: TemporalRelation, attributes: Tuple[str, ...]
 ) -> Dict[Hashable, List[int]]:
     """Sorted, de-duplicated start/end points of the reference, per B-key.
@@ -167,9 +164,11 @@ def _split_points_by_key(
     The result is cached on ``reference`` (see
     :meth:`~repro.relation.relation.TemporalRelation.derived`), so repeated
     normalizations against the same reference — the hot pattern of Fig. 14's
-    attribute sweep and of any shared dimension relation — collect and sort
-    the endpoints once instead of once per call.  Inserting into the
-    reference invalidates the cache.
+    attribute sweep, of any shared dimension relation and of a maintained
+    :class:`~repro.views.view.NormalizeView` — collect and sort the endpoints
+    once instead of once per call.  Mutating the reference invalidates the
+    cache.  The key of a tuple is ``values_of(attributes)`` (``()`` for
+    ``N_{}``).
     """
 
     def build() -> Dict[Hashable, List[int]]:
@@ -183,6 +182,9 @@ def _split_points_by_key(
         return {key: sorted(points) for key, points in collected.items()}
 
     return reference.derived(("split_points", attributes), build)
+
+
+# -- internals ----------------------------------------------------------------
 
 
 def _split_interval(interval: Interval, sorted_points: Sequence[int]) -> List[Interval]:

@@ -183,10 +183,12 @@ class Database:
         return mark_stale
 
     def get_table(self, name: str) -> Table:
+        """The table snapshot of ``name``.  A view has none: it is read only
+        through a query's ``ViewScan``, so its name raises a ``ViewError``."""
         if name in self.views:
-            # The last materialized snapshot: fine for column resolution and
-            # EXPLAIN; execution goes through ViewScan, which refreshes.
-            return self.views.get(name).peek_table()
+            from repro.views.catalog import ViewError
+
+            raise ViewError(f"{name!r} is a materialized view, not a table; read it with a query")
         if name in self._stale_tables:
             self._refresh_table(name)
         try:
@@ -195,6 +197,12 @@ class Database:
             raise SchemaError(
                 f"unknown table {name!r}; registered: {sorted(self.tables)}"
             ) from None
+
+    def columns_of(self, name: str) -> List[str]:
+        """Column names of a table, or of a view (its ``output_columns()``)."""
+        if name in self.views:
+            return self.views.get(name).output_columns()
+        return self.get_table(name).columns
 
     def _refresh_table(self, name: str) -> None:
         """Re-derive a table snapshot from its mutated backing relation."""

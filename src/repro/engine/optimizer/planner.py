@@ -84,10 +84,11 @@ class Planner:
     # -- leaves -----------------------------------------------------------------------
 
     def _plan_scan(self, node: logical.Scan) -> PhysicalNode:
-        # A scan of a materialized view becomes a ViewScan: the view refreshes
-        # itself at execution time instead of serving a possibly stale table.
-        view = self._catalog_view(node.table_name)
-        if view is not None:
+        # A scan of a materialized view is always a ViewScan, the one way a
+        # view is read: the view refreshes itself at execution time.
+        views = self.database.views
+        if node.table_name in views:
+            view = views.get(node.table_name)
             physical: PhysicalNode = ViewScanNode(view, columns=node.columns)
             return self._estimated(physical, cost.view_scan_cost(view.estimated_rows()))
         table = self.database.get_table(node.table_name)
@@ -333,15 +334,6 @@ class Planner:
 
     # -- materialized view substitution ------------------------------------------------------
 
-    def _catalog_view(self, name: str):
-        """The named materialized view, when substitution is enabled."""
-        if not self.settings.enable_viewscan:
-            return None
-        catalog = getattr(self.database, "views", None)
-        if catalog is None or name not in catalog:
-            return None
-        return catalog.get(name)
-
     def _view_substitute(
         self, node, kind: str
     ) -> Optional[PhysicalNode]:
@@ -357,8 +349,8 @@ class Planner:
         """
         if not self.settings.enable_viewscan:
             return None
-        catalog = getattr(self.database, "views", None)
-        if catalog is None or len(catalog) == 0:
+        catalog = self.database.views
+        if len(catalog) == 0:
             return None
         if not isinstance(node.left, logical.Scan) or not isinstance(node.right, logical.Scan):
             return None

@@ -34,7 +34,9 @@ class Settings:
     enable_columnar: bool = True
 
     #: Allow the planner to substitute matching materialized views
-    #: (``ViewScan`` nodes) for ALIGN/NORMALIZE subtrees and view-name scans.
+    #: (``ViewScan`` nodes) for ALIGN/NORMALIZE subtrees; off, those subtrees
+    #: plan the raw adjustment pipeline.  A scan of a view *name* is a
+    #: ``ViewScan`` either way.
     enable_viewscan: bool = True
 
     #: Per-statement execution timeout in milliseconds; 0 disables.  Enforced

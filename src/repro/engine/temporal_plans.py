@@ -36,9 +36,8 @@ from repro.relation.relation import TemporalRelation
 
 
 def scan(database: Database, table_name: str, alias: Optional[str] = None) -> logical.Scan:
-    """Logical scan of a registered table (column names come from the catalog)."""
-    table = database.get_table(table_name)
-    return logical.Scan(table_name, table.columns, alias)
+    """Logical scan of a registered table or view (columns from the catalog)."""
+    return logical.Scan(table_name, database.columns_of(table_name), alias)
 
 
 def align_plan(

@@ -536,10 +536,11 @@ class TemporalRelation:
         replace and fresh rowids are assigned in storage order — exactly the
         layout :meth:`_mutate` would have produced had the statement run
         in place — so commit-order WAL replay of a transactional batch
-        rebuilds the identical relation.  Deltas are interleaved per removed
-        tuple (``-`` then its ``+`` fragments) like every other mutation
-        path, and listeners fire once for the whole batch: a committed
-        transaction is a single change-log/WAL unit per relation.
+        rebuilds the identical relation.  The inserts' ``+`` deltas come
+        first; then, like every other mutation path, each removed tuple's
+        ``-`` followed by its ``+`` fragments.  Listeners fire once for the
+        whole batch: a committed transaction is a single change-log/WAL unit
+        per relation.
         """
         if not removals and not inserts:
             return []
@@ -591,6 +592,14 @@ class TemporalRelation:
 
         deltas: List[Delta] = []
         log = self._changelog
+        # Appended inserts are logged first: replay reads every ``+`` that
+        # follows a removal as one of its fragments.
+        for p in append_positions:
+            deltas.append(
+                log.append("+", new_rowids[p], new_tuples[p])
+                if log is not None
+                else Delta("+", new_rowids[p], new_tuples[p], 0)
+            )
         for rowid, t, positions in affected_rows:
             deltas.append(
                 log.append("-", rowid, t) if log is not None else Delta("-", rowid, t, 0)
@@ -601,12 +610,6 @@ class TemporalRelation:
                     if log is not None
                     else Delta("+", new_rowids[p], new_tuples[p], 0)
                 )
-        for p in append_positions:
-            deltas.append(
-                log.append("+", new_rowids[p], new_tuples[p])
-                if log is not None
-                else Delta("+", new_rowids[p], new_tuples[p], 0)
-            )
         self._after_mutation(deltas)
         return deltas
 

@@ -91,8 +91,8 @@ class Analyzer:
             if item.name in ctes:
                 child = ctes[item.name]
                 return self._aliased(child, item.alias or item.name)
-            table = self.database.get_table(item.name)
-            return logical.Scan(item.name, table.columns, alias=item.alias or item.name)
+            columns = self.database.columns_of(item.name)
+            return logical.Scan(item.name, columns, alias=item.alias or item.name)
 
         if isinstance(item, ast.SubqueryRef):
             child = self.analyze(item.query, ctes)

@@ -244,7 +244,9 @@ def _execute_create_view(database: Database, statement: ast.CreateViewStatement)
     else:
         kind = view.kind
     return _status(
-        f"CREATE MATERIALIZED VIEW ({kind})", statement.name, len(view.snapshot_table())
+        f"CREATE MATERIALIZED VIEW ({kind})",
+        statement.name,
+        sum(1 for _ in view.iter_rows()),
     )
 
 

@@ -5,21 +5,26 @@ ALIGN/NORMALIZE, so the expensive part of any repeated temporal query is the
 adjustment itself.  This package materializes adjusted results and keeps them
 consistent under the sequenced mutations of
 :class:`~repro.relation.relation.TemporalRelation` by propagating per-tuple
-deltas *through* the adjustment — the same per-tuple lineage that powers the
-change-preservation property (Def. 6/7) tells maintenance exactly which
-result fragments a base delta touches:
+deltas *through* the adjustment.  Both primitives only split a tuple's
+interval, so a view is its fragments per base rowid — the lineage of the
+change-preservation property (Def. 6/7) — and that fragment store is all the
+state it owns:
 
 * a deleted base tuple removes exactly its lineage-derived fragments;
-* an inserted base tuple is adjusted against only the overlap groups it
-  touches, probed via the reference's cached
-  :class:`~repro.temporal.interval_index.IntervalIndex`;
-* a reference-side delta re-adjusts only the base tuples whose groups it
-  enters or leaves.
+* an inserted base tuple is adjusted against the reference's cached
+  structures: its overlap group probed from the cached
+  :class:`~repro.temporal.interval_index.IntervalIndex` (ALIGN), or the
+  cached per-key split points core's ``normalize`` builds (NORMALIZE — no
+  endpoint multiset);
+* one rule covers a reference-side delta for both kinds: the base tuples
+  with its key and an overlapping interval are re-adjusted, in one pass over
+  the lineage, so a refresh after a reference mutation costs O(n + m log m).
 
 Past a staleness threshold decided by the optimizer's cost model
 (:func:`repro.engine.optimizer.cost.maintenance_strategy`) maintenance falls
-back to a full recompute.  The planner substitutes fresh views into matching
-query plans as ``ViewScan(name, fresh|maintained)`` nodes.
+back to a full recompute.  A view is read only through a
+``ViewScan(name, fresh|maintained)`` node, for a scan of its name and for
+matching query subtrees the planner substitutes.
 """
 
 from repro.views.catalog import ViewCatalog, ViewError

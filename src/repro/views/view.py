@@ -1,37 +1,41 @@
 """The materialized view classes and their maintenance algorithms.
 
-Two incremental view kinds cover the adjustment primitives:
+ALIGN and NORMALIZE only split a tuple's interval, so an incremental view is
+fully described by its fragments per base *rowid* — the lineage of Def. 6.
+That fragment store is the only state such a view owns, and a query reads it
+only through a ``ViewScan``:
 
-* :class:`AlignView` — ``base Φθ reference`` (Def. 11).  Fragments are kept
-  per base *rowid*; a base delta re-aligns one tuple against the overlap
-  group probed from the reference's interval index, a reference delta
-  re-aligns only the base tuples whose group gains or loses the changed
-  tuple (overlap ∧ θ — the same membership test as the group construction).
-* :class:`NormalizeView` — ``N_B(base; reference)`` (Def. 9).  The view owns
-  a per-key endpoint multiset; a reference delta changes split points only
-  for its ``B``-key, and only base tuples of that key whose interval strictly
-  contains a changed point are re-split.
+* :class:`AlignView` — ``base Φθ reference`` (Def. 11): a base tuple is
+  aligned against the group probed from the reference's cached interval
+  index;
+* :class:`NormalizeView` — ``N_B(base; reference)`` (Def. 9): a base tuple is
+  split at the reference's cached per-key split points, the ones core's
+  sweep :func:`~repro.core.normalization.normalize` splits at.
 
-Both run each refresh through the optimizer's
-:func:`~repro.engine.optimizer.cost.maintenance_strategy`: when the pending
-delta batch is large relative to the relation sizes, a full recompute is
-cheaper than delta chasing and the view rebuilds from scratch.
+A base delta re-fragments its own tuple.  One rule covers a reference delta
+for both kinds: every base tuple with the changed tuple's key and an
+overlapping interval is re-fragmented, in one pass over the lineage.  A
+refresh after a reference mutation therefore costs O(n + m log m): the pass,
+plus rebuilding the reference's cached structure, which the mutation dropped.
+Each refresh asks :func:`~repro.engine.optimizer.cost.maintenance_strategy`
+first: when the pending batch is large relative to the relations, the view
+recomputes from scratch instead.
 
 :class:`RecomputeView` is the fallback kind for arbitrary SELECTs (e.g.
 aggregation on top of adjustment): it stores the result table and re-executes
-its plan when a dependency's version moved — still a materialized view, just
-maintained by recomputation only.
+its plan when a dependency's version moved.
 
-Downstream operators (σ/π) are folded into the incremental kinds per
-fragment: a maintained fragment passes the filter predicates and projections
-before it reaches the result, so σ/π-on-top-of-adjustment views stay
-incremental too.
+Downstream operators (σ/π) are folded into the incremental kinds: each
+fragment passes the filter predicates and projections on its way out, so
+σ/π-on-top-of-adjustment views stay incremental too.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.normalization import split_points
 from repro.core.primitives import align_tuple
 from repro.core.sweep import ThetaPredicate
 from repro.engine.optimizer import cost
@@ -94,7 +98,8 @@ def compile_downstream(spec: Sequence[DownstreamOp]) -> List[Tuple[str, Any, str
 
 
 class _AdjustedView:
-    """Shared machinery of the two incremental view kinds."""
+    """Shared machinery of the two incremental view kinds: fragments and
+    lineage per base rowid, plus the two change-log cursors."""
 
     kind: str = "adjusted"
 
@@ -134,36 +139,21 @@ class _AdjustedView:
         self._fragments: Dict[int, List[TemporalTuple]] = {}
         self._base_cursor = -1  # forces the initial build through recompute
         self._ref_cursor = -1
-        self._result_cache: Optional[TemporalRelation] = None
-        self._table_cache: Optional[Table] = None
-        self._cache_key: Optional[Tuple[int, int]] = None
 
     # -- kind-specific hooks --------------------------------------------------
 
-    def _rebuild_reference_state(self) -> None:
+    def _fragmenter(self) -> Callable[[TemporalTuple], List[TemporalTuple]]:
+        """A function giving one base tuple's fragments against the current
+        reference (built once per refresh, over the reference's cache)."""
         raise NotImplementedError
 
-    def _warm_reference_state(self) -> None:
-        """Rebuild any lazily cached reference-side structure eagerly."""
-
-    def _apply_reference_delta(self, delta: Delta, affected: Set[int]) -> None:
-        """Fold one reference-side delta into the view state, collecting the
-        base rowids whose fragments must be recomputed."""
-        raise NotImplementedError
-
-    def _fragments_for(self, t: TemporalTuple) -> List[TemporalTuple]:
-        """Adjusted fragments of one base tuple against the current reference."""
-        raise NotImplementedError
-
-    def _left_key_attrs(self) -> Tuple[str, ...]:
-        """Base-side attributes the membership map is keyed by (may be empty)."""
+    def _key_attributes(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """Base- and reference-side attributes a group requires equal (may be empty)."""
         raise NotImplementedError
 
     # -- refresh protocol -----------------------------------------------------
 
     def _pull(self, relation: TemporalRelation, cursor: int) -> Optional[List[Delta]]:
-        """Deltas newer than ``cursor``, or ``None`` when the log was trimmed
-        past it (incremental catch-up impossible)."""
         if cursor < 0:
             return None
         try:
@@ -171,17 +161,24 @@ class _AdjustedView:
         except ChangeLogTruncatedError:
             return None
 
+    def _unapplied(self) -> Optional[Tuple[List[Delta], List[Delta], int]]:
+        """Unapplied ``(base deltas, reference deltas, count)``, or ``None``
+        when a change log was trimmed past its cursor (incremental catch-up
+        impossible).  A self-adjustment's deltas count once."""
+        base_deltas = self._pull(self.base, self._base_cursor)
+        if self.reference is self.base:
+            return None if base_deltas is None else (base_deltas, base_deltas, len(base_deltas))
+        ref_deltas = self._pull(self.reference, self._ref_cursor)
+        if base_deltas is None or ref_deltas is None:
+            return None
+        return base_deltas, ref_deltas, len(base_deltas) + len(ref_deltas)
+
     def pending(self) -> int:
         """Number of unapplied base/reference deltas (large when truncated)."""
-        base_deltas = self._pull(self.base, self._base_cursor)
-        if base_deltas is None:
+        unapplied = self._unapplied()
+        if unapplied is None:
             return len(self.base) + len(self.reference) + 1
-        if self.reference is self.base:
-            return len(base_deltas)
-        ref_deltas = self._pull(self.reference, self._ref_cursor)
-        if ref_deltas is None:
-            return len(self.base) + len(self.reference) + 1
-        return len(base_deltas) + len(ref_deltas)
+        return unapplied[2]
 
     def status(self) -> str:
         """``"fresh"`` with no pending deltas, ``"maintained"`` otherwise."""
@@ -194,104 +191,73 @@ class _AdjustedView:
         ``force`` skips the delta path and rebuilds unconditionally (the
         ``REFRESH MATERIALIZED VIEW`` escape hatch).
         """
-        if force:
-            self.recompute()
-            return _count_refresh("recomputed")
-        base_deltas = self._pull(self.base, self._base_cursor)
-        ref_deltas = (
-            base_deltas
-            if self.reference is self.base
-            else self._pull(self.reference, self._ref_cursor)
-        )
-        if base_deltas is None or ref_deltas is None:
-            self.recompute()
-            return _count_refresh("recomputed")
-        if not base_deltas and not ref_deltas:
-            return "fresh"
-
-        pending = len(base_deltas)
-        if self.reference is not self.base:
-            pending += len(ref_deltas)
-        strategy = cost.maintenance_strategy(pending, len(self.base), len(self.reference))
-        if strategy == "recompute":
-            self.recompute()
-            return _count_refresh("recomputed")
-
-        self._maintain(base_deltas, ref_deltas)
-        self.stats["incremental"] += 1
-        self.stats["deltas"] += pending
-        return _count_refresh("incremental")
+        unapplied = None if force else self._unapplied()
+        if unapplied is not None:
+            base_deltas, ref_deltas, pending = unapplied
+            if pending == 0:
+                return "fresh"
+            strategy = cost.maintenance_strategy(pending, len(self.base), len(self.reference))
+            if strategy == "incremental":
+                self._maintain(base_deltas, ref_deltas)
+                self.stats["incremental"] += 1
+                self.stats["deltas"] += pending
+                return _count_refresh("incremental")
+        self.recompute()
+        return _count_refresh("recomputed")
 
     def _maintain(self, base_deltas: List[Delta], ref_deltas: List[Delta]) -> None:
         affected: Set[int] = set()
-        # Reference side first: membership tests run against the pre-delta
-        # base items, which is sound because every collected rowid is
-        # recomputed against the *final* reference state below, deleted base
-        # rowids are discarded again, and inserted ones are marked anyway.
-        for delta in ref_deltas:
-            self._apply_reference_delta(delta, affected)
         for delta in base_deltas:
             if delta.sign == "-":
                 self._left_items.pop(delta.rowid, None)
                 self._fragments.pop(delta.rowid, None)
-                self._remove_from_key_map(delta.rowid, delta.tuple)
                 affected.discard(delta.rowid)
             else:
                 self._left_items[delta.rowid] = delta.tuple
-                self._add_to_key_map(delta.rowid, delta.tuple)
                 affected.add(delta.rowid)
-        for rowid in affected:
-            self._fragments[rowid] = self._fragments_for(self._left_items[rowid])
         if ref_deltas:
-            # Leave the view ready to serve: any rebuild of supporting index
-            # structures belongs to the mutation batch that invalidated them,
-            # not to the next (possibly single-delta) refresh.
-            self._warm_reference_state()
+            affected.update(self._touched_by(ref_deltas))
+        fragment = self._fragmenter()
+        for rowid in affected:
+            self._fragments[rowid] = fragment(self._left_items[rowid])
         self._advance_cursors()
-        self._invalidate_result()
+
+    def _touched_by(self, ref_deltas: List[Delta]) -> Set[int]:
+        """Base rowids whose tuple shares a key and overlaps a changed
+        reference tuple: one pass over the (post-delta) lineage.
+
+        A superset of ALIGN's group membership (overlap ∧ θ) and of
+        NORMALIZE's strict endpoint containment; re-fragmenting a tuple the
+        batch did not affect gives back the same fragments.
+        """
+        base_key, reference_key = self._key_attributes()
+        changed: Dict[Tuple[Any, ...], List[Interval]] = {}
+        for delta in ref_deltas:
+            interval = delta.tuple.interval
+            if not interval.is_empty():
+                changed.setdefault(delta.tuple.values_of(reference_key), []).append(interval)
+        if not changed:
+            return set()
+        return {
+            rowid
+            for rowid, x in self._left_items.items()
+            if any(
+                x.start < other.end and other.start < x.end
+                for other in changed.get(x.values_of(base_key), ())
+            )
+        }
 
     def recompute(self) -> None:
         """Rebuild the whole view from the current relation states."""
         self._left_items = dict(self.base.rows_with_ids())
-        self._rebuild_key_map()
-        self._rebuild_reference_state()
-        self._fragments = {
-            rowid: self._fragments_for(t) for rowid, t in self._left_items.items()
-        }
+        fragment = self._fragmenter()
+        self._fragments = {rowid: fragment(t) for rowid, t in self._left_items.items()}
         self._advance_cursors()
-        self._invalidate_result()
         self.stats["recomputed"] += 1
 
     def _advance_cursors(self) -> None:
         self._base_cursor = self.base.version
         self._ref_cursor = self.reference.version
-
-    # -- base-side key map ----------------------------------------------------
-
-    def _rebuild_key_map(self) -> None:
-        self._left_by_key: Dict[Tuple[Any, ...], Dict[int, TemporalTuple]] = {}
-        attrs = self._left_key_attrs()
-        if not attrs:
-            return
-        for rowid, t in self._left_items.items():
-            self._left_by_key.setdefault(t.values_of(attrs), {})[rowid] = t
-
-    def _add_to_key_map(self, rowid: int, t: TemporalTuple) -> None:
-        attrs = self._left_key_attrs()
-        if attrs:
-            self._left_by_key.setdefault(t.values_of(attrs), {})[rowid] = t
-
-    def _remove_from_key_map(self, rowid: int, t: TemporalTuple) -> None:
-        attrs = self._left_key_attrs()
-        if attrs:
-            bucket = self._left_by_key.get(t.values_of(attrs))
-            if bucket is not None:
-                bucket.pop(rowid, None)
-
-    def _base_candidates(self, key: Optional[Tuple[Any, ...]]) -> Dict[int, TemporalTuple]:
-        if key is None or not self._left_key_attrs():
-            return self._left_items
-        return self._left_by_key.get(key, {})
 
     # -- results --------------------------------------------------------------
 
@@ -310,72 +276,42 @@ class _AdjustedView:
             if op == "filter":
                 if not payload(t):
                     return None
-            elif op == "project":
+            else:
                 t = t.project(list(payload))
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown downstream view operator {op!r}")
         return t
 
     def estimated_rows(self) -> float:
         """Stored fragment count (pre-downstream) — the planner's row estimate."""
         return float(sum(len(f) for f in self._fragments.values()))
 
-    def result(self, refresh: bool = True) -> TemporalRelation:
-        """The maintained view contents as a relation (refreshes first).
+    def _output(self) -> Iterator[TemporalTuple]:
+        """The refreshed contents: every fragment past the downstream operators.
 
-        Fragments are emitted in base-rowid order, so the result is
-        byte-identical between an incrementally maintained view and a freshly
-        recomputed one — the equality ``tests/views/test_view_maintenance.py``
-        asserts.
-        """
-        if refresh:
-            self.refresh()
-        # Keyed by the *cursor* state: the materialization matches what has
-        # been applied, not what is pending in the change logs.
-        key = (self._base_cursor, self._ref_cursor)
-        if self._result_cache is not None and self._cache_key == key:
-            return self._result_cache
-        schema = self.output_schema()
-        relation = TemporalRelation(schema)
-        for rowid in sorted(self._fragments):
-            for fragment in self._fragments[rowid]:
-                out = self._apply_downstream(fragment)
-                if out is not None:
-                    relation.add(out)
-        self._result_cache = relation
-        self._table_cache = None
-        self._cache_key = key
-        return relation
-
-    def snapshot_table(self, refresh: bool = True) -> Table:
-        """The view contents as an engine table (``ts``/``te`` columns)."""
-        relation = self.result(refresh=refresh)
-        if self._table_cache is None:
-            self._table_cache = Table.from_relation(self.name, relation)
-        return self._table_cache
-
-    def peek_table(self) -> Table:
-        """The last materialized contents, *without* maintenance.
-
-        Used where only the shape (or the as-of-last-refresh contents) is
-        needed — e.g. column resolution during analysis and ``EXPLAIN``,
-        which must not silently refresh the view it is explaining.
-        """
-        return self.snapshot_table(refresh=False)
-
-    def iter_rows(self):
-        """Stream the (refreshed) contents as engine rows — the ViewScan path.
-
-        Serving pays only the per-row yield on top of the (O(delta))
-        maintenance: no intermediate relation or table copy is built.  Rows
-        come out in base-rowid order, identical to :meth:`snapshot_table`.
+        Fragments come out in base-rowid order, so an incrementally maintained
+        view and a freshly recomputed one emit the same sequence.
         """
         self.refresh()
         for rowid in sorted(self._fragments):
             for fragment in self._fragments[rowid]:
                 out = self._apply_downstream(fragment)
                 if out is not None:
-                    yield out.values + (out.start, out.end)
+                    yield out
+
+    def iter_rows(self) -> Iterator[Tuple[Any, ...]]:
+        """Stream the (refreshed) contents as engine rows — the ViewScan path.
+
+        A read pays only the per-row yield on top of the (O(delta))
+        maintenance: no intermediate relation or table copy is built.
+        """
+        for out in self._output():
+            yield out.values + (out.start, out.end)
+
+    def result(self) -> TemporalRelation:
+        """The (refreshed) contents as a new relation, in :meth:`iter_rows` order."""
+        relation = TemporalRelation(self.output_schema())
+        for out in self._output():
+            relation.add(out)
+        return relation
 
     def content_token(self):
         """Opaque token that changes whenever the view's contents may change.
@@ -385,11 +321,6 @@ class _AdjustedView:
         deltas already flip the token.
         """
         return (self.base.version, self.reference.version)
-
-    def _invalidate_result(self) -> None:
-        self._result_cache = None
-        self._table_cache = None
-        self._cache_key = None
 
     # -- durability support ---------------------------------------------------
 
@@ -427,10 +358,11 @@ class _AdjustedView:
         versions; a mismatch — or a state of another layout, or a fragment
         whose rowid the base does not hold — is a bad snapshot and raises
         :class:`~repro.storage.wal.WalCorruptionError` naming the view.
-        The lineage is the restored base relation (its tuple objects are
-        shared), and every fragment is that tuple over a persisted interval.
-        The lineage's order differs from a maintained one's and does not
-        matter: every consumer sorts by rowid or collects into a set.
+        Only fragments, lineage and cursors are installed: the lineage is
+        the restored base relation (its tuple objects are shared), and every
+        fragment is that tuple over a persisted interval.  The lineage's
+        order differs from a maintained one's and does not matter: every
+        consumer sorts by rowid or collects into a set.
         """
         if set(state) != _ADJUSTED_STATE_KEYS:
             raise WalCorruptionError(
@@ -466,9 +398,6 @@ class _AdjustedView:
         self._fragments = fragments
         self._base_cursor, self._ref_cursor = cursors
         self.stats = dict(state["stats"])
-        self._rebuild_key_map()
-        self._rebuild_reference_state()
-        self._invalidate_result()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r}, {self.status()})"
@@ -501,53 +430,33 @@ class AlignView(_AdjustedView):
         if build:  # recovery constructs unbuilt views and installs snapshot state
             self.recompute()
 
-    def _left_key_attrs(self) -> Tuple[str, ...]:
-        return self.equi_attributes
+    def _key_attributes(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        return self.equi_attributes, self.reference_equi_attributes
 
-    def _rebuild_reference_state(self) -> None:
-        # The reference's own cached interval index *is* the state; it is
-        # invalidated by the relation on mutation and rebuilt on first probe.
-        pass
-
-    def _warm_reference_state(self) -> None:
-        self.reference.interval_index(self.reference_equi_attributes)
-
-    def _group_of(self, t: TemporalTuple) -> List[TemporalTuple]:
-        """Overlap group of one base tuple, probed from the reference index."""
-        if t.interval.is_empty():
-            return []
+    def _fragmenter(self) -> Callable[[TemporalTuple], List[TemporalTuple]]:
         index = self.reference.interval_index(self.reference_equi_attributes)
-        if self.equi_attributes:
-            members = index.probe(t.values_of(self.equi_attributes), t.start, t.end)
-        else:
-            members = index.probe(t.start, t.end)
-        if self.theta is not None:
-            theta = self.theta
-            members = [s for s in members if theta(t, s)]
-        return members
-
-    def _fragments_for(self, t: TemporalTuple) -> List[TemporalTuple]:
-        group = self._group_of(t)
-        return [
-            t.with_interval(piece)
-            for piece in align_tuple(t.interval, [g.interval for g in group])
-        ]
-
-    def _apply_reference_delta(self, delta: Delta, affected: Set[int]) -> None:
-        y = delta.tuple
-        if y.interval.is_empty():
-            return
-        key = (
-            y.values_of(self.reference_equi_attributes) if self.equi_attributes else None
-        )
+        keys = self.equi_attributes
         theta = self.theta
-        for rowid, x in self._base_candidates(key).items():
-            if x.interval.overlaps(y.interval) and (theta is None or theta(x, y)):
-                affected.add(rowid)
+
+        def fragment(t: TemporalTuple) -> List[TemporalTuple]:
+            if t.interval.is_empty():
+                return []
+            if keys:
+                group = index.probe(t.values_of(keys), t.start, t.end)
+            else:
+                group = index.probe(t.start, t.end)
+            if theta is not None:
+                group = [s for s in group if theta(t, s)]
+            return [
+                t.with_interval(piece)
+                for piece in align_tuple(t.interval, [s.interval for s in group])
+            ]
+
+        return fragment
 
 
 class NormalizeView(_AdjustedView):
-    """Materialized ``N_B(base; reference)`` with a per-key endpoint multiset."""
+    """Materialized ``N_B(base; reference)`` split at the reference's cached points."""
 
     kind = "normalize"
 
@@ -565,63 +474,26 @@ class NormalizeView(_AdjustedView):
         if build:
             self.recompute()
 
-    def _left_key_attrs(self) -> Tuple[str, ...]:
-        return self.attributes
+    def _key_attributes(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        return self.attributes, self.attributes
 
-    def _rebuild_reference_state(self) -> None:
-        # Endpoint multiset per B-key: the count tracks how many reference
-        # tuples contribute each point, so deleting one of two tuples sharing
-        # an endpoint does not drop the split point.
-        self._endpoints: Dict[Tuple[Any, ...], Dict[int, int]] = {}
-        self._sorted_points: Dict[Tuple[Any, ...], List[int]] = {}
-        for s in self.reference:
-            if s.interval.is_empty():
-                continue
-            key = s.values_of(self.attributes) if self.attributes else ()
-            counts = self._endpoints.setdefault(key, {})
-            for point in (s.start, s.end):
-                counts[point] = counts.get(point, 0) + 1
+    def _fragmenter(self) -> Callable[[TemporalTuple], List[TemporalTuple]]:
+        # The same sorted, de-duplicated per-key endpoints core's sweep
+        # ``normalize`` splits at, cached on the reference.
+        points_by_key = split_points(self.reference, self.attributes)
+        attrs = self.attributes
 
-    def _points_for(self, key: Tuple[Any, ...]) -> List[int]:
-        points = self._sorted_points.get(key)
-        if points is None:
-            points = sorted(self._endpoints.get(key, ()))
-            self._sorted_points[key] = points
-        return points
+        def fragment(t: TemporalTuple) -> List[TemporalTuple]:
+            if t.interval.is_empty():
+                return []
+            points = points_by_key.get(t.values_of(attrs), ())
+            interior = points[bisect_right(points, t.start):bisect_left(points, t.end)]
+            if not interior:
+                return [t]
+            bounds = [t.start, *interior, t.end]
+            return [t.with_interval(Interval(a, b)) for a, b in zip(bounds, bounds[1:])]
 
-    def _fragments_for(self, t: TemporalTuple) -> List[TemporalTuple]:
-        key = t.values_of(self.attributes) if self.attributes else ()
-        return [
-            t.with_interval(piece)
-            for piece in t.interval.split_at(self._points_for(key))
-        ]
-
-    def _apply_reference_delta(self, delta: Delta, affected: Set[int]) -> None:
-        s = delta.tuple
-        if s.interval.is_empty():
-            return
-        key = s.values_of(self.attributes) if self.attributes else ()
-        counts = self._endpoints.setdefault(key, {})
-        changed: List[int] = []
-        for point in (s.interval.start, s.interval.end):
-            count = counts.get(point, 0)
-            if delta.sign == "+":
-                counts[point] = count + 1
-                if count == 0:
-                    changed.append(point)
-            else:
-                if count <= 1:
-                    counts.pop(point, None)
-                    changed.append(point)
-                else:
-                    counts[point] = count - 1
-        if not changed:
-            return
-        self._sorted_points.pop(key, None)
-        key_lookup = key if self.attributes else None
-        for rowid, x in self._base_candidates(key_lookup).items():
-            if any(x.start < point < x.end for point in changed):
-                affected.add(rowid)
+        return fragment
 
 
 class RecomputeView:
@@ -632,7 +504,7 @@ class RecomputeView:
     stored and rebuilt whenever a tracked dependency's version moved.  The
     optimizer's maintenance-strategy choice is trivial here — recompute is
     the only strategy — but the freshness protocol (``pending``/``status``/
-    ``refresh``/``snapshot_table``) matches the incremental kinds, so the
+    ``refresh``/``iter_rows``) matches the incremental kinds, so the
     planner and executor treat all view kinds uniformly.
     """
 
@@ -716,19 +588,11 @@ class RecomputeView:
         self.stats["recomputed"] += 1
         return _count_refresh("recomputed")
 
-    def snapshot_table(self) -> Table:
+    def iter_rows(self) -> Iterator[Tuple[Any, ...]]:
+        """Stream the (refreshed) contents — the ViewScan path."""
         self.refresh()
         assert self._table is not None
-        return self._table
-
-    def peek_table(self) -> Table:
-        """Last materialized contents without re-executing the plan."""
-        assert self._table is not None  # built eagerly at creation
-        return self._table
-
-    def iter_rows(self):
-        """Stream the (refreshed) contents — the ViewScan path."""
-        return iter(self.snapshot_table().rows)
+        return iter(self._table.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RecomputeView({self.name!r}, {self.status()})"

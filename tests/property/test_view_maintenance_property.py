@@ -2,13 +2,19 @@
 
 Hypothesis drives random sequences of sequenced mutations (insert, delete,
 update — period-restricted and whole-tuple) against both relations of each
-synthetic family and asserts, mid-stream and at the end, that the
-incrementally maintained ALIGN and NORMALIZE views equal a from-scratch
-adjustment of the mutated relations.  This is the strongest form of the
-maintained ≡ recomputed gate: not one mutation stream, but any.
+synthetic family and asserts, mid-stream and at the end, that every
+maintained view shape — keyed and unkeyed ALIGN, keyed and unkeyed
+NORMALIZE, self-NORMALIZE — equals a from-scratch adjustment of the mutated
+relations, both as a relation (``result()``) and as the bag of rows
+``SELECT * FROM v`` reads through ``ViewScan``.  The cost model is pinned to
+incremental maintenance, so every refresh exercises the delta rules rather
+than a recompute.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +25,7 @@ from repro.core.alignment import align_relation
 from repro.core.normalization import normalize
 from repro.engine.database import Database
 from repro.engine.expressions import Column, Comparison
+from repro.engine.optimizer import cost
 from repro.workloads.synthetic import (
     SyntheticConfig,
     generate_disjoint,
@@ -27,7 +34,7 @@ from repro.workloads.synthetic import (
 )
 
 SETTINGS = settings(
-    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 CONFIG = SyntheticConfig(size=18, categories=3, interval_length=10, time_span=80, seed=11)
@@ -82,42 +89,56 @@ def apply_mutation(database: Database, op) -> None:
         )
 
 
-def scratch(database: Database, kind: str):
-    left = database.relations["l"]
-    right = database.relations["r"]
-    if kind == "align":
-        return align_relation(left, right, equi_attributes=["cat"], strategy="sweep")
-    return normalize(left, right, ["cat"])
+CAT = Comparison("=", Column("l.cat"), Column("r.cat"))
+
+#: View shape -> (create the view ``v``, compute its contents from scratch).
+SHAPES = {
+    "align": (
+        lambda db: db.views.create_align_view("v", "l", "r", condition=CAT),
+        lambda left, right: align_relation(
+            left, right, equi_attributes=["cat"], strategy="sweep"
+        ),
+    ),
+    "align_unkeyed": (
+        lambda db: db.views.create_align_view("v", "l", "r"),
+        lambda left, right: align_relation(left, right, strategy="sweep"),
+    ),
+    "normalize": (
+        lambda db: db.views.create_normalize_view("v", "l", "r", attributes=["cat"]),
+        lambda left, right: normalize(left, right, ["cat"], strategy="sweep"),
+    ),
+    "normalize_unkeyed": (
+        lambda db: db.views.create_normalize_view("v", "l", "r"),
+        lambda left, right: normalize(left, right, strategy="sweep"),
+    ),
+    "self_normalize": (
+        lambda db: db.views.create_normalize_view("v", "l", "l", attributes=["cat"]),
+        lambda left, right: normalize(left, left, ["cat"], strategy="sweep"),
+    ),
+}
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES), ids=sorted(FAMILIES))
-class TestMaintainedViewsEqualRecompute:
-    @SETTINGS
-    @given(ops=st.lists(mutations(), min_size=1, max_size=8))
-    def test_align_view_under_random_mutation_stream(self, family, ops):
-        left, right = FAMILIES[family](config=CONFIG)
-        database = Database()
-        database.register_relation("l", left)
-        database.register_relation("r", right)
-        view = database.views.create_align_view(
-            "v", "l", "r", condition=Comparison("=", Column("l.cat"), Column("r.cat"))
-        )
+def assert_view_equals_scratch(database: Database, view, shape: str) -> None:
+    expected = SHAPES[shape][1](database.relations["l"], database.relations["r"])
+    assert view.result() == expected
+    rows = database.query("SELECT * FROM v").rows
+    assert Counter(rows) == Counter(t.values + (t.start, t.end) for t in expected)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@SETTINGS
+@given(ops=st.lists(mutations(), min_size=1, max_size=8))
+def test_maintained_view_under_random_mutation_stream(family, shape, ops):
+    left, right = FAMILIES[family](config=CONFIG)
+    database = Database()
+    database.register_relation("l", left)
+    database.register_relation("r", right)
+    view = SHAPES[shape][0](database)
+    with mock.patch.object(cost, "maintenance_strategy", lambda *_sizes: "incremental"):
         for index, op in enumerate(ops):
             apply_mutation(database, op)
             if index % 3 == 2:  # also observe mid-stream states
-                assert view.result() == scratch(database, "align")
-        assert view.result() == scratch(database, "align")
-
-    @SETTINGS
-    @given(ops=st.lists(mutations(), min_size=1, max_size=8))
-    def test_normalize_view_under_random_mutation_stream(self, family, ops):
-        left, right = FAMILIES[family](config=CONFIG)
-        database = Database()
-        database.register_relation("l", left)
-        database.register_relation("r", right)
-        view = database.views.create_normalize_view("v", "l", "r", attributes=["cat"])
-        for index, op in enumerate(ops):
-            apply_mutation(database, op)
-            if index % 3 == 2:
-                assert view.result() == scratch(database, "normalize")
-        assert view.result() == scratch(database, "normalize")
+                assert_view_equals_scratch(database, view, shape)
+        assert_view_equals_scratch(database, view, shape)
+    assert view.stats["recomputed"] == 1  # the initial build only

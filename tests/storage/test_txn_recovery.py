@@ -9,6 +9,7 @@ and recovery replays exactly the committed prefix.
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 
@@ -125,6 +126,30 @@ class TestCrashRecovery:
         final = _open(db_path)
         assert {t[0][0] for t in final.get_relation("r").as_set()} == {"a", "b"}
         final.close()
+
+    def test_replace_and_insert_transaction_recovers_the_physical_order(
+        self, db_path, tmp_path
+    ):
+        database = _open(db_path)
+        for i in range(4):
+            database.session().execute(
+                f"INSERT INTO r (k, v) VALUES ('k{i}', {i}) VALID PERIOD [0, 10)"
+            )
+        database.checkpoint()
+        session = database.session()
+        session.execute("BEGIN")
+        session.execute("UPDATE r SET v = 100 WHERE r.k = 'k1' FOR PERIOD [2, 5)")
+        session.execute("INSERT INTO r (k, v) VALUES ('k9', 9) VALID PERIOD [0, 3)")
+        session.execute("COMMIT")
+        live = database.get_relation("r").rows_with_ids()
+        assert [rowid for rowid, _ in live] == [0, 4, 5, 6, 2, 3, 7]
+
+        copy = str(tmp_path / "copy")
+        shutil.copytree(db_path, copy)  # a crash image: the original stays open
+        recovered = Database.open(copy)
+        assert recovered.get_relation("r").rows_with_ids() == live
+        recovered.close()
+        database.close()
 
     def test_checkpoint_inside_a_transaction_scope_is_rejected(self, db_path):
         # CHECKPOINT is already rejected at the session layer; this pins the

@@ -214,6 +214,33 @@ class TestPlannerSubstitution:
         assert "ViewScan" not in disabled
         assert "Adjustment(align)" in disabled
 
+    def test_view_name_reads_current_rows_with_viewscan_disabled(self):
+        database = Database()
+        for name, interval in (("r", Interval(0, 10)), ("s", Interval(3, 5))):
+            database.register_relation(
+                name, TemporalRelation.from_rows(Schema(["k"]), [(("a",), interval)])
+            )
+        database.query(
+            "CREATE MATERIALIZED VIEW v AS SELECT * FROM (r ALIGN s ON r.k = s.k) x"
+        )
+        disabled = Settings(enable_viewscan=False)
+        assert len(database.query("SELECT * FROM v", settings=disabled)) == 3
+        database.query("INSERT INTO r (k) VALUES ('b') VALID PERIOD [0, 4)")
+        assert len(database.query("SELECT * FROM v", settings=disabled)) == 4
+        database.query("INSERT INTO r (k) VALUES ('c') VALID PERIOD [0, 4)")
+        assert len(database.query("SELECT * FROM v", settings=disabled)) == 5
+        assert "ViewScan(v" in database.plan(
+            Connection(database).logical_plan("SELECT * FROM v"), disabled
+        ).explain()
+
+    def test_a_view_has_no_table(self, database):
+        database.views.create_align_view("v", "l", "r", condition=equi_cat())
+        with pytest.raises(ViewError, match="'v' is a materialized view"):
+            database.get_table("v")
+        with pytest.raises(ViewError, match="'v' is a materialized view"):
+            database.table_statistics("v")
+        assert scan(database, "v").columns == ["cat", "min_dur", "max_dur", "ts", "te"]
+
     def test_different_condition_does_not_match(self, database):
         database.views.create_align_view("v", "l", "r", condition=equi_cat())
         other = Comparison("=", Column("l.min_dur"), Column("r.min_dur"))
