@@ -173,10 +173,11 @@ def split_points(
 
     def build() -> Dict[Hashable, List[int]]:
         collected: Dict[Hashable, Set[int]] = defaultdict(set)
+        key_of = reference.schema.key_getter(attributes)
         for s in reference:
             if s.interval.is_empty():
                 continue
-            key = s.values_of(attributes) if attributes else ()
+            key = key_of(s.values)
             collected[key].add(s.start)
             collected[key].add(s.end)
         return {key: sorted(points) for key, points in collected.items()}

@@ -15,8 +15,10 @@ Python:
   ``ExecAdjustment`` plane sweep of Fig. 10 used by both ``ALIGN`` and
   ``NORMALIZE``;
 * :mod:`~repro.engine.optimizer` — statistics, cost model (with the paper's
-  Sec. 6.2/6.3 estimates for the temporal nodes) and the planner with
-  ``enable_nestloop`` / ``enable_hashjoin`` / ``enable_mergejoin`` switches;
+  Sec. 6.2/6.3 estimates for the temporal nodes) and the planner with the
+  ``enable_nestloop`` / ``enable_hashjoin`` / ``enable_mergejoin`` switches
+  of Fig. 13 and ``enable_columnar`` (the kernels or the Fig. 12(b) row
+  plan);
 * :mod:`~repro.engine.database` — catalog and ``execute`` entry points;
 * :mod:`~repro.engine.temporal_plans` — builders that assemble the reduction
   rules of Table 2 as engine plans (what the SQL analyzer emits).

@@ -17,7 +17,6 @@ from repro.engine.executor.filter import FilterNode
 from repro.engine.executor.project import ProjectNode
 from repro.engine.executor.sort import SortNode
 from repro.engine.executor.joins import HashJoinNode, MergeJoinNode, NestedLoopJoinNode
-from repro.engine.executor.interval_join import IntervalJoinNode
 from repro.engine.executor.instrument import CountingNode
 from repro.engine.executor.aggregate import HashAggregateNode
 from repro.engine.executor.setops import DistinctNode, SetOpNode
@@ -42,7 +41,6 @@ __all__ = [
     "NestedLoopJoinNode",
     "HashJoinNode",
     "MergeJoinNode",
-    "IntervalJoinNode",
     "CountingNode",
     "HashAggregateNode",
     "DistinctNode",

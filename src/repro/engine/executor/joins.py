@@ -62,7 +62,6 @@ class _JoinBase(PhysicalNode):
             columns = list(left.columns) + list(right.columns)
         super().__init__(columns, [left, right])
         combined = list(left.columns) + list(right.columns)
-        self._combined_width = len(combined)
         self._right_width = len(right.columns)
         self._left_width = len(left.columns)
         self._bound_condition = condition.bind(combined) if condition is not None else None

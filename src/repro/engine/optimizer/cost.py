@@ -133,40 +133,6 @@ def overlap_join_rows(
     return max(1.0, rows)
 
 
-def interval_probe_join_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
-    """Indexed overlap probe: sort/index the inner side once, probe per outer row.
-
-    ``O(m log m)`` build plus ``O(log m)`` per outer row plus the output —
-    the indexed-nested-loop analogue for the overlap predicate.
-    """
-    m = max(2.0, right.rows)
-    n = max(1.0, left.rows)
-    log_m = math.log2(m)
-    return Estimate(
-        rows=rows,
-        cost=left.cost
-        + right.cost
-        + CPU_OPERATOR_COST * (m * log_m + n * log_m)
-        + CPU_TUPLE_COST * rows,
-    )
-
-
-def interval_sweep_join_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
-    """Event-based plane sweep over both inputs: sort both, sweep once.
-
-    ``O((n+m) log(n+m) + output)`` — the sort-merge analogue for the overlap
-    predicate (what :mod:`repro.core.sweep` implements natively).
-    """
-    total = max(2.0, left.rows + right.rows)
-    return Estimate(
-        rows=rows,
-        cost=left.cost
-        + right.cost
-        + CPU_OPERATOR_COST * total * math.log2(total)
-        + CPU_TUPLE_COST * rows,
-    )
-
-
 def aggregate_cost(child: Estimate, groups_hint: float = 0.1) -> Estimate:
     rows = max(1.0, child.rows * groups_hint)
     return Estimate(rows=rows, cost=child.cost + CPU_OPERATOR_COST * child.rows)

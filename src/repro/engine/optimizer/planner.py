@@ -31,7 +31,6 @@ from repro.engine.executor import (
     FilterNode,
     HashAggregateNode,
     HashJoinNode,
-    IntervalJoinNode,
     LimitNode,
     MergeJoinNode,
     NestedLoopJoinNode,
@@ -180,10 +179,9 @@ class Planner:
         right_ts = left_width + resolve_column(node.right_start, right_columns)
         right_te = left_width + resolve_column(node.right_end, right_columns)
 
-        # Group construction: left outer join on θ ∧ overlap (Fig. 8).  The
-        # overlap shape admits the interval strategies (indexed probe, plane
-        # sweep) in addition to the generic ones; the choice is costed like
-        # any other join and shows up in EXPLAIN.
+        # Group construction: left outer join on θ ∧ overlap (Fig. 8),
+        # planned like any other join (Fig. 13) — only its row estimate knows
+        # the overlap shape.
         overlap = And(
             Comparison("<", IndexColumn(left_ts), IndexColumn(right_te)),
             Comparison("<", IndexColumn(right_ts), IndexColumn(left_te)),
@@ -200,7 +198,10 @@ class Planner:
             self._scan_interval_statistics(node.left, node.left_start, node.left_end),
             self._scan_interval_statistics(node.right, node.right_start, node.right_end),
         )
-        join = self._choose_join(left, right, "left", condition, keys, bounds, selectivity)
+        rows = cost.overlap_join_rows(
+            self._estimate(left), self._estimate(right), "left", selectivity
+        )
+        join = self._choose_join(left, right, "left", condition, keys, rows)
 
         # Project to the r tuple plus the intersection bounds P1/P2.
         expressions: List[Tuple[Expression, str]] = [
@@ -347,8 +348,6 @@ class Planner:
         a table under an old name orphans views built over the former
         relation, and those must not serve the query.
         """
-        if not self.settings.enable_viewscan:
-            return None
         catalog = self.database.views
         if len(catalog) == 0:
             return None
@@ -418,34 +417,20 @@ class Planner:
         kind: str,
         condition: Optional[Expression],
         keys: Sequence[Tuple[int, int]],
-        bounds: Optional[Tuple[int, int, int, int]] = None,
-        selectivity: Optional[float] = None,
+        rows: Optional[float] = None,
     ) -> PhysicalNode:
         """Plan a join with the cheapest enabled strategy.
 
-        ``bounds`` marks the overlap-shaped group-construction join of
-        ``ALIGN``: its rows come from the overlap selectivity, and it admits
-        the two interval strategies that exploit the overlap predicate
-        itself — the indexed probe (build an interval index over the
-        reference side, probe per argument row — streams the outer input) and
-        the event plane sweep (sort both sides once).  The chosen operator is
-        visible in ``EXPLAIN`` output, mirroring how the paper's Fig. 13
-        experiment reads the strategy off the PostgreSQL plan.
+        ``rows`` overrides the generic output estimate (``ALIGN``'s
+        group-construction join passes the overlap estimate).  The chosen
+        operator is visible in ``EXPLAIN`` output, mirroring how the paper's
+        Fig. 13 experiment reads the strategy off the PostgreSQL plan.
         """
         settings = self.settings
         left_estimate, right_estimate = self._estimate(left), self._estimate(right)
-        candidates: List[Tuple[Estimate, str]] = []
-        if bounds is not None:
-            rows = cost.overlap_join_rows(left_estimate, right_estimate, kind, selectivity)
-            if settings.enable_intervaljoin:
-                candidates.append(
-                    (cost.interval_probe_join_cost(left_estimate, right_estimate, rows), "probe")
-                )
-                candidates.append(
-                    (cost.interval_sweep_join_cost(left_estimate, right_estimate, rows), "sweep")
-                )
-        else:
+        if rows is None:
             rows = cost.join_output_rows(left_estimate, right_estimate, bool(keys), kind)
+        candidates: List[Tuple[Estimate, str]] = []
         if keys and settings.enable_hashjoin:
             candidates.append((cost.hash_join_cost(left_estimate, right_estimate, rows), "hash"))
         if keys and settings.enable_mergejoin:
@@ -455,12 +440,8 @@ class Planner:
         estimate, strategy = min(candidates, key=lambda item: item[0].cost)
         # The full condition is evaluated as a residual predicate by every
         # strategy, so correctness never depends on the choice.
-        if strategy in ("probe", "sweep"):
-            physical: PhysicalNode = IntervalJoinNode(
-                left, right, kind, condition, bounds, strategy=strategy
-            )
-        elif strategy == "hash":
-            physical = HashJoinNode(left, right, kind, condition, list(keys))
+        if strategy == "hash":
+            physical: PhysicalNode = HashJoinNode(left, right, kind, condition, list(keys))
         elif strategy == "merge":
             physical = MergeJoinNode(left, right, kind, condition, list(keys))
         else:

@@ -8,12 +8,17 @@ other join.  The same switches exist here and are honoured by the planner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass
 class Settings:
-    """Optimizer switches; the cost constants live in :mod:`repro.engine.optimizer.cost`."""
+    """Optimizer switches; the cost constants live in :mod:`repro.engine.optimizer.cost`.
+
+    The three join switches span the space of Fig. 13 for every join, the
+    group-construction join of the ALIGN/NORMALIZE reference plan included;
+    ``enable_columnar`` picks between that plan and the kernels.
+    """
 
     #: Allow nested-loop joins (always used as a fallback when nothing else fits).
     enable_nestloop: bool = True
@@ -21,10 +26,6 @@ class Settings:
     enable_hashjoin: bool = True
     #: Allow sort-merge joins for equality conditions.
     enable_mergejoin: bool = True
-    #: Allow the interval strategies (indexed probe, plane sweep) for the
-    #: overlap-shaped group-construction join of ``ALIGN`` (Sec. 6.1's custom
-    #: join path; off reproduces a stock engine without interval support).
-    enable_intervaljoin: bool = True
 
     #: Plan every ALIGN/NORMALIZE as one ``ColumnarAdjustment`` node, at any
     #: input size and for any θ — what its key equalities leave over filters
@@ -32,12 +33,6 @@ class Settings:
     #: runs the pure-Python kernels.  Off plans the Fig. 12(b) row pipeline
     #: (join → project → sort → sweep), the paper's reference plan.
     enable_columnar: bool = True
-
-    #: Allow the planner to substitute matching materialized views
-    #: (``ViewScan`` nodes) for ALIGN/NORMALIZE subtrees; off, those subtrees
-    #: plan the raw adjustment pipeline.  A scan of a view *name* is a
-    #: ``ViewScan`` either way.
-    enable_viewscan: bool = True
 
     #: Per-statement execution timeout in milliseconds; 0 disables.  Enforced
     #: cooperatively: the executor checks a thread-local deadline every few
@@ -52,7 +47,8 @@ class Settings:
 
     def describe(self) -> str:
         """One-line summary of the plan switches (used in benchmark output)."""
-        parts = []
-        for name in ("nestloop", "hashjoin", "mergejoin", "intervaljoin", "columnar"):
-            parts.append(f"{name}={'on' if getattr(self, 'enable_' + name) else 'off'}")
-        return ", ".join(parts)
+        return ", ".join(
+            f"{field.name[len('enable_'):]}={'on' if getattr(self, field.name) else 'off'}"
+            for field in fields(self)
+            if field.name.startswith("enable_")
+        )

@@ -286,7 +286,7 @@ class TemporalRelation:
         return relation
 
     def replay_deltas(
-        self, batches: Sequence[Sequence[Tuple[str, int, TemporalTuple, int]]]
+        self, batches: Sequence[Sequence[Tuple[str, int, Optional[TemporalTuple], int]]]
     ) -> int:
         """Re-apply a run of logged mutation batches during recovery.
 
@@ -295,7 +295,9 @@ class TemporalRelation:
         that replaced it, which lets replay rebuild the *exact* physical
         layout — fragments take the position of the tuple they replaced,
         plain inserts append — so a recovered relation is byte-identical to
-        the lost one, including iteration order.
+        the lost one, including iteration order.  A removal's tuple is
+        ignored (it may be ``None``): its change-log delta carries the live
+        tuple it removes, so recovery builds no copy of it.
 
         The run costs one pass over the relation plus one over the records,
         however many batches it holds.  Every removal is validated against
@@ -317,12 +319,14 @@ class TemporalRelation:
             raise SchemaError("replay requires change tracking on the relation")
         assert self._changelog is not None
         version = self._changelog.version
-        applied: List[Sequence[Tuple[str, int, TemporalTuple, int]]] = []
-        live = set(self._rowids)
+        applied: List[Sequence[Tuple[str, int, Optional[TemporalTuple], int]]] = []
+        live: Dict[int, TemporalTuple] = dict(zip(self._rowids, self._tuples))
+        #: Removed rowid -> the live tuple it held (rowids are never reused).
+        removed: Dict[int, TemporalTuple] = {}
         for batch in batches:
             if not batch or batch[-1][3] <= version:
                 continue
-            for sign, rowid, _tuple, record_version in batch:
+            for sign, rowid, tuple_, record_version in batch:
                 if record_version != version + 1:
                     raise SchemaError(
                         f"replayed version {record_version} does not follow log "
@@ -331,9 +335,9 @@ class TemporalRelation:
                     )
                 version = record_version
                 if sign == "+":
-                    live.add(rowid)
+                    live[rowid] = tuple_  # an insertion always carries its tuple
                 elif rowid in live:
-                    live.remove(rowid)
+                    removed[rowid] = live.pop(rowid)
                 else:
                     raise SchemaError(
                         f"replayed batch removes unknown rowid {rowid}; the log "
@@ -353,6 +357,7 @@ class TemporalRelation:
             for sign, rowid, tuple_, record_version in batch:
                 if sign == "-":
                     current = replaced[rowid] = []
+                    tuple_ = removed[rowid]
                 else:
                     (appended if current is None else current).append((rowid, tuple_))
                     if rowid >= self._next_rowid:
@@ -691,8 +696,9 @@ class TemporalRelation:
 
         ``builder`` is called at most once per ``key`` until the relation is
         mutated, at which point every cached entry is dropped.  Used for the
-        interval indexes and the normalization split points, so that relations
-        referenced by many adjustment calls pay the preprocessing cost once.
+        ALIGN view's interval index, the normalization split points and the
+        columnar frames, so that relations referenced by many adjustment
+        calls pay the preprocessing cost once.
         """
         try:
             value = self._derived_cache[key]
@@ -723,29 +729,6 @@ class TemporalRelation:
         observes).
         """
         return self._derived_cache.get(key)
-
-    def interval_index(self, attributes: Sequence[str] = ()):
-        """The (lazily built, cached) overlap index over this relation.
-
-        With ``attributes`` empty a plain
-        :class:`~repro.temporal.interval_index.IntervalIndex` over all
-        non-empty tuples is returned; otherwise a
-        :class:`~repro.temporal.interval_index.KeyedIntervalIndex` partitioned
-        by the values of ``attributes`` (the ``B`` key of normalization or the
-        equi part of an alignment θ).
-
-        The index is a snapshot of the current tuple set; inserting into the
-        relation invalidates it and the next call rebuilds.  A maintained
-        ALIGN view probes it once per changed base tuple, so the reference
-        is sorted once per mutation instead of once per probe.
-        """
-        from repro.temporal.interval_index import index_tuples
-
-        attrs = tuple(attributes)
-        key_function = (lambda t: t.values_of(attrs)) if attrs else None
-        return self.derived(
-            ("interval_index", attrs), lambda: index_tuples(self._tuples, key_function)
-        )
 
     # -- the paper's schema-level operators -----------------------------------
 

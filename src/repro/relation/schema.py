@@ -9,7 +9,8 @@ nontemporal attributes and remembers the name used to render the timestamp.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.relation.errors import SchemaError
 
@@ -116,6 +117,15 @@ class Schema:
     def indexes_of(self, names: Iterable[str]) -> List[int]:
         """Positions of several attributes (raises on any unknown name)."""
         return [self.index_of(n) for n in names]
+
+    def key_getter(self, names: Iterable[str]) -> Callable[[Tuple[Any, ...]], Tuple[Any, ...]]:
+        """``values -> TemporalTuple.values_of(names)`` with the positions
+        resolved once — for loops that key every tuple of a relation."""
+        positions = self.indexes_of(names)
+        if len(positions) == 1:
+            (position,) = positions
+            return lambda values: (values[position],)
+        return itemgetter(*positions) if positions else lambda values: ()
 
     def has_attributes(self, names: Iterable[str]) -> bool:
         """``True`` iff every name is a nontemporal attribute of the schema."""

@@ -62,17 +62,29 @@ from repro.relation.tuple import TemporalTuple
 from repro.temporal.interval import Interval
 
 from repro.storage import snapshot as snapshot_module
-from repro.storage.wal import Record, WalWriter, _fsync_directory, read_wal
+from repro.storage.wal import Record, WalCorruptionError, WalWriter, _fsync_directory, read_wal
 
 _CHECKPOINT_SECONDS = obs_metrics.histogram("storage.checkpoint_seconds")
 _RECOVERY_SECONDS = obs_metrics.histogram("storage.recovery_seconds")
 _WAL_APPLY_SECONDS = obs_metrics.histogram("storage.wal_apply_seconds")
 _POISONED_GAUGE = obs_metrics.gauge("storage.poisoned")
 
-#: One replayed mutation batch: ``(sign, rowid, tuple, version)`` records.
-Batch = List[Tuple[str, int, TemporalTuple, int]]
+#: One replayed mutation batch: ``(sign, rowid, tuple, version)`` records
+#: (``None`` for a removal's tuple).
+Batch = List[Tuple[str, int, Optional[TemporalTuple], int]]
 #: Mutation batches buffered during replay, per relation name.
 Runs = Dict[str, Tuple[TemporalRelation, List[Batch]]]
+
+#: The fields each logged record kind carries besides ``type``.
+RECORD_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "register": ("name", "relation"),
+    "mutate": ("name", "deltas"),
+    "txn_commit": ("txn", "records"),
+    "create_view": ("definition",),
+    "drop_view": ("name",),
+    "drop_table": ("name",),
+    "trim": ("name", "below"),
+}
 
 WAL_FILE = "wal.log"
 SNAPSHOT_FILE = "snapshot.bin"
@@ -81,6 +93,44 @@ LOCK_FILE = "LOCK"
 
 class StorageError(RuntimeError):
     """Recovery or logging failed in a way that must not be papered over."""
+
+
+def record_problem(record: object) -> Optional[str]:
+    """What keeps replay from applying ``record``, or ``None``.
+
+    A valid CRC only says a frame holds the bytes that were written; a
+    record of another shape must still be refused as corruption, not fail
+    as whatever ``TypeError`` or ``KeyError`` replay hits first.  A record
+    is a ``dict`` of a known ``type`` with that kind's
+    :data:`RECORD_FIELDS`; a ``mutate`` delta is a 6-tuple signed ``+`` or
+    ``-``; a ``txn_commit`` frame's records obey the same rules.
+    """
+    if not isinstance(record, dict):
+        return f"is a {type(record).__name__}, not a dict"
+    kind = record.get("type")
+    fields = RECORD_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        return f"has unknown type {kind!r}"
+    missing = [name for name in fields if name not in record]
+    if missing:
+        return f"is of type {kind!r} but lacks {missing}"
+    if kind == "mutate":
+        deltas = record["deltas"]
+        if not isinstance(deltas, list) or not all(
+            isinstance(d, tuple) and len(d) == 6 and d[0] in ("+", "-") for d in deltas
+        ):
+            return "has a delta that is not a (sign, rowid, values, ts, te, version) tuple"
+    elif kind == "txn_commit":
+        if not isinstance(record["records"], list):
+            return "has transaction records that are not a list"
+        problems = [p for p in map(record_problem, record["records"]) if p is not None]
+        if problems:
+            return f"holds a transaction record that {problems[0]}"
+    elif kind == "create_view" and not (
+        isinstance(record["definition"], dict) and "name" in record["definition"]
+    ):
+        return "has a view definition without a name"
+    return None
 
 
 class StorageEngine:
@@ -181,7 +231,8 @@ class StorageEngine:
         """Load the latest snapshot, replay the WAL suffix, open for append.
 
         Both files are read before anything is restored or rewritten, so a
-        file this build refuses (another format version, a bad snapshot)
+        file this build refuses (another format version, a bad snapshot, a
+        log record :func:`record_problem` finds wrong before it is applied)
         leaves the directory byte-identical.  The cyclic garbage collector
         is paused while the state is rebuilt: recovery allocates one large
         object graph and creates almost no cyclic garbage, so the
@@ -207,7 +258,13 @@ class StorageEngine:
                 records = []
             applying = perf_counter()
             runs: Runs = {}
-            for record in records:
+            for position, record in enumerate(records, 1):
+                problem = record_problem(record)
+                if problem is not None:
+                    raise WalCorruptionError(
+                        f"{self.wal_path}: record {position} of {len(records)} {problem}; "
+                        "refusing to replay the log"
+                    )
                 self._apply(record, runs)
                 self.stats["replayed_records"] += 1
             self._replay_runs(runs)
@@ -243,8 +300,10 @@ class StorageEngine:
                 runs[name] = (relation, [])
             relation, batches = runs[name]
             schema = relation.schema
+            # A removal replays with the live tuple it removes: no copy built.
             batches.append([
-                (sign, rowid, TemporalTuple(schema, tuple(values), Interval(ts, te)), version)
+                (sign, rowid, None if sign == "-" else
+                 TemporalTuple(schema, tuple(values), Interval(ts, te)), version)
                 for sign, rowid, values, ts, te, version in record["deltas"]
             ])
             return
@@ -274,8 +333,6 @@ class StorageEngine:
             relation = database.relations.get(record["name"])
             if relation is not None:
                 relation.trim_changelog(record["below"])
-        else:
-            raise StorageError(f"unknown WAL record type {kind!r}")
 
     def _replay_runs(self, runs: Runs) -> None:
         """Replay every relation's buffered mutation batches, one pass each."""

@@ -1,13 +1,12 @@
-"""A reusable overlap-query index over static interval collections.
+"""The overlap index a maintained ALIGN view probes.
 
-The group construction of both adjustment primitives (normalize ``N_B``,
-align ``Φθ``) is an interval overlap join (Sec. 5/6.1 of the paper).  The
-event-based plane sweep in :mod:`repro.core.sweep` is the right strategy when
-both inputs are seen once: it sorts both sides and pays ``O((n+m) log(n+m))``
-per call.  But a maintained ALIGN view re-aligns every changed base tuple
-against the *same* reference relation, and then re-sorting the reference on
-every probe is wasted work (the row plan's probe join builds one per
-execution for the same reason).
+The group construction of alignment ``Φθ`` is an interval overlap join
+(Sec. 5/6.1 of the paper).  The event-based plane sweep in
+:mod:`repro.core.sweep` is the right strategy when both inputs are seen
+once: it sorts both sides and pays ``O((n+m) log(n+m))`` per call.  But a
+maintained :class:`~repro.views.view.AlignView` re-aligns every changed base
+tuple against the *same* reference relation, and then re-sorting the
+reference on every probe is wasted work.
 
 :class:`IntervalIndex` is the amortised alternative: sort the reference side
 **once** into endpoint arrays plus a static centered interval tree, then
@@ -19,30 +18,21 @@ holds even in the adversarial case of one very long interval covering the
 whole axis (an open-ended "current" row in temporal data), which defeats
 simpler scan-with-cutoff schemes.
 
-:class:`KeyedIntervalIndex` adds the equality-key restriction used by
-normalization (``B`` attributes) and equi-θ alignment: one
-:class:`IntervalIndex` per key partition.
+:class:`KeyedIntervalIndex` adds the equality-key restriction of an equi-θ
+alignment: one :class:`IntervalIndex` per key partition (an unkeyed view
+uses the single key ``()``).
 
 Both classes are static snapshots: they do not observe later mutations of the
-indexed collection.  :class:`~repro.relation.relation.TemporalRelation`
-caches instances lazily and drops the cache on insertion, which gives the
-repeated-reference pattern its speedup without a coherence hazard.
+indexed collection.  The view caches its index on the reference relation
+(:meth:`~repro.relation.relation.TemporalRelation.derived`), which drops the
+cache on every mutation — the repeated-reference speedup without a
+coherence hazard.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 
 class _StabNode:
@@ -181,18 +171,13 @@ class IntervalIndex:
         result.extend(items[i] for i in range(lo, hi) if ends[i] > start)
         return result
 
-    def probe_interval(self, interval) -> List[Any]:
-        """Convenience wrapper: probe with an :class:`Interval`-like object."""
-        return self.probe(interval.start, interval.end)
-
 
 class KeyedIntervalIndex:
     """One :class:`IntervalIndex` per equality-key partition.
 
     This mirrors the hash-partition-then-sweep strategy of
     :func:`repro.core.sweep.overlap_groups`: candidates must agree on a key
-    (the ``B`` attributes of normalization, or the equi part of an alignment
-    θ) before the interval test applies.
+    (the equi part of an alignment θ) before the interval test applies.
 
     Args:
         entries: Iterable of ``(key, start, end, item)`` quadruples.
@@ -217,32 +202,3 @@ class KeyedIntervalIndex:
         if index is None:
             return []
         return index.probe(start, end)
-
-
-def index_tuples(
-    tuples: Sequence,
-    key: Optional[Callable[[Any], Hashable]] = None,
-):
-    """Build the right index flavour over temporal tuples.
-
-    Empty-interval tuples are skipped, matching the plane sweep in
-    :mod:`repro.core.sweep` (an empty interval overlaps nothing at relation
-    level).
-
-    Args:
-        tuples: :class:`~repro.relation.tuple.TemporalTuple` sequence.
-        key: Optional equality-key function; when given a
-            :class:`KeyedIntervalIndex` is built, otherwise a plain
-            :class:`IntervalIndex`.
-
-    Returns:
-        :class:`IntervalIndex` when ``key`` is ``None``, else
-        :class:`KeyedIntervalIndex`.
-    """
-    if key is None:
-        return IntervalIndex(
-            (t.start, t.end, t) for t in tuples if not t.interval.is_empty()
-        )
-    return KeyedIntervalIndex(
-        (key(t), t.start, t.end, t) for t in tuples if not t.interval.is_empty()
-    )

@@ -12,10 +12,10 @@ state it owns:
 
 * a deleted base tuple removes exactly its lineage-derived fragments;
 * an inserted base tuple is adjusted against the reference's cached
-  structures: its overlap group probed from the cached
-  :class:`~repro.temporal.interval_index.IntervalIndex` (ALIGN), or the
-  cached per-key split points core's ``normalize`` builds (NORMALIZE — no
-  endpoint multiset);
+  structures: its overlap group probed from the
+  :class:`~repro.temporal.interval_index.KeyedIntervalIndex` the ALIGN view
+  caches on its reference, or the cached per-key split points core's
+  ``normalize`` builds (NORMALIZE);
 * one rule covers a reference-side delta for both kinds: the base tuples
   with its key and an overlapping interval are re-adjusted, in one pass over
   the lineage, so a refresh after a reference mutation costs O(n + m log m).

@@ -6,8 +6,8 @@ That fragment store is the only state such a view owns, and a query reads it
 only through a ``ViewScan``:
 
 * :class:`AlignView` — ``base Φθ reference`` (Def. 11): a base tuple is
-  aligned against the group probed from the reference's cached interval
-  index;
+  aligned against the group probed from the interval index the view caches
+  on its reference (:func:`reference_index`);
 * :class:`NormalizeView` — ``N_B(base; reference)`` (Def. 9): a base tuple is
   split at the reference's cached per-key split points, the ones core's
   sweep :func:`~repro.core.normalization.normalize` splits at.
@@ -47,6 +47,7 @@ from repro.relation.schema import Schema
 from repro.relation.tuple import TemporalTuple
 from repro.storage.wal import WalCorruptionError
 from repro.temporal.interval import Interval
+from repro.temporal.interval_index import KeyedIntervalIndex
 
 #: A downstream operator folded into fragment maintenance, in *serializable*
 #: form: ``("filter", where_expression, bound_columns)`` — an engine
@@ -60,6 +61,29 @@ _REFRESH_COUNTER = obs_metrics.counter("view.refresh", label_name="outcome")
 
 #: The keys of an incremental view's persisted state (:meth:`_AdjustedView.export_state`).
 _ADJUSTED_STATE_KEYS = {"fragments", "base_cursor", "ref_cursor", "stats"}
+
+
+def reference_index(
+    reference: TemporalRelation, attributes: Tuple[str, ...]
+) -> KeyedIntervalIndex:
+    """The overlap index an ALIGN view probes: the reference's non-empty
+    tuples (the sweep's rule), partitioned by their ``attributes`` values —
+    one partition under ``()`` for an unkeyed view.
+
+    Cached on ``reference`` under ``("interval_index", attributes)`` and
+    dropped by its next mutation, so the reference is sorted once per
+    mutation instead of once per changed base tuple.
+    """
+
+    def build() -> KeyedIntervalIndex:
+        key_of = reference.schema.key_getter(attributes)
+        return KeyedIntervalIndex(
+            (key_of(t.values), t.start, t.end, t)
+            for t in reference
+            if not t.interval.is_empty()
+        )
+
+    return reference.derived(("interval_index", attributes), build)
 
 
 def _count_refresh(outcome: str) -> str:
@@ -231,19 +255,21 @@ class _AdjustedView:
         batch did not affect gives back the same fragments.
         """
         base_key, reference_key = self._key_attributes()
+        reference_key_of = self.reference.schema.key_getter(reference_key)
         changed: Dict[Tuple[Any, ...], List[Interval]] = {}
         for delta in ref_deltas:
             interval = delta.tuple.interval
             if not interval.is_empty():
-                changed.setdefault(delta.tuple.values_of(reference_key), []).append(interval)
+                changed.setdefault(reference_key_of(delta.tuple.values), []).append(interval)
         if not changed:
             return set()
+        base_key_of = self.base.schema.key_getter(base_key)
         return {
             rowid
             for rowid, x in self._left_items.items()
             if any(
                 x.start < other.end and other.start < x.end
-                for other in changed.get(x.values_of(base_key), ())
+                for other in changed.get(base_key_of(x.values), ())
             )
         }
 
@@ -434,17 +460,14 @@ class AlignView(_AdjustedView):
         return self.equi_attributes, self.reference_equi_attributes
 
     def _fragmenter(self) -> Callable[[TemporalTuple], List[TemporalTuple]]:
-        index = self.reference.interval_index(self.reference_equi_attributes)
-        keys = self.equi_attributes
+        index = reference_index(self.reference, self.reference_equi_attributes)
+        key_of = self.base.schema.key_getter(self.equi_attributes)
         theta = self.theta
 
         def fragment(t: TemporalTuple) -> List[TemporalTuple]:
             if t.interval.is_empty():
                 return []
-            if keys:
-                group = index.probe(t.values_of(keys), t.start, t.end)
-            else:
-                group = index.probe(t.start, t.end)
+            group = index.probe(key_of(t.values), t.start, t.end)
             if theta is not None:
                 group = [s for s in group if theta(t, s)]
             return [
@@ -481,12 +504,12 @@ class NormalizeView(_AdjustedView):
         # The same sorted, de-duplicated per-key endpoints core's sweep
         # ``normalize`` splits at, cached on the reference.
         points_by_key = split_points(self.reference, self.attributes)
-        attrs = self.attributes
+        key_of = self.base.schema.key_getter(self.attributes)
 
         def fragment(t: TemporalTuple) -> List[TemporalTuple]:
             if t.interval.is_empty():
                 return []
-            points = points_by_key.get(t.values_of(attrs), ())
+            points = points_by_key.get(key_of(t.values), ())
             interior = points[bisect_right(points, t.start):bisect_left(points, t.end)]
             if not interior:
                 return [t]

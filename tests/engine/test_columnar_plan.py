@@ -75,6 +75,10 @@ class TestPlannerDispatch:
         assert not isinstance(physical, ColumnarAdjustmentNode)
         assert "columnar=off" in settings.describe()
 
+    def test_describe_names_every_switch(self):
+        settings = COLUMNAR.copy(enable_mergejoin=False)
+        assert settings.describe() == "nestloop=on, hashjoin=on, mergejoin=off, columnar=on"
+
 
 class TestColumnarExecution:
     def test_align_matches_row_pipeline(self):

@@ -188,10 +188,11 @@ class TestNonIntegerBounds:
 
 #: The row plan under each group-construction join it may choose.
 ROW_PLANS = {
-    "interval": ROW.copy(enable_hashjoin=False, enable_mergejoin=False, enable_nestloop=False),
-    "hash": ROW.copy(enable_intervaljoin=False, enable_mergejoin=False, enable_nestloop=False),
-    "merge": ROW.copy(enable_intervaljoin=False, enable_hashjoin=False, enable_nestloop=False),
-    "nestloop": ROW.copy(enable_intervaljoin=False, enable_hashjoin=False, enable_mergejoin=False),
+    "hash": ROW.copy(enable_mergejoin=False, enable_nestloop=False),
+    "merge": ROW.copy(enable_hashjoin=False, enable_nestloop=False),
+    "nestloop": ROW.copy(enable_hashjoin=False, enable_mergejoin=False),
+    # Every join switch off: the planner falls back to a nested loop.
+    "fallback": ROW.copy(enable_hashjoin=False, enable_mergejoin=False, enable_nestloop=False),
 }
 
 

@@ -9,6 +9,7 @@ from repro.engine.statistics import (
     interval_statistics_from_endpoints,
     relation_interval_statistics,
 )
+from repro.views.view import reference_index
 from repro.workloads.synthetic import SyntheticConfig, generate_random
 
 
@@ -58,11 +59,11 @@ class TestStatisticsAreCacheNeutral:
 
     def test_existing_caches_survive_statistics(self):
         _, relation, table = _registered()
-        index = relation.interval_index()
+        index = reference_index(relation, ())
         frame = encode_relation(relation, ("cat",))
         TableStatistics(table).interval_statistics("ts", "te")
         # Identity-preserved: statistics neither rebuilt nor invalidated them.
-        assert relation.interval_index() is index
+        assert reference_index(relation, ()) is index
         assert encode_relation(relation, ("cat",)).starts is frame.starts
 
     def test_planner_statistics_are_cache_neutral(self):

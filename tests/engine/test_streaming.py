@@ -1,12 +1,10 @@
-"""Streaming semantics of the executor and the interval join strategies.
+"""Streaming semantics of the executor and the row plan's group-construction join.
 
 The executor's pipelining claim is behavioural: a short-circuiting consumer
 (``LIMIT``, ``semi``) must stop upstream work, not merely discard its output.
 These tests splice :class:`~repro.engine.executor.instrument.CountingNode`
 into pipelines and assert on the number of rows actually pulled.
 """
-
-import random
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.engine.executor import (
     CountingNode,
     FilterNode,
     HashJoinNode,
-    IntervalJoinNode,
     LimitNode,
     NestedLoopJoinNode,
     ProjectNode,
@@ -26,7 +23,6 @@ from repro.engine.expressions import Column, Comparison, IndexColumn
 from repro.engine.optimizer.settings import Settings
 from repro.engine.plan import Align, Limit, Scan
 from repro.engine.table import Table
-from repro.relation.errors import PlanError
 from repro.relation.tuple import NULL
 from repro.workloads.incumben import IncumbenConfig, generate_incumben
 
@@ -111,69 +107,9 @@ class TestNestedLoopReplayBuffer:
         assert right.open_count == 1
 
 
-class TestIntervalJoinNode:
-    def _nodes(self, left_rows, right_rows):
-        return (
-            ValuesNode(["a", "ts", "te"], left_rows),
-            ValuesNode(["b", "ts", "te"], right_rows),
-        )
-
-    def _overlap_condition(self):
-        # left.ts < right.te AND right.ts < left.te on the combined row
-        from repro.engine.expressions import And
-
-        return And(
-            Comparison("<", IndexColumn(1), IndexColumn(5)),
-            Comparison("<", IndexColumn(4), IndexColumn(2)),
-        )
-
-    def _random_rows(self, rng, n, allow_null=True):
-        rows = []
-        for i in range(n):
-            if allow_null and rng.random() < 0.1:
-                rows.append((i, NULL, NULL))
-            else:
-                start = rng.randrange(0, 30)
-                rows.append((i, start, start + rng.randrange(0, 8)))
-        return rows
-
-    @pytest.mark.parametrize("kind", ["inner", "left"])
-    @pytest.mark.parametrize("strategy", ["probe", "sweep"])
-    def test_matches_nested_loop_reference(self, kind, strategy):
-        rng = random.Random(hash((kind, strategy)) % 1000)
-        for _ in range(20):
-            left_rows = self._random_rows(rng, rng.randrange(0, 15))
-            right_rows = self._random_rows(rng, rng.randrange(0, 15))
-            condition = self._overlap_condition()
-            left, right = self._nodes(left_rows, right_rows)
-            reference = NestedLoopJoinNode(left, right, kind, condition).execute()
-            left, right = self._nodes(left_rows, right_rows)
-            interval = IntervalJoinNode(
-                left, right, kind, condition, (1, 2, 1, 2), strategy=strategy
-            ).execute()
-            assert sorted(interval, key=repr) == sorted(reference, key=repr)
-
-    def test_probe_streams_the_outer_input(self):
-        left = CountingNode(ValuesNode(["a", "ts", "te"], [(i, i, i + 2) for i in range(100)]))
-        right = ValuesNode(["b", "ts", "te"], [(i, i, i + 2) for i in range(100)])
-        join = IntervalJoinNode(left, right, "inner", None, (1, 2, 1, 2), strategy="probe")
-        limit = LimitNode(join, 3)
-        assert len(limit.execute()) == 3
-        assert left.pulled <= 3
-
-    def test_invalid_parameters_rejected(self):
-        left, right = self._nodes([], [])
-        with pytest.raises(PlanError):
-            IntervalJoinNode(left, right, "full", None, (1, 2, 1, 2))
-        with pytest.raises(PlanError):
-            IntervalJoinNode(left, right, "inner", None, (1, 2, 1, 2), strategy="psychic")
-        with pytest.raises(PlanError):
-            IntervalJoinNode(left, right, "inner", None, (1, 9, 1, 2))
-
-
-class TestPlannerIntervalStrategy:
-    #: The join strategies of the row pipeline (ALIGN is otherwise a
-    #: columnar batch).
+class TestPlannerGroupJoin:
+    #: The row pipeline (ALIGN is otherwise a columnar batch), whose
+    #: group-construction join is planned among Fig. 13's strategies.
     ROW = Settings(enable_columnar=False)
 
     def _database(self):
@@ -183,31 +119,38 @@ class TestPlannerIntervalStrategy:
         database.register_relation("s", relation)
         return database
 
-    def _align_plan(self, database):
+    def _align_plan(self, database, condition=None):
         r = database.get_table("r")
         s = database.get_table("s")
-        return Align(Scan("r", r.columns, "r"), Scan("s", s.columns, "s"), None)
+        return Align(Scan("r", r.columns, "r"), Scan("s", s.columns, "s"), condition)
 
-    def test_align_group_join_uses_interval_strategy(self):
+    def test_unkeyed_align_group_join_is_a_nested_loop(self):
         database = self._database()
         explain = database.plan(self._align_plan(database), self.ROW).explain()
-        assert "IntervalJoin" in explain
-        assert "strategy=" in explain  # the choice is exposed in EXPLAIN
-
-    def test_disabling_interval_join_falls_back(self):
-        database = self._database()
-        explain = database.plan(
-            self._align_plan(database), self.ROW.copy(enable_intervaljoin=False)
-        ).explain()
-        assert "IntervalJoin" not in explain
-        assert "NestedLoopJoin" in explain
+        assert "NestedLoopJoin(left)" in explain
 
     def test_alignment_result_identical_across_strategies(self):
         database = self._database()
-        plan = self._align_plan(database)
-        with_interval = database.execute(plan, self.ROW)
-        without = database.execute(plan, self.ROW.copy(enable_intervaljoin=False))
-        assert sorted(with_interval.rows, key=repr) == sorted(without.rows, key=repr)
+        plan = self._align_plan(database, Comparison("=", Column("r.pcn"), Column("s.pcn")))
+        only = {
+            "HashJoin": self.ROW.copy(enable_mergejoin=False, enable_nestloop=False),
+            "MergeJoin": self.ROW.copy(enable_hashjoin=False, enable_nestloop=False),
+            "NestedLoopJoin": self.ROW.copy(enable_hashjoin=False, enable_mergejoin=False),
+        }
+        results = []
+        for node, settings in only.items():
+            assert node in database.plan(plan, settings).explain()
+            results.append(sorted(database.execute(plan, settings).rows, key=repr))
+        assert results[0] == results[1] == results[2]
+
+    def test_every_join_switch_off_falls_back_to_a_nested_loop(self):
+        database = self._database()
+        plan = self._align_plan(database, Comparison("=", Column("r.pcn"), Column("s.pcn")))
+        none = self.ROW.copy(enable_hashjoin=False, enable_mergejoin=False, enable_nestloop=False)
+        assert "NestedLoopJoin(left)" in database.plan(plan, none).explain()
+        assert sorted(database.execute(plan, none).rows, key=repr) == sorted(
+            database.execute(plan, self.ROW).rows, key=repr
+        )
 
 
 def _literal(value):

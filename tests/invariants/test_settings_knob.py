@@ -1,14 +1,19 @@
-"""``settings-knob``: every ``settings.<knob>`` read names a declared field.
+"""``settings-knob``: every ``settings.<knob>`` read names a declared field,
+and every declared field is read.
 
 :class:`~repro.engine.optimizer.settings.Settings` is a plain dataclass, so
 ``settings.enable_colummar`` (note the typo) is not an error anywhere — it
 raises ``AttributeError`` only on the execution path that reaches it, which
 for optimizer gates is exactly the path no test covers at small sizes.
+This rule checks every attribute read off a name or attribute called
+``settings`` against the fields and methods of a ``Settings`` declaration
+parsed from source: the optimizer's for the tree, the fixture's own
+``knobs/settings.py`` for the fixtures.
+
 Worse, a *dead* knob (declared once, read never after a rename) keeps
-accepting overrides that do nothing.  This rule checks every attribute read
-off a name or attribute called ``settings`` against the fields and methods
-of a ``Settings`` declaration parsed from source: the optimizer's for the
-tree, the fixture's own ``knobs/settings.py`` for the fixtures.
+accepting overrides that do nothing.  So every declared field must also be
+read as an attribute (``.<field>``, off any receiver: ``database.py`` reads
+``active.statement_timeout_ms``) by some module other than ``settings.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
-from typing import Iterator, Set
+from typing import Dict, Iterable, Iterator, Set
 
 import walker
 from walker import Finding, Module
@@ -26,13 +31,17 @@ from repro.engine.optimizer.settings import Settings
 RULE_ID = "settings-knob"
 
 
-def declared(module: Module) -> Set[str]:
-    """Field, class-variable and method names of ``class Settings``."""
+def _settings_class(module: Module) -> ast.ClassDef:
     (settings,) = [
         n for n in module.nodes if isinstance(n, ast.ClassDef) and n.name == "Settings"
     ]
+    return settings
+
+
+def declared(module: Module) -> Set[str]:
+    """Field, class-variable and method names of ``class Settings``."""
     names: Set[str] = set()
-    for item in settings.body:
+    for item in _settings_class(module).body:
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
             names.add(item.target.id)
         elif isinstance(item, ast.Assign):
@@ -66,6 +75,39 @@ def check(module: Module, fields: Set[str]) -> Iterator[Finding]:
         )
 
 
+def fields_of(module: Module) -> Dict[str, ast.AnnAssign]:
+    """The annotated fields of ``class Settings``, by name."""
+    return {
+        item.target.id: item
+        for item in _settings_class(module).body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def attribute_reads(modules: Iterable[Module]) -> Set[str]:
+    """Every ``.<name>`` loaded anywhere outside a ``settings.py``."""
+    return {
+        node.attr
+        for module in modules
+        if module.parts[-1] != "settings.py"
+        for node in module.nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def dead_knobs(module: Module, reads: Set[str]) -> Iterator[Finding]:
+    """Findings for the fields of the ``Settings`` declaration in ``module``
+    that no attribute read in ``reads`` names."""
+    for name, node in fields_of(module).items():
+        if name not in reads:
+            yield module.finding(
+                node,
+                RULE_ID,
+                f"Settings.{name} is read nowhere; a dead knob accepts overrides "
+                "that change nothing",
+            )
+
+
 TREE_SETTINGS = "engine/optimizer/settings.py"
 
 
@@ -96,3 +138,17 @@ def test_parsed_declaration_is_the_settings_class():
         if callable(value) and not name.startswith("_")
     }
     assert declared(walker.tree_module(TREE_SETTINGS)) == fields | methods
+
+
+def test_every_tree_knob_is_read():
+    findings = list(dead_knobs(walker.tree_module(TREE_SETTINGS), attribute_reads(walker.tree())))
+    assert not findings, "\n".join(map(str, findings))
+
+
+def test_dead_fixture_knob_fires():
+    knobs = walker.fixture("knobs")
+    (declaration,) = [m for m in knobs if m.parts[-1] == "settings.py"]
+    findings = list(dead_knobs(declaration, attribute_reads(knobs)))
+    assert [(f.path, f.message.split()[0]) for f in findings] == [
+        ("knobs/settings.py", "Settings.fixture_unread")
+    ]

@@ -2,8 +2,8 @@
 
 The structural contract under test: a :class:`~repro.obs.trace.QueryTrace`'s
 span tree mirrors ``explain()`` line-for-line on *every* physical strategy
-the planner can emit — row plans under both interval-join strategies and
-each equality join, and the columnar batch — and when no trace is active the executor takes the
+the planner can emit — the row plan under each join strategy, and the
+columnar batch — and when no trace is active the executor takes the
 untouched fast path (no trace object, no ``last_trace`` mutation).
 """
 
@@ -13,7 +13,6 @@ import pytest
 
 from repro.columnar.runtime import numpy_available
 from repro.engine.database import Database
-from repro.engine.executor.interval_join import IntervalJoinNode
 from repro.engine.executor.joins import HashJoinNode, MergeJoinNode, NestedLoopJoinNode
 from repro.engine.expressions import And, Column, Comparison
 from repro.engine.optimizer.settings import Settings
@@ -23,35 +22,21 @@ from repro.workloads.synthetic import SyntheticConfig, generate_random
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 
-#: Row pipeline with only the interval strategies in play — the chosen
-#: IntervalJoin node is then overridden per test case to pin sweep vs probe.
-INTERVAL_ONLY = Settings(
-    enable_columnar=False,
-    enable_hashjoin=False,
-    enable_mergejoin=False,
-    enable_nestloop=False,
-)
+#: The row pipeline (the Fig. 12(b) reference plan), strategies costed.
+ROW = Settings(enable_columnar=False)
 
-#: The row pipeline with exactly one equality join strategy enabled.
-EQUALITY_ONLY = Settings(
-    enable_columnar=False,
-    enable_intervaljoin=False,
-    enable_hashjoin=False,
-    enable_mergejoin=False,
-    enable_nestloop=False,
-)
+#: The row pipeline with exactly one join strategy enabled.
+ONE_JOIN = ROW.copy(enable_hashjoin=False, enable_mergejoin=False, enable_nestloop=False)
 
 STRATEGIES = {
-    "sweep": INTERVAL_ONLY,
-    "index": INTERVAL_ONLY,
-    "hash": EQUALITY_ONLY.copy(enable_hashjoin=True),
-    "merge": EQUALITY_ONLY.copy(enable_mergejoin=True),
-    "nestloop": EQUALITY_ONLY.copy(enable_nestloop=True),
+    "hash": ONE_JOIN.copy(enable_hashjoin=True),
+    "merge": ONE_JOIN.copy(enable_mergejoin=True),
+    "nestloop": ONE_JOIN.copy(enable_nestloop=True),
     "columnar": Settings(),
 }
 
-#: Join node class the row plans of the equality strategies must contain.
-EQUALITY_JOINS = {
+#: Join node class the row plan of each strategy must contain.
+ROW_JOINS = {
     "hash": HashJoinNode,
     "merge": MergeJoinNode,
     "nestloop": NestedLoopJoinNode,
@@ -84,12 +69,8 @@ def _walk(node):
 
 def _physical(database, strategy):
     physical = database.plan(_plan(database), STRATEGIES[strategy])
-    if strategy in ("sweep", "index"):
-        joins = [n for n in _walk(physical) if isinstance(n, IntervalJoinNode)]
-        assert joins, physical.explain()
-        joins[0].strategy = "sweep" if strategy == "sweep" else "probe"
-    elif strategy in EQUALITY_JOINS:
-        assert any(isinstance(n, EQUALITY_JOINS[strategy]) for n in _walk(physical)), (
+    if strategy in ROW_JOINS:
+        assert any(isinstance(n, ROW_JOINS[strategy]) for n in _walk(physical)), (
             physical.explain()
         )
     return physical
@@ -166,15 +147,6 @@ class TestSpanTreeMatchesExplain:
         assert rendered["frame"] == rendered["rows"]
         assert build(backed).explain() == build(plain).explain()
 
-    def test_interval_strategy_is_visible_in_both_trees(self):
-        database = _database()
-        for strategy, expected in (("sweep", "strategy=sweep"), ("index", "strategy=probe")):
-            physical = _physical(database, strategy)
-            assert expected in physical.explain()
-            with obs_trace.collect(physical) as trace:
-                physical.execute()
-            assert trace.find(expected), trace.render()
-
     @pytest.mark.parametrize("source", ["frame", "rows"])
     def test_residual_theta_selectivity_is_a_span_fact(self, source):
         # A θ beyond its key equalities: EXPLAIN flags the residual, the span
@@ -212,7 +184,7 @@ class TestSpanTreeMatchesExplain:
         assert facts["residual"] == ("numpy" if numpy_ran else "pairs")
         assert 0 < facts["kept"] < facts["pairs"]
         assert f"residual={facts['residual']} pairs={facts['pairs']} kept={facts['kept']})" in lines[0]
-        assert rows == database.execute(logical, INTERVAL_ONLY).rows
+        assert rows == database.execute(logical, ROW).rows
 
     def test_no_residual_means_no_residual_facts(self):
         database = _database()
@@ -226,7 +198,7 @@ class TestSpanTreeMatchesExplain:
 class TestDisabledPath:
     def test_no_active_trace_means_no_collection(self):
         database = _database(size=40)
-        physical = database.plan(_plan(database), INTERVAL_ONLY)
+        physical = database.plan(_plan(database), ROW)
         assert obs_trace.active_trace() is None
         rows = physical.execute()
         assert rows  # plain execution, nothing recorded anywhere
@@ -264,9 +236,9 @@ class TestDisabledPath:
 class TestNestedTraces:
     def test_traces_stack_per_thread(self):
         database = _database(size=40)
-        physical = database.plan(_plan(database), INTERVAL_ONLY)
+        physical = database.plan(_plan(database), ROW)
         with obs_trace.collect(physical) as outer:
-            inner_physical = database.plan(_plan(database), INTERVAL_ONLY)
+            inner_physical = database.plan(_plan(database), ROW)
             with obs_trace.collect(inner_physical) as inner:
                 assert obs_trace.active_trace() is inner
                 inner_physical.execute()
@@ -280,8 +252,8 @@ class TestNestedTraces:
         # a traced query) is not in this trace's span map: instrument() must
         # hand back the iterator untouched instead of recording garbage.
         database = _database(size=40)
-        physical = database.plan(_plan(database), INTERVAL_ONLY)
-        other = database.plan(_plan(database), INTERVAL_ONLY)
+        physical = database.plan(_plan(database), ROW)
+        other = database.plan(_plan(database), ROW)
         with obs_trace.collect(physical) as trace:
             rows = other.execute()
         assert rows
@@ -294,7 +266,7 @@ class TestRendering:
         import json
 
         database = _database(size=40)
-        physical = database.plan(_plan(database), INTERVAL_ONLY)
+        physical = database.plan(_plan(database), ROW)
         with obs_trace.collect(physical, sql="SELECT 1") as trace:
             physical.execute()
         text = trace.render()
@@ -306,6 +278,6 @@ class TestRendering:
 
     def test_unexecuted_span_renders_never_executed(self):
         database = _database(size=40)
-        physical = database.plan(_plan(database), INTERVAL_ONLY)
+        physical = database.plan(_plan(database), ROW)
         trace = obs_trace.QueryTrace(physical)
         assert "(never executed)" in trace.root_span.render()

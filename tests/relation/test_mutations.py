@@ -1,10 +1,10 @@
 """Sequenced mutations, the change log, and cache invalidation.
 
-The cache-invalidation cases are the regression net for the audit of this
-PR: *every* mutation path — ``add``/``insert``, ``delete``, ``update`` —
-must drop the lazy ``derived``/``interval_index`` caches, or an adjustment
-against a stale index silently returns fragments of a relation state that no
-longer exists.
+The cache-invalidation cases are the regression net for cache coherence:
+*every* mutation path — ``add``/``insert``, ``delete``, ``update`` —
+must drop the lazy ``derived`` caches (the ALIGN view's interval index
+among them), or an adjustment against a stale index silently returns
+fragments of a relation state that no longer exists.
 """
 
 import pytest
@@ -12,6 +12,7 @@ import pytest
 from repro import Interval, Schema, TemporalRelation
 from repro.relation.changelog import ChangeLog, ChangeLogTruncatedError
 from repro.relation.errors import DuplicateTupleError, SchemaError
+from repro.views.view import reference_index
 
 
 def make(rows):
@@ -153,8 +154,8 @@ class TestCacheInvalidation:
     """Every mutation path must drop the derived caches (the PR-3 audit)."""
 
     def build_caches(self, r):
-        r.interval_index()
-        r.interval_index(["n"])
+        reference_index(r, ())
+        reference_index(r, ("n",))
         r.derived("marker", lambda: "cached")
         assert _has_index(r) and _has_index(r, ("n",))
 
@@ -208,12 +209,12 @@ class TestCacheInvalidation:
 
     def test_stale_index_is_rebuilt_after_mutation(self):
         r = make([("a", 1, 0, 10)])
-        index = r.interval_index()
-        assert len(index.probe(0, 10)) == 1
+        index = reference_index(r, ())
+        assert len(index.probe((), 0, 10)) == 1
         r.delete(period=Interval(0, 10))
-        rebuilt = r.interval_index()
+        rebuilt = reference_index(r, ())
         assert rebuilt is not index
-        assert rebuilt.probe(0, 10) == []
+        assert rebuilt.probe((), 0, 10) == []
 
 
 class TestTrimBoundary:

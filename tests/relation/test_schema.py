@@ -30,6 +30,18 @@ class TestSchema:
         assert "a" in schema
         assert len(schema) == 2
 
+    @pytest.mark.parametrize("names", [(), ("b",), ("c", "a")], ids=["none", "one", "two"])
+    def test_key_getter_matches_values_of(self, names):
+        schema = Schema(["a", "b", "c"])
+        key_of = schema.key_getter(names)
+        values = ("x", 1, None)
+        assert key_of(values) == tuple(values[schema.index_of(n)] for n in names)
+        assert isinstance(key_of(values), tuple)
+
+    def test_key_getter_rejects_unknown_name(self):
+        with pytest.raises(SchemaError):
+            Schema(["a"]).key_getter(["z"])
+
     def test_unknown_attribute(self):
         with pytest.raises(SchemaError):
             Schema(["a"]).index_of("zzz")

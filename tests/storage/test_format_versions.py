@@ -5,7 +5,8 @@ creation).  A WAL or snapshot carrying our magic with an unknown format
 version was written by another build: recovery raises
 :class:`WalCorruptionError` naming both versions, leaves every file
 byte-identical and releases the directory lock.  A snapshot whose view
-state does not fit the restored relations is refused the same way.
+state does not fit the restored relations, and a checksummed log record of
+a shape replay cannot apply, are refused the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from repro.storage.wal import (
     HEADER_SIZE,
     MAGIC,
     WalCorruptionError,
+    pack_frame,
     pack_header,
+    read_wal,
     unpack_header,
 )
 from repro.temporal.interval import Interval
@@ -97,6 +100,58 @@ class TestWal:
         # The lock was released and nothing was lost: with the header put
         # back, the very next open recovers every committed record.
         _set_version(wal, FORMAT_VERSION)
+        recovered = Database.open(path)
+        assert recovered.relations["r"].rows_with_ids() == committed
+        recovered.close()
+
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [
+            (["not", "a", "record"], "is a list, not a dict"),
+            ({"type": "mutate", "name": "r", "deltas": [("+",)]}, "has a delta that is not"),
+            ({"kind": "x"}, "has unknown type None"),
+            ({"type": "vacuum", "name": "r"}, "has unknown type 'vacuum'"),
+            ({"type": "mutate", "name": "r"}, "is of type 'mutate' but lacks ['deltas']"),
+            ({"type": "mutate", "name": "r", "deltas": ("+", 1)}, "has a delta that is not"),
+            (
+                {"type": "mutate", "name": "r", "deltas": [("*", 1, ("a",), 0, 1, 1)]},
+                "has a delta that is not",
+            ),
+            (
+                {"type": "txn_commit", "txn": 1, "records": {}},
+                "has transaction records that are not a list",
+            ),
+            (
+                {"type": "txn_commit", "txn": 1, "records": [{"type": "drop_table"}]},
+                "holds a transaction record that is of type 'drop_table' but lacks ['name']",
+            ),
+            ({"type": "create_view", "definition": {}}, "has a view definition without a name"),
+        ],
+        ids=[
+            "list",
+            "short-delta",
+            "no-type",
+            "unknown-type",
+            "missing-field",
+            "deltas-not-a-list",
+            "bad-sign",
+            "txn-records-not-a-list",
+            "txn-bad-record",
+            "view-without-name",
+        ],
+    )
+    def test_checksummed_record_of_the_wrong_shape_is_refused(self, tmp_path, payload, problem):
+        path = str(tmp_path / "db")
+        committed = _database(path, checkpoint=False)
+        wal = os.path.join(path, "wal.log")
+        _, records, valid_length = read_wal(wal)
+        with open(wal, "ab") as handle:
+            handle.write(pack_frame(payload))
+        where = f"record {len(records) + 1} of {len(records) + 1} {problem}"
+        _refused(path, where)
+        _refused(path, where)  # the lock was released: the same refusal again
+        with open(wal, "r+b") as handle:
+            handle.truncate(valid_length)
         recovered = Database.open(path)
         assert recovered.relations["r"].rows_with_ids() == committed
         recovered.close()

@@ -1,4 +1,4 @@
-"""The sorted-endpoint overlap index and its caching on relations."""
+"""The sorted-endpoint overlap index and the ALIGN view's cache of it."""
 
 import random
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro import Interval, Schema, TemporalRelation
 from repro.core.alignment import align_relation
-from repro.temporal.interval_index import IntervalIndex, KeyedIntervalIndex, index_tuples
+from repro.temporal.interval_index import IntervalIndex, KeyedIntervalIndex
+from repro.views.view import reference_index
 
 
 def brute_force(entries, start, end):
@@ -60,10 +61,6 @@ class TestIntervalIndex:
         # [5, 5) requires entry.start < 5, so only the straddler matches.
         assert index.probe(5, 5) == ["before"]
 
-    def test_probe_interval_wrapper(self):
-        index = IntervalIndex([(1, 4, "x")])
-        assert index.probe_interval(Interval(0, 2)) == ["x"]
-
 
 class TestKeyedIntervalIndex:
     def test_partitions_are_independent(self):
@@ -87,14 +84,14 @@ class TestIndexTuples:
 
     def test_plain_index_skips_empty_intervals(self):
         relation = self._relation()
-        index = index_tuples(relation.tuples())
-        values = {t.values for t in index.probe(4, 5)}
+        index = reference_index(relation, ())
+        values = {t.values for t in index.probe((), 4, 5)}
         assert values == {("x", 1), ("x", 2), ("y", 3)}
 
     def test_keyed_index_partitions_by_key(self):
         relation = self._relation()
-        index = index_tuples(relation.tuples(), key=lambda t: t["k"])
-        assert {t.values for t in index.probe("x", 4, 5)} == {("x", 1), ("x", 2)}
+        index = reference_index(relation, ("k",))
+        assert {t.values for t in index.probe(("x",), 4, 5)} == {("x", 1), ("x", 2)}
 
 
 class TestRelationIndexCache:
@@ -107,21 +104,21 @@ class TestRelationIndexCache:
     def test_index_is_cached_until_mutation(self):
         relation = self._relation()
         assert relation.peek_derived(("interval_index", ())) is None
-        first = relation.interval_index()
+        first = reference_index(relation, ())
         assert relation.peek_derived(("interval_index", ())) is first
-        assert relation.interval_index() is first  # cached
+        assert reference_index(relation, ()) is first  # cached
         relation.insert(("c",), Interval(1, 3))
         assert relation.peek_derived(("interval_index", ())) is None  # invalidated
-        rebuilt = relation.interval_index()
+        rebuilt = reference_index(relation, ())
         assert rebuilt is not first
         assert len(rebuilt) == 3
 
     def test_keyed_and_plain_caches_are_separate(self):
         relation = self._relation()
-        plain = relation.interval_index()
-        keyed = relation.interval_index(["k"])
+        plain = reference_index(relation, ())
+        keyed = reference_index(relation, ("k",))
         assert plain is not keyed
-        assert relation.interval_index(("k",)) is keyed
+        assert reference_index(relation, ("k",)) is keyed
 
     def test_derived_cache_builds_once(self):
         relation = self._relation()
