@@ -115,7 +115,8 @@ def encode_relation(relation: TemporalRelation, attributes: Sequence[str] = ()) 
 
     def build_keys() -> Tuple[Any, Dict[Hashable, int]]:
         if attrs:
-            return encode_keys([t.values_of(attrs) for t in relation])
+            key = relation.schema.key_getter(attrs)
+            return encode_keys([key(t.values) for t in relation])
         return encode_keys([()] * len(relation))
 
     starts, ends = relation.derived(("columnar", "endpoints", backend), build_endpoints)

@@ -254,9 +254,23 @@ class Database:
     def insert_rows(
         self, name: str, rows: Sequence[Tuple[Sequence[Any], Interval]]
     ) -> List[TemporalTuple]:
-        """Sequenced INSERT: add ``(values, interval)`` rows to a relation."""
+        """Sequenced INSERT: add ``(values, interval)`` rows to a relation.
+
+        The statement is one mutation batch: one change-log batch, one WAL
+        record and one MVCC epoch, and all or nothing — a row that breaks
+        the duplicate-free condition leaves the relation unchanged.
+        """
         relation = self.get_relation(name)
-        return [relation.insert(values, interval) for values, interval in rows]
+        tuples = [
+            TemporalTuple(
+                relation.schema,
+                values,
+                interval if isinstance(interval, Interval) else Interval(*interval),
+            )
+            for values, interval in rows
+        ]
+        relation.apply_effects((), tuples)
+        return tuples
 
     def delete_rows(
         self,

@@ -9,11 +9,11 @@ Concurrency model
   :class:`~repro.relation.mvcc.VersionStore`), overlaid with the
   transaction's own uncommitted writes — never anybody else's.
 * **Writes are deferred**: DML inside a transaction runs against a private
-  workspace (the snapshot plus the transaction's pending effects) and
-  records its effects — removed base rowids with their replacement
-  fragments, plus appended inserts.  The authoritative relation is untouched
-  until commit, so concurrent readers can never observe an uncommitted or
-  torn write, structurally.
+  workspace, an untracked copy of the snapshot mutated by the relation's
+  own statement code, and tracks each new tuple's lineage back to the
+  snapshot row it replaced.  The authoritative relation is untouched until
+  commit, so concurrent readers can never observe an uncommitted or torn
+  write, structurally.
 * **Commit** is first-committer-wins: the transaction aborts with
   :class:`TransactionConflictError` when any base rowid it removed was
   already removed by a transaction that committed after its begin epoch
@@ -22,8 +22,10 @@ Concurrency model
   see — when *any* write committed to the target relation since the begin
   epoch (relation-granular escalation; the phantom protection that keeps
   commit-order replay exact).  A successful commit applies all effects
-  atomically under one fresh epoch: one change-log batch per relation,
-  framed into a single ``txn_commit`` WAL record when storage is attached.
+  atomically under one fresh epoch: one batch per relation through
+  :meth:`~repro.relation.relation.TemporalRelation.apply_effects`, the
+  path an autocommit statement takes, framed into a single ``txn_commit``
+  WAL record when storage is attached.
 * **Serial-replay invariant**: because a committed writer of a relation
   always began after the previous committed writer of that relation
   finished, re-running the committed transactions' statements serially in
@@ -31,9 +33,10 @@ Concurrency model
   ``tests/server/test_served_rounds.py`` and the interleaving property test
   gate on.
 
-Auto-commit statements (mutations outside any transaction) allocate one
-epoch each through the same stamping listener, so transactional snapshots
-order correctly against non-transactional writers.
+Auto-commit statements (mutations outside any transaction, a multi-row
+``INSERT`` included) are one batch and allocate one epoch each through the
+same stamping listener, so transactional snapshots order correctly against
+non-transactional writers.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.obs import metrics as obs_metrics
 from repro.relation.changelog import Delta
 from repro.relation.errors import QueryError
 from repro.relation.mvcc import VersionStore
-from repro.relation.relation import TemporalRelation, sequenced_fragments
+from repro.relation.relation import Row, TemporalRelation, parse_log_order
 from repro.relation.schema import Schema
 from repro.relation.tuple import TemporalTuple
 from repro.temporal.interval import Interval
@@ -66,97 +69,50 @@ class TransactionConflictError(TransactionError):
 class _Workspace:
     """The private write set of one transaction against one relation.
 
-    ``removed`` maps each base rowid the transaction deleted to the local
-    tuples replacing it (lineage — empty for a plain delete); ``appended``
-    holds plain inserts.  Local tuples carry negative local ids so later
-    statements of the same transaction can mutate them again before commit.
+    ``rows`` is an untracked relation holding the begin-epoch snapshot with
+    the transaction's statements applied by the relation's own mutation
+    code, so a transaction sees its writes in the layout a commit produces.
+    Its rowid ``i`` below the snapshot's length is the snapshot row of base
+    rowid ``base_rowids[i]``; larger rowids are the transaction's own rows.
+    ``removed`` maps each removed base rowid to the own rows now standing in
+    for it and ``inserted`` holds the rest, both in layout order; ``origin``
+    maps each own rowid to the list holding it.
     """
 
-    def __init__(self, name: str, schema: Schema, snapshot: List[Tuple[int, TemporalTuple]]):
-        self.name = name
-        self.schema = schema
-        #: The begin-epoch snapshot: ``(rowid, tuple)`` pairs, frozen.
-        self.snapshot = snapshot
-        self.removed: Dict[int, List[Tuple[int, TemporalTuple]]] = {}
-        self.appended: List[Tuple[int, TemporalTuple]] = []
+    def __init__(self, schema: Schema, snapshot: List[Tuple[int, TemporalTuple]]):
+        self.base_rowids = [rowid for rowid, _ in snapshot]
+        self.rows = TemporalRelation(schema, [t for _, t in snapshot])
+        self.removed: Dict[int, List[Row]] = {}
+        self.inserted: List[Row] = []
+        self.origin: Dict[int, List[Row]] = {}
         #: A predicate/period mutation ran: conflict detection escalates to
         #: relation granularity (see the module docstring).
         self.predicate_write = False
 
     @property
     def dirty(self) -> bool:
-        return bool(self.removed or self.appended)
+        return bool(self.removed or self.inserted)
 
-    def visible_rows(self) -> List[Tuple[int, TemporalTuple]]:
-        """Snapshot rows with the workspace's own effects overlaid, in
-        physical order (fragments sit where the tuple they replaced sat)."""
-        rows: List[Tuple[int, TemporalTuple]] = []
-        for rowid, t in self.snapshot:
-            if rowid in self.removed:
-                rows.extend(self.removed[rowid])
+    def record(self, deltas: List[Delta]) -> int:
+        """Track the lineage of one statement's batch; returns the number
+        of tuples it removed or replaced (the DML status count)."""
+        removed, appended = parse_log_order((d.sign, d.rowid, d.tuple) for d in deltas)
+        for rowid, fragments in removed:
+            if rowid < len(self.base_rowids):
+                group = self.removed[self.base_rowids[rowid]] = fragments
             else:
-                rows.append((rowid, t))
-        rows.extend(self.appended)
-        return rows
-
-    def insert(self, tuples: Sequence[TemporalTuple], fresh_id: Callable[[], int]) -> int:
-        self.appended.extend((fresh_id(), t) for t in tuples)
-        return len(tuples)
-
-    def mutate(
-        self,
-        predicate: Optional[Callable[[TemporalTuple], bool]],
-        period: Optional[Interval],
-        assignments: Optional[Mapping[str, Any]],
-        fresh_id: Callable[[], int],
-    ) -> int:
-        """Run a sequenced mutation against the workspace; returns the number
-        of affected tuples (the DML status count)."""
-        if period is not None and period.is_empty():
-            return 0
-        self.predicate_write = True
-
-        def affected(t: TemporalTuple) -> bool:
-            return (predicate is None or predicate(t)) and (
-                period is None or not t.interval.intersect(period).is_empty()
-            )
-
-        touched = 0
-
-        def rewrite(entries: List[Tuple[int, TemporalTuple]]) -> None:
-            nonlocal touched
-            rewritten: List[Tuple[int, TemporalTuple]] = []
-            for local_id, t in entries:
-                if not affected(t):
-                    rewritten.append((local_id, t))
-                    continue
-                touched += 1
-                for fragment in sequenced_fragments(t, period, assignments, self.schema):
-                    rewritten.append((fresh_id(), fragment))
-            entries[:] = rewritten
-
-        for rowid, t in self.snapshot:
-            if rowid in self.removed:
-                rewrite(self.removed[rowid])
-            elif affected(t):
-                touched += 1
-                self.removed[rowid] = [
-                    (fresh_id(), fragment)
-                    for fragment in sequenced_fragments(t, period, assignments, self.schema)
-                ]
-        rewrite(self.appended)
-        return touched
+                group = self.origin.pop(rowid)
+                at = [own for own, _ in group].index(rowid)
+                group[at:at + 1] = fragments
+            self.origin.update((own, group) for own, _ in fragments)
+        self.inserted.extend(appended)
+        self.origin.update((own, self.inserted) for own, _ in appended)
+        return len(removed)
 
     def effects(self) -> Tuple[List[Tuple[int, List[TemporalTuple]]], List[TemporalTuple]]:
-        """The commit payload: ``(removals, inserts)`` for
-        :meth:`TemporalRelation.apply_effects`, in snapshot order."""
-        removals = [
-            (rowid, [t for _, t in self.removed[rowid]])
-            for rowid, _ in self.snapshot
-            if rowid in self.removed
-        ]
-        inserts = [t for _, t in self.appended]
-        return removals, inserts
+        """The commit payload for :meth:`TemporalRelation.apply_effects`."""
+        removals = [(rowid, [t for _, t in rows]) for rowid, rows in self.removed.items()]
+        return removals, [t for _, t in self.inserted]
 
 
 class Transaction:
@@ -169,7 +125,6 @@ class Transaction:
         self.status = "active"  # -> committed | aborted
         self.commit_epoch: Optional[int] = None
         self._workspaces: Dict[str, _Workspace] = {}
-        self._local_ids = 0
         #: Bumped on every workspace write; keys the snapshot-table cache.
         self.write_version = 0
         self._snapshot_database = None
@@ -182,10 +137,6 @@ class Transaction:
                 f"transaction {self.id} is {self.status}; start a new one with BEGIN"
             )
 
-    def _fresh_local_id(self) -> int:
-        self._local_ids -= 1
-        return self._local_ids
-
     def workspace(self, name: str) -> _Workspace:
         """The (lazily created) workspace of one registered relation."""
         self._require_active()
@@ -194,7 +145,7 @@ class Transaction:
         except KeyError:
             relation = self.manager.database.get_relation(name)
             workspace = _Workspace(
-                name, relation.schema, self.manager.snapshot_rows(name, self.begin_epoch)
+                relation.schema, self.manager.snapshot_rows(name, self.begin_epoch)
             )
             self._workspaces[name] = workspace
             return workspace
@@ -207,11 +158,7 @@ class Transaction:
 
     def visible_relation(self, name: str) -> TemporalRelation:
         """The relation as this transaction sees it: snapshot + own writes."""
-        workspace = self.workspace(name)
-        relation = TemporalRelation(workspace.schema)
-        for _, t in workspace.visible_rows():
-            relation.add(t)
-        return relation
+        return self.workspace(name).rows
 
     def snapshot_database(self):
         """A read facade serving this transaction's visibility to the
@@ -226,13 +173,11 @@ class Transaction:
         self, name: str, rows: Sequence[Tuple[Sequence[Any], Interval]]
     ) -> int:
         workspace = self.workspace(name)
-        tuples = [
-            TemporalTuple(workspace.schema, tuple(values), interval)
-            for values, interval in rows
-        ]
-        count = workspace.insert(tuples, self._fresh_local_id)
+        schema = workspace.rows.schema
+        tuples = [TemporalTuple(schema, tuple(values), interval) for values, interval in rows]
+        workspace.record(workspace.rows.apply_effects((), tuples))
         self.write_version += 1
-        return count
+        return len(tuples)
 
     def delete_rows(
         self,
@@ -240,10 +185,7 @@ class Transaction:
         predicate: Optional[Callable[[TemporalTuple], bool]] = None,
         period: Optional[Interval] = None,
     ) -> int:
-        workspace = self.workspace(name)
-        touched = workspace.mutate(predicate, period, None, self._fresh_local_id)
-        self.write_version += 1
-        return touched
+        return self._mutate(name, period, lambda relation: relation.delete(predicate, period))
 
     def update_rows(
         self,
@@ -252,8 +194,21 @@ class Transaction:
         predicate: Optional[Callable[[TemporalTuple], bool]] = None,
         period: Optional[Interval] = None,
     ) -> int:
+        return self._mutate(
+            name, period, lambda relation: relation.update(assignments, predicate, period)
+        )
+
+    def _mutate(
+        self,
+        name: str,
+        period: Optional[Interval],
+        statement: Callable[[TemporalRelation], List[Delta]],
+    ) -> int:
+        """Run one UPDATE/DELETE on the workspace; returns its status count."""
         workspace = self.workspace(name)
-        touched = workspace.mutate(predicate, period, dict(assignments), self._fresh_local_id)
+        if period is None or not period.is_empty():
+            workspace.predicate_write = True
+        touched = workspace.record(statement(workspace.rows))
         self.write_version += 1
         return touched
 
@@ -328,9 +283,6 @@ class TransactionManager:
             relation.remove_mutation_listener(listener)
         self._stores.pop(name, None)
         self._last_write_epoch.pop(name, None)
-
-    def store(self, name: str) -> VersionStore:
-        return self._stores[name]
 
     # -- snapshots -------------------------------------------------------------
 
@@ -535,7 +487,6 @@ class SnapshotDatabase:
             if cached is not None and cached[0] == transaction.write_version:
                 return cached[1]
             table = Table.from_relation(name, transaction.visible_relation(name))
-            table.name = name
             self._tables[name] = (transaction.write_version, table)
             return table
         # Plain (non-relation) tables are catalog constants: not versioned,

@@ -69,10 +69,19 @@ class ChangeLog:
     def __len__(self) -> int:
         return len(self._records)
 
-    def append(self, sign: str, rowid: int, tuple_: TemporalTuple) -> Delta:
-        """Record one change, assigning it the next version."""
-        self.version += 1
-        delta = Delta(sign, rowid, tuple_, self.version)
+    def append(self, sign: str, rowid: int, tuple_: TemporalTuple, version: int) -> Delta:
+        """Record one change under ``version``, the next one.
+
+        Versions are dense and monotonically increasing: a live mutation
+        and WAL replay hand records over in the same order, and any gap
+        means the caller's history and this log disagree.
+        """
+        if version != self.version + 1:
+            raise ValueError(
+                f"version {version} does not follow log version {self.version}"
+            )
+        self.version = version
+        delta = Delta(sign, rowid, tuple_, version)
         self._records.append(delta)
         return delta
 
@@ -92,23 +101,6 @@ class ChangeLog:
             )
         self.version = version
         self.trimmed_below = trimmed_below
-
-    def append_replay(self, sign: str, rowid: int, tuple_: TemporalTuple, version: int) -> Delta:
-        """Re-append a logged record during WAL replay, preserving its version.
-
-        Versions are dense and monotonically increasing, so replay must hand
-        records back in their original order; any gap means the WAL and the
-        snapshot disagree and recovery must stop rather than rebuild a
-        subtly different history.
-        """
-        if version != self.version + 1:
-            raise ValueError(
-                f"replay version {version} does not follow log version {self.version}"
-            )
-        self.version = version
-        delta = Delta(sign, rowid, tuple_, version)
-        self._records.append(delta)
-        return delta
 
     def since(self, version: int) -> List[Delta]:
         """All records newer than ``version`` (oldest first).

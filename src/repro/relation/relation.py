@@ -25,7 +25,7 @@ incremental view maintenance of :mod:`repro.views` consumes.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, count
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.obs import metrics as obs_metrics
@@ -41,46 +41,77 @@ from repro.temporal.interval import Interval
 MutationListener = Callable[["TemporalRelation", List[Delta]], None]
 
 
-def apply_assignments(
-    t: TemporalTuple, assignments: Mapping[str, Any], schema: Schema
-) -> TemporalTuple:
-    """Rewrite a tuple's values under ``UPDATE`` assignments.
-
-    A value may be a callable receiving the original tuple
-    (``lambda t: t["a"] + 10``); the timestamp is untouched.
-    """
-    values = list(t.values)
-    for name, value in assignments.items():
-        values[schema.index_of(name)] = value(t) if callable(value) else value
-    return TemporalTuple(schema, tuple(values), t.interval)
-
-
 def sequenced_fragments(
     t: TemporalTuple,
     period: Optional[Interval],
     assignments: Optional[Mapping[str, Any]],
     schema: Schema,
 ) -> List[TemporalTuple]:
-    """Surviving fragments of one tuple under a sequenced mutation.
+    """Surviving fragments of one tuple under a sequenced mutation
+    (``assignments is None`` encodes a delete); only they are constructed.
 
-    ``assignments is None`` encodes a delete.  Shared by the in-place
-    mutation path (:meth:`TemporalRelation._mutate`) and the deferred
-    transaction workspaces of :mod:`repro.engine.transactions`, so both
-    produce identical fragments for identical statements.
+    An autocommit statement and a transaction workspace both reach this
+    through :meth:`TemporalRelation._mutate`, so both produce identical
+    fragments for identical statements.
     """
     if assignments is None:  # delete
         if period is None:
             return []
         return [t.with_interval(piece) for piece in t.interval.minus(period)]
-    updated = apply_assignments(t, assignments, schema)
+    values = list(t.values)
+    for name, value in assignments.items():
+        values[schema.index_of(name)] = value(t) if callable(value) else value
+    updated = tuple(values)
     if period is None:
-        return [updated]
-    fragments: List[TemporalTuple] = []
-    # Split at the period boundaries — the normalization split machinery.
-    for piece in t.interval.split_at((period.start, period.end)):
-        source = updated if piece.is_contained_in(period) else t
-        fragments.append(source.with_interval(piece))
-    return fragments
+        return [TemporalTuple(schema, updated, t.interval)]
+    return [
+        TemporalTuple(schema, updated if piece.is_contained_in(period) else t.values, piece)
+        for piece in t.interval.split_at((period.start, period.end))
+    ]
+
+
+#: A stored row: ``(rowid, tuple)``.
+Row = Tuple[int, TemporalTuple]
+#: One logged record of a mutation batch: ``(sign, rowid, tuple, version)``.
+#: A removal's tuple may be ``None``: applying a batch takes the live one.
+DeltaRecord = Tuple[str, int, Optional[TemporalTuple], int]
+
+
+def log_order(
+    removed: Sequence[Tuple[Row, Sequence[Row]]], appended: Sequence[Row]
+) -> List[Tuple[str, int, TemporalTuple]]:
+    """The one order a mutation batch is logged in; :func:`parse_log_order`
+    reads it back.
+
+    ``removed`` pairs each removed stored row with the rows of the fragments
+    replacing it.  The ``appended`` rows' ``+`` come first, then each
+    removed row's ``-`` directly followed by its fragments' ``+``: the
+    lineage that lets replay rebuild the exact physical layout.
+    """
+    records = [("+", rowid, t) for rowid, t in appended]
+    for (rowid, t), fragments in removed:
+        records.append(("-", rowid, t))
+        records.extend(("+", fragment_rowid, f) for fragment_rowid, f in fragments)
+    return records
+
+
+def parse_log_order(
+    records: Iterable[Sequence[Any]],
+) -> Tuple[List[Tuple[int, List[Row]]], List[Row]]:
+    """Split one batch in :func:`log_order` back into ``(removed, appended)``:
+    each removed rowid with its fragment rows, in log order, and the
+    appended rows.  A ``+`` before the first ``-`` is appended; every later
+    ``+`` replaces the closest preceding ``-``."""
+    removed: List[Tuple[int, List[Row]]] = []
+    appended: List[Row] = []
+    current = appended
+    for sign, rowid, t, *_ in records:
+        if sign == "-":
+            current = []
+            removed.append((rowid, current))
+        else:
+            current.append((rowid, t))
+    return removed, appended
 
 
 class TemporalRelation:
@@ -123,8 +154,13 @@ class TemporalRelation:
         self._changelog: Optional[ChangeLog] = None
         self._listeners: List[MutationListener] = []
         if tuples is not None:
-            for t in tuples:
-                self.add(t)
+            self._tuples = list(tuples)
+            for t in self._tuples:
+                _check_schema(schema, t)
+            if enforce_duplicate_free and not _tuples_duplicate_free(self._tuples):
+                raise DuplicateTupleError("the tuples violate the duplicate-free condition")
+            self._rowids = list(range(len(self._tuples)))
+            self._next_rowid = len(self._tuples)
 
     # -- construction -------------------------------------------------------
 
@@ -160,25 +196,19 @@ class TemporalRelation:
 
     def add(self, tuple_: TemporalTuple) -> TemporalTuple:
         """Add an existing tuple (its schema must match attribute-wise)."""
-        schema = tuple_.schema
-        if schema is not self.schema and schema.attribute_names != self.schema.attribute_names:
-            raise SchemaError(
-                f"tuple schema {tuple_.schema!r} does not match relation schema {self.schema!r}"
-            )
-        if self.enforce_duplicate_free:
-            self._check_duplicate_free(tuple_)
-        rowid = self._next_rowid
-        self._next_rowid += 1
+        _check_schema(self.schema, tuple_)
+        if self._changelog is not None or self.enforce_duplicate_free:
+            self._apply_statement((), (), [tuple_])
+            return tuple_
+        # Untracked relations (intermediate results) append in place and
+        # skip the listener dispatch of ``_after_mutation``, keeping its
+        # invalidation.
         self._tuples.append(tuple_)
-        self._rowids.append(rowid)
-        if self._changelog is not None:
-            self._after_mutation([self._changelog.append("+", rowid, tuple_)])
-        else:
-            # Untracked relations (intermediate results) skip the listener
-            # dispatch of ``_after_mutation`` but keep its invalidation.
-            self._generation += 1
-            if self._derived_cache:
-                self._derived_cache.clear()
+        self._rowids.append(self._next_rowid)
+        self._next_rowid += 1
+        self._generation += 1
+        if self._derived_cache:
+            self._derived_cache.clear()
         return tuple_
 
     def insert(self, values: Sequence[Any], interval: Interval) -> TemporalTuple:
@@ -186,14 +216,6 @@ class TemporalRelation:
         if not isinstance(interval, Interval):
             interval = Interval(*interval)
         return self.add(TemporalTuple(self.schema, values, interval))
-
-    def _check_duplicate_free(self, candidate: TemporalTuple) -> None:
-        for existing in self._tuples:
-            if existing.value_equivalent(candidate) and existing.overlaps(candidate):
-                raise DuplicateTupleError(
-                    f"tuple {candidate!r} is value-equivalent to {existing!r} "
-                    "over a common time point"
-                )
 
     # -- change tracking -----------------------------------------------------
 
@@ -285,28 +307,13 @@ class TemporalRelation:
         relation._changelog.restore(changelog_version, trimmed_below)
         return relation
 
-    def replay_deltas(
-        self, batches: Sequence[Sequence[Tuple[str, int, Optional[TemporalTuple], int]]]
-    ) -> int:
+    def replay_deltas(self, batches: Sequence[Sequence[DeltaRecord]]) -> int:
         """Re-apply a run of logged mutation batches during recovery.
 
-        Each batch holds ``(sign, rowid, tuple, version)`` records in their
-        original (interleaved) order: a removal is followed by the fragments
-        that replaced it, which lets replay rebuild the *exact* physical
-        layout — fragments take the position of the tuple they replaced,
-        plain inserts append — so a recovered relation is byte-identical to
-        the lost one, including iteration order.  A removal's tuple is
-        ignored (it may be ``None``): its change-log delta carries the live
-        tuple it removes, so recovery builds no copy of it.
-
-        The run costs one pass over the relation plus one over the records,
-        however many batches it holds.  Every removal is validated against
-        the live rowids (and every version against the log) *before* the
-        change log is touched, so a failing run leaves the relation as it
-        was.  The layout is then rebuilt once, expanding fragment-of-fragment
-        chains iteratively, and :meth:`_after_mutation` runs once per applied
-        batch in log order — generations, listeners and their MVCC stamps
-        see the same sequence of batches a batch-at-a-time replay would.
+        Each batch holds its records in :func:`log_order`.  The run is
+        applied by the one writer, :meth:`_apply_run`, in one call: one
+        layout rebuild however many batches the run holds, so a recovered
+        relation is identical to the lost one, iteration order included.
 
         A batch whose last version is not newer than the log's version at
         that point of the run is skipped entirely (it is already contained
@@ -317,80 +324,25 @@ class TemporalRelation:
         """
         if not self.tracks_changes:
             raise SchemaError("replay requires change tracking on the relation")
-        assert self._changelog is not None
-        version = self._changelog.version
-        applied: List[Sequence[Tuple[str, int, Optional[TemporalTuple], int]]] = []
-        live: Dict[int, TemporalTuple] = dict(zip(self._rowids, self._tuples))
-        #: Removed rowid -> the live tuple it held (rowids are never reused).
-        removed: Dict[int, TemporalTuple] = {}
+        version = self.version
+        applied = []
         for batch in batches:
-            if not batch or batch[-1][3] <= version:
-                continue
-            for sign, rowid, tuple_, record_version in batch:
-                if record_version != version + 1:
-                    raise SchemaError(
-                        f"replayed version {record_version} does not follow log "
-                        f"version {version}; the log does not continue this "
-                        "relation's history"
-                    )
-                version = record_version
-                if sign == "+":
-                    live[rowid] = tuple_  # an insertion always carries its tuple
-                elif rowid in live:
-                    removed[rowid] = live.pop(rowid)
-                else:
-                    raise SchemaError(
-                        f"replayed batch removes unknown rowid {rowid}; the log "
-                        "does not continue this relation's history"
-                    )
-            applied.append(batch)
+            if batch and batch[-1][3] > version:
+                applied.append(batch)
+                version = batch[-1][3]
         if not applied:
             return 0
-
-        #: Removed rowid -> the ``(rowid, tuple)`` fragments that replaced it.
-        replaced: Dict[int, List[Tuple[int, TemporalTuple]]] = {}
-        appended: List[Tuple[int, TemporalTuple]] = []
-        batch_deltas: List[List[Delta]] = []
-        for batch in applied:
-            current: Optional[List[Tuple[int, TemporalTuple]]] = None
-            deltas: List[Delta] = []
-            for sign, rowid, tuple_, record_version in batch:
-                if sign == "-":
-                    current = replaced[rowid] = []
-                    tuple_ = removed[rowid]
-                else:
-                    (appended if current is None else current).append((rowid, tuple_))
-                    if rowid >= self._next_rowid:
-                        self._next_rowid = rowid + 1
-                deltas.append(self._changelog.append_replay(sign, rowid, tuple_, record_version))
-            batch_deltas.append(deltas)
-
-        new_tuples: List[TemporalTuple] = []
-        new_rowids: List[int] = []
-        pending: List[Tuple[int, TemporalTuple]] = []
-        for row in chain(zip(self._rowids, self._tuples), appended):
-            pending.append(row)
-            while pending:  # a stack, so chains of any depth expand in order
-                rowid, t = pending.pop()
-                fragments = replaced.get(rowid)
-                if fragments is None:
-                    new_tuples.append(t)
-                    new_rowids.append(rowid)
-                else:
-                    pending.extend(reversed(fragments))
-        self._tuples = new_tuples
-        self._rowids = new_rowids
-        for deltas in batch_deltas:
-            self._after_mutation(deltas)
+        removed = {rowid for batch in applied for sign, rowid, *_ in batch if sign == "-"}
+        positions = [p for p, rowid in enumerate(self._rowids) if rowid in removed]
+        self._apply_run(positions, applied)
         return len(applied)
 
     def _after_mutation(self, deltas: List[Delta]) -> None:
-        """Shared epilogue of every mutation path.
+        """Epilogue of every batch :meth:`_apply_run` applies.
 
         Drops **all** derived caches (interval indexes, split points) so no
         stale structure can be served, advances :attr:`generation`, then
-        notifies listeners.  Every mutation — ``add``/``insert``,
-        ``delete``, ``update`` — funnels through here.
+        notifies listeners.
         """
         self._generation += 1
         if self._derived_cache:
@@ -456,167 +408,179 @@ class TemporalRelation:
         assignments: Optional[Dict[str, Any]],
     ) -> List[Delta]:
         """Shared engine of :meth:`delete` (``assignments is None``) and
-        :meth:`update`: rebuild the tuple list with affected tuples replaced
-        by their fragments, keeping untouched tuples in place."""
+        :meth:`update`: one predicate pass records the affected positions
+        and their fragments, then the batch is applied."""
         if period is not None and not isinstance(period, Interval):
             period = Interval(*period)
         if period is not None and period.is_empty():
             return []
-
-        new_tuples: List[TemporalTuple] = []
-        new_rowids: List[int] = []
-        #: Per affected tuple: ``(rowid, tuple, positions of its fragments)``.
-        affected_rows: List[Tuple[int, TemporalTuple, List[int]]] = []
-
-        for rowid, t in zip(self._rowids, self._tuples):
-            affected = (predicate is None or predicate(t)) and (
-                period is None or not t.interval.intersect(period).is_empty()
-            )
-            if not affected:
-                new_tuples.append(t)
-                new_rowids.append(rowid)
-                continue
-            positions: List[int] = []
-            for fragment in self._fragments_of(t, period, assignments):
-                positions.append(len(new_tuples))
-                new_tuples.append(fragment)
-                new_rowids.append(-1)  # real rowid assigned after validation
-            affected_rows.append((rowid, t, positions))
-
-        if not affected_rows:
-            return []
-
-        if self.enforce_duplicate_free and not _tuples_duplicate_free(new_tuples):
-            raise DuplicateTupleError(
-                "mutation would violate the duplicate-free condition; no change applied"
-            )
-
-        for _rowid, _t, positions in affected_rows:
-            for position in positions:
-                new_rowids[position] = self._next_rowid
-                self._next_rowid += 1
-        self._tuples = new_tuples
-        self._rowids = new_rowids
-
-        # Deltas are interleaved per affected tuple — the removal followed by
-        # its surviving fragments — so a logged batch carries the lineage
-        # (which fragment replaced which tuple) and WAL replay can rebuild
-        # the exact physical layout, not just the set contents.
-        deltas: List[Delta] = []
-        log = self._changelog
-        for rowid, t, positions in affected_rows:
-            deltas.append(
-                log.append("-", rowid, t) if log is not None else Delta("-", rowid, t, 0)
-            )
-            for p in positions:
-                deltas.append(
-                    log.append("+", new_rowids[p], new_tuples[p])
-                    if log is not None
-                    else Delta("+", new_rowids[p], new_tuples[p], 0)
-                )
-        self._after_mutation(deltas)
-        return deltas
-
-    def _fragments_of(
-        self,
-        t: TemporalTuple,
-        period: Optional[Interval],
-        assignments: Optional[Dict[str, Any]],
-    ) -> List[TemporalTuple]:
-        """Surviving fragments of one affected tuple under a sequenced mutation."""
-        return sequenced_fragments(t, period, assignments, self.schema)
-
-    # -- transactional effects ------------------------------------------------
+        positions: List[int] = []
+        fragments: List[List[TemporalTuple]] = []
+        for position, t in enumerate(self._tuples):
+            if (predicate is None or predicate(t)) and (
+                period is None or t.interval.overlaps(period)
+            ):
+                positions.append(position)
+                fragments.append(sequenced_fragments(t, period, assignments, self.schema))
+        return self._apply_statement(positions, fragments, ())
 
     def apply_effects(
         self,
         removals: Sequence[Tuple[int, Sequence[TemporalTuple]]],
         inserts: Sequence[TemporalTuple],
     ) -> List[Delta]:
-        """Apply a transaction's precomputed effects as one mutation batch.
+        """Apply precomputed effects as one mutation batch.
 
         ``removals`` pairs each removed *live* rowid with the fragments that
         replace it (empty for a plain delete); ``inserts`` are appended new
-        tuples.  Fragments take the physical position of the tuple they
-        replace and fresh rowids are assigned in storage order — exactly the
-        layout :meth:`_mutate` would have produced had the statement run
-        in place — so commit-order WAL replay of a transactional batch
-        rebuilds the identical relation.  The inserts' ``+`` deltas come
-        first; then, like every other mutation path, each removed tuple's
-        ``-`` followed by its ``+`` fragments.  Listeners fire once for the
-        whole batch: a committed transaction is a single change-log/WAL unit
-        per relation.
+        tuples.  A committing transaction applies its workspace this way,
+        and an autocommit ``INSERT`` its rows: one change-log batch, one
+        listener dispatch, hence one WAL record and one MVCC epoch.  The
+        layout is the one :meth:`_mutate` produces (see
+        :meth:`_apply_statement`).
         """
-        if not removals and not inserts:
-            return []
-        replacements: Dict[int, Sequence[TemporalTuple]] = {}
-        for rowid, fragments in removals:
-            if rowid in replacements:
-                raise SchemaError(f"duplicate rowid {rowid} in transactional effects")
-            replacements[rowid] = fragments
-        live = set(self._rowids)
-        missing = [rowid for rowid in replacements if rowid not in live]
-        if missing:
+        replacements = dict(removals)
+        if len(replacements) != len(removals):
+            raise SchemaError("duplicate rowid in transactional effects")
+        rowids = self._rowids
+        positions = [p for p, r in enumerate(rowids) if r in replacements] if removals else []
+        if len(positions) != len(replacements):
+            missing = sorted(replacements.keys() - {rowids[p] for p in positions})
             raise SchemaError(
-                f"transactional effects remove unknown rowid(s) {sorted(missing)}; "
+                f"transactional effects remove unknown rowid(s) {missing}; "
                 "the workspace no longer matches this relation"
             )
+        return self._apply_statement(
+            positions, [replacements[rowids[p]] for p in positions], inserts
+        )
 
+    # -- the one mutation batch ---------------------------------------------
+
+    def _apply_statement(
+        self,
+        positions: Sequence[int],
+        fragments: Sequence[Sequence[TemporalTuple]],
+        inserts: Sequence[TemporalTuple],
+    ) -> List[Delta]:
+        """Apply one statement's batch: the stored rows at ``positions``
+        (ascending) are replaced by their ``fragments``, ``inserts`` are
+        appended.  Fresh rowids follow storage order (fragments by position,
+        then inserts); the batch is then applied exactly as WAL replay
+        applies its record, so recovery rebuilds the layout by construction.
+        """
+        if not positions and not inserts:
+            return []
+        fresh = count(self._next_rowid)
+        tuples, rowids = self._tuples, self._rowids
+        removed = [
+            ((rowids[p], tuples[p]), [(next(fresh), f) for f in pieces])
+            for p, pieces in zip(positions, fragments)
+        ]
+        appended = [(next(fresh), t) for t in inserts]
+        batch = [
+            (sign, rowid, t, version)
+            for version, (sign, rowid, t) in enumerate(
+                log_order(removed, appended), self.version + 1
+            )
+        ]
+        return self._apply_run(positions, [batch])
+
+    def _apply_run(
+        self, positions: Sequence[int], batches: Sequence[Sequence[DeltaRecord]]
+    ) -> List[Delta]:
+        """The one writer of a relation's rows after construction.
+
+        ``batches`` are mutation batches in :func:`log_order`, consecutive
+        in version; ``positions`` (ascending) locate the stored rows they
+        remove.  The whole run is validated before any state changes (each
+        version follows the last, each removed rowid is live at that point,
+        an enforced duplicate-free condition holds on the result).  The rows
+        from the first affected position on are then rebuilt from slices of
+        the untouched rows and the fragments — chains where a later batch
+        replaces an earlier one's row expand with an explicit stack — then
+        the appended rows.  :meth:`_after_mutation` runs once per batch in
+        log order.  Cost: O(records + rows after the first position).
+        """
+        tuples, rowids = self._tuples, self._rowids
+        live: Dict[int, TemporalTuple] = {rowids[p]: tuples[p] for p in positions}
+        #: Removed rowid -> the live tuple it held (rowids are never reused).
+        removed: Dict[int, TemporalTuple] = {}
+        #: Removed rowid -> the rows of the fragments that replaced it.
+        replaced: Dict[int, List[Row]] = {}
+        appended: List[Row] = []
+        version = self.version
+        next_rowid = self._next_rowid
+        for batch in batches:
+            batch_replaced, batch_appended = parse_log_order(batch)
+            replaced.update(batch_replaced)
+            appended.extend(batch_appended)
+            for sign, rowid, t, record_version in batch:
+                if record_version != version + 1:
+                    raise SchemaError(
+                        f"replayed version {record_version} does not follow log "
+                        f"version {version}; the log does not continue this "
+                        "relation's history"
+                    )
+                version = record_version
+                if sign == "+":
+                    live[rowid] = t  # an insertion always carries its tuple
+                    next_rowid = max(next_rowid, rowid + 1)
+                elif rowid in live:
+                    removed[rowid] = live.pop(rowid)
+                else:
+                    raise SchemaError(
+                        f"replayed batch removes unknown rowid {rowid}; the log "
+                        "does not continue this relation's history"
+                    )
         new_tuples: List[TemporalTuple] = []
         new_rowids: List[int] = []
-        #: Per removed tuple: ``(rowid, tuple, positions of its fragments)``.
-        affected_rows: List[Tuple[int, TemporalTuple, List[int]]] = []
-        for rowid, t in zip(self._rowids, self._tuples):
-            if rowid not in replacements:
-                new_tuples.append(t)
-                new_rowids.append(rowid)
-                continue
-            positions: List[int] = []
-            for fragment in replacements[rowid]:
-                positions.append(len(new_tuples))
-                new_tuples.append(fragment)
-                new_rowids.append(-1)
-            affected_rows.append((rowid, t, positions))
-        append_positions: List[int] = []
-        for t in inserts:
-            append_positions.append(len(new_tuples))
-            new_tuples.append(t)
-            new_rowids.append(-1)
 
-        if self.enforce_duplicate_free and not _tuples_duplicate_free(new_tuples):
-            raise DuplicateTupleError(
-                "transaction would violate the duplicate-free condition; no change applied"
-            )
+        def expand(rows: Sequence[Row]) -> None:
+            pending = list(reversed(rows))
+            while pending:  # a stack, so chains of any depth expand in order
+                rowid, t = pending.pop()
+                fragments = replaced.get(rowid)
+                if fragments is None:
+                    new_tuples.append(t)
+                    new_rowids.append(rowid)
+                else:
+                    pending.extend(reversed(fragments))
 
-        for position, rowid in enumerate(new_rowids):
-            if rowid == -1:
-                new_rowids[position] = self._next_rowid
-                self._next_rowid += 1
-        self._tuples = new_tuples
-        self._rowids = new_rowids
-
-        deltas: List[Delta] = []
-        log = self._changelog
-        # Appended inserts are logged first: replay reads every ``+`` that
-        # follows a removal as one of its fragments.
-        for p in append_positions:
-            deltas.append(
-                log.append("+", new_rowids[p], new_tuples[p])
-                if log is not None
-                else Delta("+", new_rowids[p], new_tuples[p], 0)
-            )
-        for rowid, t, positions in affected_rows:
-            deltas.append(
-                log.append("-", rowid, t) if log is not None else Delta("-", rowid, t, 0)
-            )
-            for p in positions:
-                deltas.append(
-                    log.append("+", new_rowids[p], new_tuples[p])
-                    if log is not None
-                    else Delta("+", new_rowids[p], new_tuples[p], 0)
+        first = previous = positions[0] if positions else len(tuples)
+        for p in positions:
+            new_tuples.extend(tuples[previous:p])
+            new_rowids.extend(rowids[previous:p])
+            expand([(rowids[p], tuples[p])])
+            previous = p + 1
+        new_tuples.extend(tuples[previous:])
+        new_rowids.extend(rowids[previous:])
+        expand(appended)
+        if self.enforce_duplicate_free:
+            # The relation was duplicate-free: only the value groups the run
+            # adds to can break the condition.
+            added = {t.values for batch in batches for sign, _, t, _ in batch if sign == "+"}
+            if not _tuples_duplicate_free(
+                t for t in chain(tuples[:first], new_tuples) if t.values in added
+            ):
+                raise DuplicateTupleError(
+                    "mutation would violate the duplicate-free condition; no change applied"
                 )
-        self._after_mutation(deltas)
-        return deltas
+
+        self._tuples[first:] = new_tuples
+        self._rowids[first:] = new_rowids
+        self._next_rowid = next_rowid
+        log = self._changelog
+        every: List[Delta] = []
+        for batch in batches:
+            deltas = []
+            for sign, rowid, t, v in batch:
+                t = removed[rowid] if sign == "-" else t
+                deltas.append(
+                    Delta(sign, rowid, t, 0) if log is None else log.append(sign, rowid, t, v)
+                )
+            self._after_mutation(deltas)
+            every.extend(deltas)
+        return every
 
     # -- basic protocol ------------------------------------------------------
 
@@ -814,6 +778,11 @@ class TemporalRelation:
         if limit is not None and len(self._tuples) > limit:
             lines.append(f"... ({len(self._tuples) - limit} more tuples)")
         return "\n".join(lines)
+
+
+def _check_schema(schema: Schema, t: TemporalTuple) -> None:
+    if t.schema is not schema and t.schema.attribute_names != schema.attribute_names:
+        raise SchemaError(f"tuple schema {t.schema!r} does not match relation schema {schema!r}")
 
 
 def _tuples_duplicate_free(tuples: Iterable[TemporalTuple]) -> bool:

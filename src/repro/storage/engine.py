@@ -13,8 +13,11 @@ Logged record types
 ``register``    a relation registered under a name (schema + current rows +
                 rowids + change-log counters — relations may arrive already
                 populated)
-``mutate``      one committed mutation batch: interleaved ``(sign, rowid,
-                values, ts, te, version)`` deltas of one relation
+``mutate``      one statement's mutation batch (a multi-row ``INSERT``
+                included), or inside ``txn_commit`` one relation's share of
+                a transaction: ``(sign, rowid, values, ts, te, version)``
+                deltas of one relation in
+                :func:`~repro.relation.relation.log_order`
 ``create_view`` a materialized view's serializable definition
 ``drop_view`` / ``drop_table`` / ``trim``  the remaining DDL events
 
@@ -35,7 +38,7 @@ Recovery does O(snapshot + log) work.  Consecutive ``mutate`` records —
 including those inside ``txn_commit`` frames — are buffered per relation
 and replayed as one run
 (:meth:`~repro.relation.relation.TemporalRelation.replay_deltas`, one
-layout rebuild per run); every other record kind flushes the runs first, as
+call of the relation's one writer and one layout rebuild per run); every other record kind flushes the runs first, as
 does the end of the log.  The cyclic garbage collector is paused for the
 whole recovery (the caller's setting is restored afterwards), and
 ``storage.recovery_seconds`` / ``storage.wal_apply_seconds`` time each
@@ -57,7 +60,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.relation.changelog import Delta
-from repro.relation.relation import TemporalRelation
+from repro.relation.relation import DeltaRecord, TemporalRelation
 from repro.relation.tuple import TemporalTuple
 from repro.temporal.interval import Interval
 
@@ -69,9 +72,8 @@ _RECOVERY_SECONDS = obs_metrics.histogram("storage.recovery_seconds")
 _WAL_APPLY_SECONDS = obs_metrics.histogram("storage.wal_apply_seconds")
 _POISONED_GAUGE = obs_metrics.gauge("storage.poisoned")
 
-#: One replayed mutation batch: ``(sign, rowid, tuple, version)`` records
-#: (``None`` for a removal's tuple).
-Batch = List[Tuple[str, int, Optional[TemporalTuple], int]]
+#: One replayed mutation batch (``None`` for a removal's tuple).
+Batch = List[DeltaRecord]
 #: Mutation batches buffered during replay, per relation name.
 Runs = Dict[str, Tuple[TemporalRelation, List[Batch]]]
 

@@ -33,6 +33,7 @@ fragment passes the filter predicates and projections on its way out, so
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.normalization import split_points
@@ -252,7 +253,11 @@ class _AdjustedView:
 
         A superset of ALIGN's group membership (overlap ∧ θ) and of
         NORMALIZE's strict endpoint containment; re-fragmenting a tuple the
-        batch did not affect gives back the same fragments.
+        batch did not affect gives back the same fragments.  Per key the
+        changed intervals are sorted by start with a running maximum of
+        their ends: ``x`` overlaps one of them iff the largest end among
+        those starting before ``x.end`` exceeds ``x.start`` — one bisection
+        per base tuple instead of a test against every changed interval.
         """
         base_key, reference_key = self._key_attributes()
         reference_key_of = self.reference.schema.key_getter(reference_key)
@@ -263,15 +268,23 @@ class _AdjustedView:
                 changed.setdefault(reference_key_of(delta.tuple.values), []).append(interval)
         if not changed:
             return set()
-        base_key_of = self.base.schema.key_getter(base_key)
-        return {
-            rowid
-            for rowid, x in self._left_items.items()
-            if any(
-                x.start < other.end and other.start < x.end
-                for other in changed.get(base_key_of(x.values), ())
+        #: key -> (sorted starts, prefix maximum of the ends in that order).
+        reach: Dict[Tuple[Any, ...], Tuple[List[int], List[int]]] = {}
+        for key, intervals in changed.items():
+            intervals.sort()
+            reach[key] = (
+                [interval.start for interval in intervals],
+                list(accumulate((interval.end for interval in intervals), max)),
             )
-        }
+        base_key_of = self.base.schema.key_getter(base_key)
+        touched: Set[int] = set()
+        for rowid, x in self._left_items.items():
+            probe = reach.get(base_key_of(x.values))
+            if probe is not None:
+                before = bisect_left(probe[0], x.end)
+                if before and probe[1][before - 1] > x.start:
+                    touched.add(rowid)
+        return touched
 
     def recompute(self) -> None:
         """Rebuild the whole view from the current relation states."""

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Interval, Schema, TemporalRelation
 from repro.columnar import (
     align_pieces,
+    encode_keys,
     encode_relation,
     normalize_pieces,
     normalize_pieces_from_intervals,
@@ -52,6 +57,25 @@ class TestEncoding:
         rel = relation([(("a",), 0, 5), (("b",), 3, 9)])
         frame = encode_relation(rel, ())
         assert list(frame.codes) == [0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from("pq"), st.integers(0, 1)),
+            max_size=12,
+        ),
+        st.sampled_from(
+            [p for n in (1, 2, 3) for p in itertools.permutations(("x", "y", "z"), n)]
+        ),
+    )
+    def test_key_codes_equal_the_per_tuple_values_of_encoding(self, rows, attrs):
+        # The frame keys every tuple through Schema.key_getter; its codes and
+        # dictionary must be the ones TemporalTuple.values_of would give.
+        rel = relation([(values, i, i + 2) for i, values in enumerate(rows)], ("x", "y", "z"))
+        frame = encode_relation(rel, attrs)
+        codes, key_index = encode_keys([t.values_of(attrs) for t in rel])
+        assert list(frame.codes) == list(codes)
+        assert frame.key_index == key_index
 
     def test_encoding_is_cached_until_mutation(self):
         rel = relation([(("a",), 0, 5)])

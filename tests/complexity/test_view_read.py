@@ -2,7 +2,7 @@
 
 Counts, not timings: after one base mutation, a view read refreshes the
 fragment store and streams it through ``ViewScan``.  It builds no relation
-(``TemporalRelation.add``) and no engine table (``Table.from_relation``),
+(``TemporalRelation()`` or ``.add``) and no engine table (``Table.from_relation``),
 and ``EXPLAIN`` plans the read without refreshing the view it explains.
 """
 
@@ -29,10 +29,15 @@ VIEWS = {
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of the two builders a view read must not reach."""
+    """Call counts of the builders a view read must not reach."""
     counted: Counter = Counter()
+    init = TemporalRelation.__init__
     add = TemporalRelation.add
     from_relation = Table.from_relation.__func__
+
+    def counting_init(self, *args, **kwargs):
+        counted["TemporalRelation.__init__"] += 1
+        init(self, *args, **kwargs)
 
     def counting_add(self, tuple_):
         counted["TemporalRelation.add"] += 1
@@ -42,6 +47,7 @@ def calls(monkeypatch):
         counted["Table.from_relation"] += 1
         return from_relation(cls, *args, **kwargs)
 
+    monkeypatch.setattr(TemporalRelation, "__init__", counting_init)
     monkeypatch.setattr(TemporalRelation, "add", counting_add)
     monkeypatch.setattr(Table, "from_relation", classmethod(counting_from_relation))
     return counted

@@ -6,13 +6,11 @@ class TemporalRelation:
         self._tuples = []
         self._rowids = []
 
-    def _mutate(self, rows):
-        self._tuples.extend(rows)
-        self._after_mutation()
-
     def apply_effects(self, removals, inserts):
-        self._tuples = [t for t in self._tuples if t not in removals]
-        self._tuples.extend(inserts)
+        self._apply_run(removals, [inserts])
+
+    def _apply_run(self, positions, batches):
+        self._tuples[positions[0]:] = batches
         self._after_mutation()
 
     def _after_mutation(self):
