@@ -7,9 +7,11 @@ strategy the optimizer is allowed to pick for the group-construction join and
 (b) the output cardinality is identical in all settings.
 
 This harness executes the same normalization through the query engine under
-the same three settings.  Benchmark names encode ``setting`` and input size;
-``extra_info`` records the chosen join strategy and the output cardinality
-(Fig. 13(b)).
+three settings, each forcing one join method for the group-construction
+join: ``merge`` (hash joins off), ``hash`` (merge joins off) and
+``nestloop`` (both off).  Each run asserts that the plan uses the forced
+method.  Benchmark names encode ``setting`` and input size; ``extra_info``
+records the chosen join strategy and the output cardinality (Fig. 13(b)).
 """
 
 from __future__ import annotations
@@ -28,12 +30,15 @@ SIZES = scaled([250, 500, 1000])
 # (``perf/``'s ``analytic_keyed`` times that path).  The
 # switch is part of ``Settings.describe()``, the recorded setting label.
 SETTINGS = {
-    "merge_hash_nestloop": Settings(enable_columnar=False),
-    "hash_nestloop": Settings(enable_mergejoin=False, enable_columnar=False),
-    "nestloop_only": Settings(
+    "merge": Settings(enable_hashjoin=False, enable_columnar=False),
+    "hash": Settings(enable_mergejoin=False, enable_columnar=False),
+    "nestloop": Settings(
         enable_mergejoin=False, enable_hashjoin=False, enable_columnar=False
     ),
 }
+
+#: The join operator each setting forces.
+CHOSEN_JOIN = {"merge": "MergeJoin", "hash": "HashJoin", "nestloop": "NestedLoopJoin"}
 
 
 def _chosen_join(algebra: KernelTemporalAlgebra, relation) -> str:
@@ -66,8 +71,10 @@ def test_fig13_normalization_join_strategies(benchmark, incumben_large, setting,
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     algebra = KernelTemporalAlgebra(settings=settings)
+    chosen = _chosen_join(algebra, relation)
+    assert chosen == CHOSEN_JOIN[setting]
     benchmark.extra_info["setting"] = settings.describe()
-    benchmark.extra_info["chosen_join"] = _chosen_join(algebra, relation)
+    benchmark.extra_info["chosen_join"] = chosen
     benchmark.extra_info["input_tuples"] = size
     benchmark.extra_info["output_tuples"] = len(result)  # Fig. 13(b)
 
@@ -81,7 +88,7 @@ def test_fig13b_output_cardinality_invariant(benchmark, incumben_large, size):
         return {
             name: len(KernelTemporalAlgebra(settings=settings).normalize(relation, relation, ["ssn"]))
             for name, settings in SETTINGS.items()
-            if name != "nestloop_only" or size <= SIZES[0]
+            if name != "nestloop" or size <= SIZES[0]
         }
 
     cardinalities = benchmark.pedantic(run, rounds=1, iterations=1)

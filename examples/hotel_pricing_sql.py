@@ -1,8 +1,10 @@
 """The same hotel queries through the SQL front end (Sec. 6.2 / 6.3).
 
 Shows the temporal SQL extensions — ``ALIGN``, ``NORMALIZE ... USING()`` and
-``ABSORB`` — and the costed physical plan the engine chooses (EXPLAIN-style),
-including the group-construction join inside the alignment node.  The last
+``ABSORB`` — and the physical plan the engine chooses (EXPLAIN-style, with
+its row and cost estimates): each adjustment is one ``ColumnarAdjustment``
+node, and the join on the aligned intervals is a hash join, picked by the
+planner's join rule because its condition has equality keys.  The last
 section mutates the price relation with a *sequenced* ``UPDATE ... FOR
 PERIOD`` (the price rows are split at the period boundaries; only the
 fragment inside the period changes) and re-runs Q1 against the new state.

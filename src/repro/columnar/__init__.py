@@ -25,7 +25,6 @@ from repro.columnar.encoding import (
     ColumnarFrame,
     encode_keys,
     encode_relation,
-    peek_endpoint_arrays,
     remap_codes,
 )
 from repro.columnar.kernels import (
@@ -45,6 +44,5 @@ __all__ = [
     "kernel_mode",
     "normalize_pieces",
     "normalize_pieces_from_intervals",
-    "peek_endpoint_arrays",
     "remap_codes",
 ]

@@ -402,19 +402,25 @@ def join(
     return Batch(left.take(left_picks).columns + right.take(right_picks).columns, total)
 
 
-def absorb(batch: Batch, start_index: int, end_index: int) -> Optional[Batch]:
+def absorb(
+    batch: Batch, start_index: int, end_index: int, names: Sequence[str]
+) -> Optional[Batch]:
     """``AbsorbNode``: per group of equal non-interval values, the maximal
     intervals, exact duplicates once.
 
     Groups in order of first appearance, each group's intervals by
     ascending start (longest first) and its values from its first row.
-    Declines unless both bounds are integer columns without ω.
+    Declines unless both bounds are integer columns; ω in one of them
+    raises the row form's error, naming the bound among ``names``.
     """
     start, end = batch.columns[start_index], batch.columns[end_index]
     if not (isinstance(start, Ints) and isinstance(end, Ints)):
         return None
-    if any(c.nulls is not None and c.nulls.any() for c in (start, end)):
-        return None
+    for index, column in ((start_index, start), (end_index, end)):
+        if column.nulls is not None and column.nulls.any():
+            from repro.engine.executor.absorb import null_bound_error
+
+            raise null_bound_error(names[index])
     if batch.length == 0:
         return batch
     np = numpy_or_none()

@@ -144,18 +144,3 @@ def remap_codes(frame: ColumnarFrame, target: ColumnarFrame) -> Any:
         return lookup[frame.codes]
     return [table[code] if code >= 0 else NO_MATCH for code in frame.codes]
 
-
-def peek_endpoint_arrays(relation: TemporalRelation) -> Optional[Tuple[Any, Any]]:
-    """Already-cached endpoint arrays of ``relation``, or ``None``.
-
-    Never builds anything: statistics collection uses this to reuse the
-    columnar encoding when present without invalidating or populating the
-    relation's derived caches (pinned by a regression test).
-    """
-    for backend in ("np", "py"):
-        cached: Optional[Tuple[Any, Any]] = relation.peek_derived(
-            ("columnar", "endpoints", backend)
-        )
-        if cached is not None:
-            return cached
-    return None

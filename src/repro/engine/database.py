@@ -11,7 +11,6 @@ from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
 from repro.engine.optimizer.settings import Settings
 from repro.engine.plan import LogicalPlan
-from repro.engine.statistics import StatisticsCatalog, TableStatistics
 from repro.engine.table import Table
 from repro.relation.changelog import Delta
 from repro.relation.errors import SchemaError
@@ -51,7 +50,6 @@ class Database:
         self.storage = None
         #: Materialized views (incremental and recompute kinds).
         self.views = ViewCatalog(self)
-        self.statistics = StatisticsCatalog()
         #: Snapshot-isolation transactions (``None`` only on the read facade
         #: a transaction hands the planner — see SnapshotDatabase).
         self.transactions = TransactionManager(self)
@@ -148,7 +146,6 @@ class Database:
     def register_table(self, table: Table) -> Table:
         """Register (or replace) a table under its own name."""
         self.tables[table.name] = table
-        self.statistics.invalidate(table.name)
         return table
 
     def register_relation(self, name: str, relation: TemporalRelation) -> Table:
@@ -233,7 +230,6 @@ class Database:
             relation.remove_mutation_listener(listener)
         self.transactions.untrack_relation(name)
         self._stale_tables.discard(name)
-        self.statistics.invalidate(name)
         self.views.drop_dependents(name)
 
     def get_relation(self, name: str) -> TemporalRelation:
@@ -245,9 +241,6 @@ class Database:
                 f"{name!r} is not a registered temporal relation; DML requires "
                 f"register_relation (relations: {sorted(self.relations)})"
             ) from None
-
-    def table_statistics(self, name: str) -> TableStatistics:
-        return self.statistics.for_table(self.get_table(name))
 
     # -- DML -------------------------------------------------------------------------
 

@@ -8,6 +8,13 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List
 from repro.columnar import batch as batches
 from repro.engine.executor.base import PhysicalNode, Row
 from repro.obs import trace as obs_trace
+from repro.relation.errors import QueryError
+from repro.relation.tuple import is_null
+
+
+def null_bound_error(column: str) -> QueryError:
+    """The error of an ABSORB input row with ω in interval bound ``column``."""
+    return QueryError(f"ABSORB input row has a null interval bound in {column!r}")
 
 
 class AbsorbNode(PhysicalNode):
@@ -22,6 +29,8 @@ class AbsorbNode(PhysicalNode):
 
     A child that hands over a batch is absorbed as arrays
     (:func:`repro.columnar.batch.absorb`), the same rows in the same order.
+    Absorption compares intervals, so a row with ω as a bound (a padded row
+    of an outer join) raises :func:`null_bound_error` on both forms.
     """
 
     def __init__(self, child: PhysicalNode, start_index: int, end_index: int):
@@ -40,7 +49,7 @@ class AbsorbNode(PhysicalNode):
         batch = self.child.batch()
         source: Iterable[Row] = self.child
         if batch is not None:
-            absorbed = batches.absorb(batch, self.start_index, self.end_index)
+            absorbed = batches.absorb(batch, self.start_index, self.end_index, self.columns)
             if absorbed is not None:
                 obs_trace.annotate(self, input="batch")
                 yield from absorbed.materialize()
@@ -55,6 +64,9 @@ class AbsorbNode(PhysicalNode):
         group_key = self._group_key
         groups: Dict[Any, List[Row]] = {}
         for row in source:
+            for index in (start_index, end_index):
+                if is_null(row[index]):
+                    raise null_bound_error(self.columns[index])
             key = group_key(row)
             group = groups.get(key)
             if group is None:

@@ -6,7 +6,7 @@ rows from its children on demand.  Nothing runs until a consumer pulls, and a
 consumer that stops pulling (``LIMIT``, a ``semi`` join's first-match break)
 stops the whole upstream pipeline with it.  This demand-driven behaviour is
 what the paper's kernel integration gets for free from PostgreSQL's executor
-(Sec. 6.1) and what the cost model's pipelining assumptions rely on.
+(Sec. 6.1).
 
 The streaming protocol, which every operator in this package observes:
 
@@ -47,8 +47,7 @@ class PhysicalNode:
 
     Subclasses set ``columns`` (output column names) and implement
     :meth:`rows`, a generator of value tuples.  ``estimated_rows`` and
-    ``estimated_cost`` are filled in by the planner and used for plan choice
-    and ``EXPLAIN`` output.
+    ``estimated_cost`` are filled in by the planner for ``EXPLAIN`` output.
 
     Args:
         columns: Output column names, in row order.

@@ -1,8 +1,10 @@
 """Cost model.
 
-Costs are abstract units combining per-row CPU work; they only need to order
-alternative plans correctly, not predict wall-clock time.  The estimates for
-the two temporal nodes follow Sec. 6.2/6.3 of the paper literally:
+Costs are abstract units combining per-row CPU work.  No plan depends on
+them — the planner picks every operator by rule — so they annotate EXPLAIN
+(``rows=… cost=…``); the one decision taken by comparing two costs is a
+stale view's :func:`maintenance_strategy`.  The estimates for the two
+temporal nodes follow Sec. 6.2/6.3 of the paper literally:
 
 * alignment: ``numRows = 3 · input rows``,
   ``cost = input cost + 2 · cpu_op_cost · input rows · numCols``;
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 #: Cost charged per tuple-level operation (PostgreSQL's ``cpu_operator_cost``).
 CPU_OPERATOR_COST = 0.0025
@@ -24,7 +25,7 @@ CPU_TUPLE_COST = 0.01
 SEQ_SCAN_COST_PER_ROW = 0.01
 #: Default selectivity of a non-equality predicate.
 DEFAULT_SELECTIVITY = 0.33
-#: Default selectivity of an equality predicate with unknown statistics.
+#: Default selectivity of an equality predicate.
 EQUALITY_SELECTIVITY = 0.005
 #: Fixed per-delta work assumed by the view-maintenance cost model on top of
 #: the logarithmic index probes (fragment rewrite, bookkeeping).  The
@@ -65,72 +66,25 @@ def sort_cost(child: Estimate) -> Estimate:
     )
 
 
-def join_output_rows(left: Estimate, right: Estimate, has_equality: bool, kind: str) -> float:
-    if kind == "cross":
-        return left.rows * right.rows
-    selectivity = EQUALITY_SELECTIVITY if has_equality else DEFAULT_SELECTIVITY
-    rows = left.rows * right.rows * selectivity
-    if kind in ("left", "full", "anti", "semi"):
-        rows = max(rows, left.rows)
-    if kind in ("right", "full"):
-        rows = max(rows, right.rows)
-    return max(1.0, rows)
+def join_cost(left: Estimate, right: Estimate, keyed: bool, kind: str) -> Estimate:
+    """Output rows and cost of a join, whichever operator runs it.
 
-
-def nested_loop_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
-    return Estimate(
-        rows=rows,
-        cost=left.cost
-        + right.cost
-        + CPU_OPERATOR_COST * left.rows * max(1.0, right.rows)
-        + CPU_TUPLE_COST * rows,
-    )
-
-
-def hash_join_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
-    return Estimate(
-        rows=rows,
-        cost=left.cost
-        + right.cost
-        + CPU_OPERATOR_COST * (left.rows + right.rows)
-        + CPU_TUPLE_COST * rows,
-    )
-
-
-def merge_join_cost(left: Estimate, right: Estimate, rows: float) -> Estimate:
-    def sort_term(estimate: Estimate) -> float:
-        n = max(2.0, estimate.rows)
-        return CPU_OPERATOR_COST * n * math.log2(n)
-
-    return Estimate(
-        rows=rows,
-        cost=left.cost
-        + right.cost
-        + sort_term(left)
-        + sort_term(right)
-        + CPU_TUPLE_COST * rows,
-    )
-
-
-def overlap_join_rows(
-    left: Estimate, right: Estimate, kind: str, selectivity: Optional[float] = None
-) -> float:
-    """Output estimate of the overlap-shaped group-construction join.
-
-    ``selectivity`` is the estimated fraction of row pairs whose intervals
-    overlap — ideally :func:`repro.engine.statistics.overlap_selectivity`
-    from table statistics, else the default non-equality selectivity.  Outer
-    kinds keep at least one row per outer input row (the dangling ω rows of
-    Fig. 8).
+    The planner picks the join operator by rule, so this estimate only
+    annotates EXPLAIN: a keyed join probes ``left + right`` rows, an
+    unkeyed one compares every pair.
     """
-    if selectivity is None:
-        selectivity = DEFAULT_SELECTIVITY
+    selectivity = EQUALITY_SELECTIVITY if keyed else DEFAULT_SELECTIVITY
     rows = left.rows * right.rows * selectivity
     if kind in ("left", "full", "anti", "semi"):
         rows = max(rows, left.rows)
     if kind in ("right", "full"):
         rows = max(rows, right.rows)
-    return max(1.0, rows)
+    rows = max(1.0, rows)
+    compared = left.rows + right.rows if keyed else left.rows * max(1.0, right.rows)
+    return Estimate(
+        rows=rows,
+        cost=left.cost + right.cost + CPU_OPERATOR_COST * compared + CPU_TUPLE_COST * rows,
+    )
 
 
 def aggregate_cost(child: Estimate, groups_hint: float = 0.1) -> Estimate:
@@ -170,12 +124,7 @@ def normalization_cost(child: Estimate, width: int) -> Estimate:
 
 
 def view_scan_cost(rows: float) -> Estimate:
-    """Scanning a materialized view: emit the stored tuples, nothing else.
-
-    This is what makes a fresh view beat re-running the adjustment pipeline
-    it replaces — the scan pays neither the group-construction join nor the
-    sweep.
-    """
+    """Scanning a materialized view: emit the stored tuples, nothing else."""
     rows = max(1.0, rows)
     return Estimate(rows=rows, cost=CPU_TUPLE_COST * rows)
 
@@ -214,8 +163,7 @@ def maintenance_strategy(pending: int, base_rows: int, reference_rows: int) -> s
     """Decide ``"incremental"`` vs ``"recompute"`` for a stale view.
 
     The staleness threshold of the view catalog is not a magic constant but
-    this cost comparison — better statistics (or tuned cost constants)
-    sharpen it exactly like they sharpen join choice.
+    this cost comparison; tuned cost constants sharpen it.
     """
     if pending <= 0:
         return "incremental"

@@ -1,12 +1,14 @@
 """The planner: logical plans → physical executor trees.
 
-Join strategy selection follows the PostgreSQL recipe the paper relies on:
-for every join (including the group-construction join hidden inside the
-``Align``/``Normalize`` nodes) the planner enumerates the enabled strategies
-— nested loop always, hash and sort-merge when an equality key is available —
-estimates their costs and picks the cheapest.  Disabling strategies through
+Every join (including the group-construction join hidden inside the
+``Align``/``Normalize`` nodes) is planned by one rule: a hash join when the
+condition has an equality key and hash joins are enabled, else a sort-merge
+join when it has one and merge joins are enabled, else a nested loop.
+Disabling strategies through
 :class:`~repro.engine.optimizer.settings.Settings` therefore changes the plan
-exactly like ``SET enable_mergejoin = false`` does in the paper's Fig. 13.
+exactly like ``SET enable_hashjoin = false`` does in the paper's Fig. 13.
+Estimates (:mod:`~repro.engine.optimizer.cost`) annotate every node for
+EXPLAIN; no choice compares them.
 
 The two temporal logical nodes become one ``ColumnarAdjustment`` node over
 their arguments.  With ``enable_columnar`` off they expand into the plan
@@ -58,7 +60,6 @@ from repro.engine.expressions import (
 from repro.engine.optimizer import cost
 from repro.engine.optimizer.cost import Estimate
 from repro.engine.optimizer.settings import Settings
-from repro.engine.statistics import IntervalStatistics, overlap_selectivity
 from repro.obs import metrics as obs_metrics
 from repro.relation.errors import PlanError
 
@@ -66,7 +67,7 @@ _STRATEGY_COUNTER = obs_metrics.counter("planner.strategy", label_name="strategy
 
 
 class Planner:
-    """Translate logical plans into costed physical plans."""
+    """Translate logical plans into physical plans annotated with estimates."""
 
     def __init__(self, database, settings: Optional[Settings] = None):
         self.database = database
@@ -180,8 +181,7 @@ class Planner:
         right_te = left_width + resolve_column(node.right_end, right_columns)
 
         # Group construction: left outer join on θ ∧ overlap (Fig. 8),
-        # planned like any other join (Fig. 13) — only its row estimate knows
-        # the overlap shape.
+        # planned like any other join (Fig. 13).
         overlap = And(
             Comparison("<", IndexColumn(left_ts), IndexColumn(right_te)),
             Comparison("<", IndexColumn(right_ts), IndexColumn(left_te)),
@@ -194,14 +194,7 @@ class Planner:
             right_ts - left_width,
             right_te - left_width,
         )
-        selectivity = overlap_selectivity(
-            self._scan_interval_statistics(node.left, node.left_start, node.left_end),
-            self._scan_interval_statistics(node.right, node.right_start, node.right_end),
-        )
-        rows = cost.overlap_join_rows(
-            self._estimate(left), self._estimate(right), "left", selectivity
-        )
-        join = self._choose_join(left, right, "left", condition, keys, rows)
+        join = self._choose_join(left, right, "left", condition, keys)
 
         # Project to the r tuple plus the intersection bounds P1/P2.
         expressions: List[Tuple[Expression, str]] = [
@@ -225,8 +218,9 @@ class Planner:
             isalign=True,
             columns=left_columns,
         )
-        estimate = cost.alignment_cost(self._estimate(sorted_node), len(left_columns))
-        self._estimated(adjustment, estimate)
+        self._estimated(
+            adjustment, cost.alignment_cost(self._estimate(sorted_node), len(left_columns))
+        )
 
         return self._dispatch_adjustment(
             left,
@@ -238,7 +232,6 @@ class Planner:
             te_index=left_te,
             isalign=True,
             serial=adjustment,
-            serial_estimate=estimate,
             # Key codes and the overlap kernel capture the equalities and the
             # overlap; the columnar node filters candidate pairs with the rest.
             residual=equijoin_residual(node.condition, left_columns, right_columns),
@@ -314,8 +307,9 @@ class Planner:
             isalign=False,
             columns=left_columns,
         )
-        estimate = cost.normalization_cost(self._estimate(sorted_node), len(left_columns))
-        self._estimated(adjustment, estimate)
+        self._estimated(
+            adjustment, cost.normalization_cost(self._estimate(sorted_node), len(left_columns))
+        )
 
         return self._dispatch_adjustment(
             left,
@@ -327,7 +321,6 @@ class Planner:
             te_index=left_te,
             isalign=False,
             serial=adjustment,
-            serial_estimate=estimate,
             # The split points are a projection of ``right``: a columnar node
             # that can read ``right`` as a cached frame takes them from there.
             reference=ReferenceInput(right, tuple(using_right_indexes), right_ts, right_te),
@@ -417,35 +410,24 @@ class Planner:
         kind: str,
         condition: Optional[Expression],
         keys: Sequence[Tuple[int, int]],
-        rows: Optional[float] = None,
     ) -> PhysicalNode:
-        """Plan a join with the cheapest enabled strategy.
+        """Plan a join: hash if keyed and enabled, else merge if keyed and
+        enabled, else a nested loop.
 
-        ``rows`` overrides the generic output estimate (``ALIGN``'s
-        group-construction join passes the overlap estimate).  The chosen
-        operator is visible in ``EXPLAIN`` output, mirroring how the paper's
-        Fig. 13 experiment reads the strategy off the PostgreSQL plan.
+        The chosen operator is visible in ``EXPLAIN`` output, mirroring how
+        the paper's Fig. 13 experiment reads the strategy off the PostgreSQL
+        plan.  The full condition is evaluated as a residual predicate by
+        every operator, so correctness never depends on the choice.
         """
         settings = self.settings
-        left_estimate, right_estimate = self._estimate(left), self._estimate(right)
-        if rows is None:
-            rows = cost.join_output_rows(left_estimate, right_estimate, bool(keys), kind)
-        candidates: List[Tuple[Estimate, str]] = []
+        physical: PhysicalNode
         if keys and settings.enable_hashjoin:
-            candidates.append((cost.hash_join_cost(left_estimate, right_estimate, rows), "hash"))
-        if keys and settings.enable_mergejoin:
-            candidates.append((cost.merge_join_cost(left_estimate, right_estimate, rows), "merge"))
-        if settings.enable_nestloop or not candidates:
-            candidates.append((cost.nested_loop_cost(left_estimate, right_estimate, rows), "nestloop"))
-        estimate, strategy = min(candidates, key=lambda item: item[0].cost)
-        # The full condition is evaluated as a residual predicate by every
-        # strategy, so correctness never depends on the choice.
-        if strategy == "hash":
-            physical: PhysicalNode = HashJoinNode(left, right, kind, condition, list(keys))
-        elif strategy == "merge":
+            physical = HashJoinNode(left, right, kind, condition, list(keys))
+        elif keys and settings.enable_mergejoin:
             physical = MergeJoinNode(left, right, kind, condition, list(keys))
         else:
             physical = NestedLoopJoinNode(left, right, kind, condition)
+        estimate = cost.join_cost(self._estimate(left), self._estimate(right), bool(keys), kind)
         return self._estimated(physical, estimate)
 
     def _dispatch_adjustment(
@@ -459,7 +441,6 @@ class Planner:
         te_index: int,
         isalign: bool,
         serial: PhysicalNode,
-        serial_estimate: Estimate,
         residual: Optional[Expression] = None,
         reference: Optional[ReferenceInput] = None,
     ) -> PhysicalNode:
@@ -489,26 +470,8 @@ class Planner:
         )
         _STRATEGY_COUNTER.inc(label="columnar")
         return self._estimated(
-            ColumnarAdjustmentNode(left, right, task, reference), serial_estimate
+            ColumnarAdjustmentNode(left, right, task, reference), self._estimate(serial)
         )
-
-    def _scan_interval_statistics(
-        self, node: logical.LogicalPlan, start_column: str, end_column: str
-    ) -> Optional[IntervalStatistics]:
-        """Interval statistics of a logical input, when it is a base scan.
-
-        Plans whose adjustment inputs are arbitrary subplans get no endpoint
-        statistics (a real system would propagate them); the caller then
-        falls back to the default selectivity.
-        """
-        if not isinstance(node, logical.Scan):
-            return None
-        try:
-            table = self.database.get_table(node.table_name)
-        except Exception:
-            return None
-        statistics = self.database.statistics.for_table(table)
-        return statistics.interval_statistics(start_column, end_column)
 
     def _estimate(self, node: PhysicalNode) -> Estimate:
         return Estimate(rows=node.estimated_rows, cost=node.estimated_cost)

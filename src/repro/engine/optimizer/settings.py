@@ -3,7 +3,8 @@
 The paper's kernel-integration experiment (Fig. 13) toggles PostgreSQL's
 ``enable_mergejoin`` and ``enable_hashjoin`` switches to show that the
 group-construction join inside normalization/alignment is planned like any
-other join.  The same switches exist here and are honoured by the planner.
+other join.  The same two switches exist here and are honoured by the
+planner; a nested loop needs no switch, it is what a join falls back to.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from dataclasses import dataclass, fields, replace
 class Settings:
     """Optimizer switches; the cost constants live in :mod:`repro.engine.optimizer.cost`.
 
-    The three join switches span the space of Fig. 13 for every join, the
-    group-construction join of the ALIGN/NORMALIZE reference plan included;
+    The two join switches span the space of Fig. 13 for every join, the
+    group-construction join of the ALIGN/NORMALIZE reference plan included:
+    a keyed join is a hash join, a merge join with hash joins off, a nested
+    loop with both off; an unkeyed join is always a nested loop.
     ``enable_columnar`` picks between that plan and the kernels.
     """
 
-    #: Allow nested-loop joins (always used as a fallback when nothing else fits).
-    enable_nestloop: bool = True
     #: Allow hash joins for equality conditions.
     enable_hashjoin: bool = True
     #: Allow sort-merge joins for equality conditions.

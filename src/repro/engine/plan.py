@@ -8,7 +8,7 @@ Two nodes are specific to this paper: :class:`Align` and :class:`Normalize`
 represent the temporal primitives.  They appear as single nodes in the
 logical plan (like the custom PostgreSQL node of Sec. 6) and are expanded by
 the planner into *group construction join → partition/sort → plane sweep*,
-with the join strategy chosen by the cost model.
+with the join strategy chosen by the planner's join rule.
 """
 
 from __future__ import annotations

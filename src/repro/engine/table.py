@@ -35,8 +35,8 @@ class Table:
         self.rows: List[Row] = [tuple(row) for row in rows] if rows is not None else []
         self._index = {column: i for i, column in enumerate(self.columns)}
         #: The backing :class:`TemporalRelation` when the table is a snapshot
-        #: of one (set by :meth:`from_relation`); statistics collection uses
-        #: it to read already-cached endpoint arrays instead of re-scanning.
+        #: of one (set by :meth:`from_relation`); read through
+        #: :meth:`current_source_relation`.
         self.source_relation: Optional[TemporalRelation] = None
         #: ``source_relation.generation`` when the rows were copied; the
         #: snapshot describes the live relation only while the two agree.

@@ -397,7 +397,7 @@ class TransactionManager:
             if relation is None:
                 return f"relation {name!r} was dropped"
             if workspace.removed:
-                live = {rowid for rowid, _ in relation.rows_with_ids()}
+                live = relation.live_rowids()
                 gone = sorted(rowid for rowid in workspace.removed if rowid not in live)
                 if gone:
                     return (
@@ -437,10 +437,9 @@ class SnapshotDatabase:
     ``database.get_table``; inside a transaction the session hands them this
     facade instead of the real database, so every table they see is the
     begin-epoch snapshot overlaid with the transaction's own writes.  The
-    facade carries its *own* (empty) view catalog and its own statistics
-    catalog: planner view substitution and cached statistics must never leak
-    state from a different visibility epoch into the transaction — the
-    committed catalogs answer for committed data only.
+    facade carries its *own* (empty) view catalog: planner view substitution
+    must never leak state from a different visibility epoch into the
+    transaction — the committed catalog answers for committed data only.
     """
 
     def __init__(self, transaction: Transaction):
@@ -454,11 +453,9 @@ class SnapshotDatabase:
         facade.tables = {}
         facade.relations = {}
         facade.storage = None
-        from repro.engine.statistics import StatisticsCatalog
         from repro.views.catalog import ViewCatalog
 
         facade.views = ViewCatalog(facade)
-        facade.statistics = StatisticsCatalog()
         facade._stale_tables = set()
         facade._relation_listeners = {}
         facade.transactions = None

@@ -277,6 +277,10 @@ class TemporalRelation:
         """``(rowid, tuple)`` pairs in insertion order (a copy)."""
         return list(zip(self._rowids, self._tuples))
 
+    def live_rowids(self) -> Set[int]:
+        """The rowids of the relation's tuples, without touching the tuples."""
+        return set(self._rowids)
+
     # -- durability support ---------------------------------------------------
 
     @classmethod
@@ -688,9 +692,7 @@ class TemporalRelation:
         """The cached derived structure for ``key``, or ``None`` — never builds.
 
         Read-only companion of :meth:`derived` for consumers that want to
-        *reuse* a cache when present without paying to populate it (e.g.
-        statistics collection, which must not mutate the cache state it
-        observes).
+        *reuse* a cache when present without paying to populate it.
         """
         return self._derived_cache.get(key)
 

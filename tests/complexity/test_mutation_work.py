@@ -7,7 +7,9 @@ Counts, not timings:
 * it constructs a :class:`~repro.relation.tuple.TemporalTuple` only for each
   fragment it writes, none for the tuples it leaves alone;
 * replaying a WAL run of R ``mutate`` batches over one relation rebuilds
-  the layout once (:meth:`TemporalRelation._apply_run`), not R times.
+  the layout once (:meth:`TemporalRelation._apply_run`), not R times;
+* committing a transaction that removed tuples checks them against the live
+  rowids without building the relation's ``(rowid, tuple)`` pairs.
 """
 
 from __future__ import annotations
@@ -63,6 +65,24 @@ def test_update_and_delete_build_a_tuple_only_per_fragment(monkeypatch):
         built.clear()
         fragments = [d for d in mutate() if d.sign == "+"]
         assert fragments and len(built) == len(fragments)
+
+
+def test_commit_of_a_removing_transaction_builds_no_row_pairs(monkeypatch):
+    database = _database()
+    session = database.session()
+    session.execute("BEGIN")
+    session.execute("DELETE FROM r WHERE k = 'k3'")
+    built = []
+    rows_with_ids = TemporalRelation.rows_with_ids
+
+    def counting(self):
+        built.append(1)
+        return rows_with_ids(self)
+
+    monkeypatch.setattr(TemporalRelation, "rows_with_ids", counting)
+    session.execute("COMMIT")
+    assert built == []
+    assert len(database.relations["r"]) == N - len(range(3, N, 7))
 
 
 def test_replaying_a_run_rebuilds_the_layout_once(tmp_path, monkeypatch):

@@ -6,7 +6,13 @@ from repro import predicates
 from repro.core.alignment import align_relation
 from repro.core.normalization import normalize
 from repro.engine.database import Database
-from repro.engine.executor import AdjustmentNode, ValuesNode
+from repro.engine.executor import (
+    AdjustmentNode,
+    HashJoinNode,
+    MergeJoinNode,
+    NestedLoopJoinNode,
+    ValuesNode,
+)
 from repro.engine.expressions import Column, Comparison
 from repro.engine.optimizer.settings import Settings
 from repro.engine.plan import Align, Join, Scan
@@ -86,28 +92,48 @@ class TestPlanner:
         assert len(table) == 3
         assert table.columns == ("r.n", "r.ts", "r.te")
 
-    def test_join_strategy_selection_by_settings(self):
-        # Use a relation large enough that the cost model prefers hash/merge
-        # over nested loop (on tiny inputs nested loop is legitimately cheapest,
-        # just like in PostgreSQL).
+    @pytest.mark.parametrize("size", [1, 300])
+    def test_join_strategy_selection_by_settings(self, size):
+        # The join rule reads no estimate: a 1-row keyed input plans the same
+        # operator under each setting as a 300-row one.
         from repro.workloads.incumben import IncumbenConfig, generate_incumben
 
         database = self._database()
-        database.register_relation("big", generate_incumben(config=IncumbenConfig(size=300, seed=3)))
+        incumben = generate_incumben(config=IncumbenConfig(size=300, seed=3)).limit(size)
+        database.register_relation("big", incumben)
         left = Scan("big", database.get_table("big").columns, alias="a")
         right = Scan("big", database.get_table("big").columns, alias="b")
         join = Join(left, right, kind="inner",
                     condition=Comparison("=", Column("a.ssn"), Column("b.ssn")))
+        expected = [
+            (Settings(), HashJoinNode),
+            (Settings(enable_mergejoin=False), HashJoinNode),
+            (Settings(enable_hashjoin=False), MergeJoinNode),
+            (Settings(enable_hashjoin=False, enable_mergejoin=False), NestedLoopJoinNode),
+        ]
+        for settings, operator in expected:
+            assert type(database.plan(join, settings)) is operator, settings
 
-        default_plan = database.plan(join).describe()
-        assert "HashJoin" in default_plan or "MergeJoin" in default_plan
+    def test_planning_an_align_is_cache_neutral(self):
+        # Planning reads no relation: the columnar frame cached on an
+        # ALIGN argument is neither rebuilt nor dropped by planning.
+        from repro.columnar.encoding import encode_relation
+        from repro.engine.temporal_plans import align_plan
+        from repro.workloads.synthetic import SyntheticConfig, generate_random
 
-        nl_only = database.plan(join, Settings(enable_hashjoin=False,
-                                               enable_mergejoin=False)).describe()
-        assert "NestedLoopJoin" in nl_only
-
-        no_merge = database.plan(join, Settings(enable_mergejoin=False)).describe()
-        assert "MergeJoin" not in no_merge
+        database = Database()
+        left, right = generate_random(config=SyntheticConfig(size=80, categories=8, seed=21))
+        database.register_relation("l", left)
+        database.register_relation("r", right)
+        plan = align_plan(
+            scan(database, "l", "l"),
+            scan(database, "r", "r"),
+            Comparison("=", Column("l.cat"), Column("r.cat")),
+        )
+        frame = encode_relation(left, ("cat",))
+        database.plan(plan)
+        database.plan(plan, Settings(enable_columnar=False))
+        assert encode_relation(left, ("cat",)).starts is frame.starts
 
     def test_all_strategies_produce_same_join_result(self):
         database = self._database()

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.columnar.batch import Batch, Gathered, Ints, Source
+from repro.columnar.batch import Batch, Gathered, Ints, Source, absorb
 from repro.columnar.runtime import forced_python, numpy_available, numpy_or_none
 from repro.engine import deadline
 from repro.engine.database import Database
@@ -32,7 +32,7 @@ from repro.engine.expressions import Column, Comparison, conjunction
 from repro.engine.optimizer.settings import Settings
 from repro.engine.plan import AggregateCall
 from repro.obs import trace as obs_trace
-from repro.relation.errors import StatementTimeoutError
+from repro.relation.errors import QueryError, StatementTimeoutError
 from repro.relation.tuple import NULL
 from repro.server.protocol import error_kind
 from repro.sql.interface import Connection
@@ -50,6 +50,8 @@ K4 = (
     "SELECT cat, COUNT(*) c, ts, te FROM (r r1 NORMALIZE r r2 USING(cat)) x "
     "GROUP BY cat, ts, te"
 )
+#: K3 with the rows of both sides kept: a row of ``s1`` alone has ω bounds.
+K3_FULL = K3.replace("LEFT OUTER JOIN", "FULL OUTER JOIN")
 ROW = Settings(enable_columnar=False)
 
 
@@ -322,3 +324,32 @@ class TestAggregatesAgainstSqlite:
         with obs_trace.collect(node) as trace:
             assert node.execute() == [(1, 1), (2, 1)]
         assert trace.span_for(node).attributes.get("input") == "rows"
+
+
+class TestAbsorbOverNullBounds:
+    """ABSORB compares intervals, so ω as a bound (an outer join's padded
+    row) is a QueryError naming the bound, on the batch and the row form."""
+
+    # At 400 tuples ω rows share their values (the row form once compared
+    # ω with an int); at 40 every ω row is a group of its own.
+    @pytest.mark.parametrize("size", [400, 40])
+    @pytest.mark.parametrize("settings", [Settings(), ROW], ids=["columnar", "row"])
+    def test_full_outer_k3_is_a_query_error(self, settings, size):
+        connection = _connection(size)
+        with pytest.raises(QueryError, match="null interval bound in 'ts'"):
+            connection.database.execute(connection.logical_plan(K3_FULL), settings)
+
+    @pytest.mark.parametrize("null", [NULL, None], ids=["omega", "none"])
+    def test_one_row_group_is_a_query_error(self, null):
+        node = AbsorbNode(ValuesNode(["k", "ts", "te"], [("a", 0, 5), ("b", 1, null)]), 1, 2)
+        with pytest.raises(QueryError, match="null interval bound in 'te'"):
+            node.execute()
+
+    @needs_numpy
+    def test_batch_form_raises(self):
+        np = numpy_or_none()
+        child = _handed(
+            ["k", "ts", "te"], ["a", "b"], [[0, 1], [5, 0]], nulls=np.array([False, True])
+        )
+        with pytest.raises(QueryError, match="null interval bound in 'te'"):
+            absorb(child.handed, 1, 2, child.columns)

@@ -77,7 +77,7 @@ class TestPlannerDispatch:
 
     def test_describe_names_every_switch(self):
         settings = COLUMNAR.copy(enable_mergejoin=False)
-        assert settings.describe() == "nestloop=on, hashjoin=on, mergejoin=off, columnar=on"
+        assert settings.describe() == "hashjoin=on, mergejoin=off, columnar=on"
 
 
 class TestColumnarExecution:

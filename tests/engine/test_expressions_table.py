@@ -1,4 +1,4 @@
-"""Engine building blocks: tables, statistics and scalar expressions."""
+"""Engine building blocks: tables and scalar expressions."""
 
 import pytest
 
@@ -24,7 +24,6 @@ from repro.engine.expressions import (
     equijoin_residual,
     resolve_column,
 )
-from repro.engine.statistics import StatisticsCatalog, TableStatistics
 from repro.engine.table import Table
 from repro.relation.errors import QueryError, SchemaError
 from repro.relation.relation import TemporalRelation
@@ -85,26 +84,6 @@ class TestTable:
         table = Table("t", ["a"], [(i,) for i in range(30)])
         rendered = table.pretty(limit=3)
         assert "more rows" in rendered
-
-
-class TestStatistics:
-    def test_row_and_distinct_counts(self):
-        table = Table("t", ["a", "b"], [(1, "x"), (2, "x"), (2, "y")])
-        stats = TableStatistics(table)
-        assert stats.row_count == 3
-        assert stats.distinct_count("a") == 2
-        assert stats.distinct_count("b") == 2
-        assert 0 < stats.selectivity_of_equality("a") <= 1
-
-    def test_catalog_caches_and_invalidates(self):
-        table = Table("t", ["a"], [(1,)])
-        catalog = StatisticsCatalog()
-        first = catalog.for_table(table)
-        assert catalog.for_table(table) is first
-        table.append((2,))
-        assert catalog.for_table(table).row_count == 2
-        catalog.invalidate("t")
-        catalog.invalidate()
 
 
 class TestResolution:

@@ -188,11 +188,9 @@ class TestNonIntegerBounds:
 
 #: The row plan under each group-construction join it may choose.
 ROW_PLANS = {
-    "hash": ROW.copy(enable_mergejoin=False, enable_nestloop=False),
-    "merge": ROW.copy(enable_hashjoin=False, enable_nestloop=False),
+    "hash": ROW,
+    "merge": ROW.copy(enable_hashjoin=False),
     "nestloop": ROW.copy(enable_hashjoin=False, enable_mergejoin=False),
-    # Every join switch off: the planner falls back to a nested loop.
-    "fallback": ROW.copy(enable_hashjoin=False, enable_mergejoin=False, enable_nestloop=False),
 }
 
 

@@ -133,8 +133,8 @@ class TestPlannerGroupJoin:
         database = self._database()
         plan = self._align_plan(database, Comparison("=", Column("r.pcn"), Column("s.pcn")))
         only = {
-            "HashJoin": self.ROW.copy(enable_mergejoin=False, enable_nestloop=False),
-            "MergeJoin": self.ROW.copy(enable_hashjoin=False, enable_nestloop=False),
+            "HashJoin": self.ROW,
+            "MergeJoin": self.ROW.copy(enable_hashjoin=False),
             "NestedLoopJoin": self.ROW.copy(enable_hashjoin=False, enable_mergejoin=False),
         }
         results = []
@@ -142,15 +142,6 @@ class TestPlannerGroupJoin:
             assert node in database.plan(plan, settings).explain()
             results.append(sorted(database.execute(plan, settings).rows, key=repr))
         assert results[0] == results[1] == results[2]
-
-    def test_every_join_switch_off_falls_back_to_a_nested_loop(self):
-        database = self._database()
-        plan = self._align_plan(database, Comparison("=", Column("r.pcn"), Column("s.pcn")))
-        none = self.ROW.copy(enable_hashjoin=False, enable_mergejoin=False, enable_nestloop=False)
-        assert "NestedLoopJoin(left)" in database.plan(plan, none).explain()
-        assert sorted(database.execute(plan, none).rows, key=repr) == sorted(
-            database.execute(plan, self.ROW).rows, key=repr
-        )
 
 
 def _literal(value):

@@ -22,16 +22,14 @@ from repro.workloads.synthetic import SyntheticConfig, generate_random
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 
-#: The row pipeline (the Fig. 12(b) reference plan), strategies costed.
+#: The row pipeline (the Fig. 12(b) reference plan).
 ROW = Settings(enable_columnar=False)
 
-#: The row pipeline with exactly one join strategy enabled.
-ONE_JOIN = ROW.copy(enable_hashjoin=False, enable_mergejoin=False, enable_nestloop=False)
-
+#: The settings that plan each join strategy in the row pipeline.
 STRATEGIES = {
-    "hash": ONE_JOIN.copy(enable_hashjoin=True),
-    "merge": ONE_JOIN.copy(enable_mergejoin=True),
-    "nestloop": ONE_JOIN.copy(enable_nestloop=True),
+    "hash": ROW,
+    "merge": ROW.copy(enable_hashjoin=False),
+    "nestloop": ROW.copy(enable_hashjoin=False, enable_mergejoin=False),
     "columnar": Settings(),
 }
 
