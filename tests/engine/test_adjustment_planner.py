@@ -1,5 +1,8 @@
 """The ExecAdjustment plane sweep (Fig. 8–11), the planner and the kernel algebra."""
 
+import math
+import re
+
 import pytest
 
 from repro import predicates
@@ -14,6 +17,7 @@ from repro.engine.executor import (
     ValuesNode,
 )
 from repro.engine.expressions import Column, Comparison
+from repro.engine.optimizer import cost
 from repro.engine.optimizer.settings import Settings
 from repro.engine.plan import Align, Join, Scan
 from repro.engine.temporal_plans import KernelTemporalAlgebra, normalize_plan, scan
@@ -114,6 +118,41 @@ class TestPlanner:
         for settings, operator in expected:
             assert type(database.plan(join, settings)) is operator, settings
 
+    #: Each setting of the join switches and the operator the rule picks
+    #: for a keyed join under it.
+    KEYED_RULE = [
+        (Settings(), HashJoinNode),
+        (Settings(enable_mergejoin=False), HashJoinNode),
+        (Settings(enable_hashjoin=False), MergeJoinNode),
+        (Settings(enable_hashjoin=False, enable_mergejoin=False), NestedLoopJoinNode),
+    ]
+
+    @pytest.mark.parametrize("kind", ["inner", "left", "right", "full", "semi", "anti"])
+    def test_join_rule_holds_for_every_join_kind(self, kind):
+        database = self._database()
+        left = Scan("r", database.get_table("r").columns, alias="a")
+        right = Scan("r", database.get_table("r").columns, alias="b")
+        join = Join(left, right, kind=kind,
+                    condition=Comparison("=", Column("a.n"), Column("b.n")))
+        results = []
+        for settings, operator in self.KEYED_RULE:
+            physical = database.plan(join, settings)
+            assert type(physical) is operator, settings
+            results.append(sorted(physical.execute(), key=repr))
+        assert all(result == results[0] for result in results)
+
+    @pytest.mark.parametrize(
+        "settings", [settings for settings, _ in KEYED_RULE],
+        ids=["default", "no-merge", "no-hash", "no-hash-no-merge"],
+    )
+    def test_unkeyed_join_is_a_nested_loop_under_every_setting(self, settings):
+        database = self._database()
+        left = Scan("r", database.get_table("r").columns, alias="a")
+        right = Scan("r", database.get_table("r").columns, alias="b")
+        join = Join(left, right, kind="inner",
+                    condition=Comparison("<", Column("a.ts"), Column("b.ts")))
+        assert type(database.plan(join, settings)) is NestedLoopJoinNode
+
     def test_planning_an_align_is_cache_neutral(self):
         # Planning reads no relation: the columnar frame cached on an
         # ALIGN argument is neither rebuilt nor dropped by planning.
@@ -172,6 +211,87 @@ class TestPlanner:
 
         with pytest.raises(SchemaError):
             database.get_table("missing")
+
+
+class TestEstimates:
+    """Estimates annotate EXPLAIN and choose nothing: every node carries a
+    finite ``(rows=… cost=…)``, the two temporal nodes follow Sec. 6.2/6.3,
+    and a join's estimate keeps the rows its kind preserves."""
+
+    #: One EXPLAIN line: a ``describe()`` label, then the estimates.
+    LINE = re.compile(r"^ *\S.*  \(rows=\d+ cost=\d+\.\d\d\)$")
+
+    ROW = Settings(enable_columnar=False)
+
+    def _database(self):
+        database = Database()
+        database.register_relation("r", hotel_reservations())
+        database.register_relation("p", hotel_prices())
+        return database
+
+    def _nodes(self, node):
+        yield node
+        for child in node.children:
+            yield from self._nodes(child)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            Settings(),
+            ROW,
+            ROW.copy(enable_hashjoin=False),
+            ROW.copy(enable_hashjoin=False, enable_mergejoin=False),
+        ],
+        ids=["columnar", "hash", "merge", "nestloop"],
+    )
+    def test_every_node_is_annotated(self, settings):
+        database = self._database()
+        plan = normalize_plan(scan(database, "r", "x"), scan(database, "r", "y"), ["n"])
+        physical = database.plan(plan, settings)
+        for node in self._nodes(physical):
+            assert math.isfinite(node.estimated_rows) and node.estimated_rows >= 1
+            assert math.isfinite(node.estimated_cost) and node.estimated_cost > 0
+        lines = physical.explain().splitlines()
+        assert len(lines) == len(list(self._nodes(physical)))
+        assert all(self.LINE.match(line) for line in lines), lines
+
+    @pytest.mark.parametrize("isalign, factor", [(True, 3), (False, 2)],
+                             ids=["align", "normalize"])
+    def test_adjustment_rows_follow_the_paper(self, isalign, factor):
+        # Sec. 6.2: alignment emits up to 3 rows per input row; Sec. 6.3:
+        # normalization up to 2 per split point.
+        database = self._database()
+        if isalign:
+            plan = Align(Scan("r", database.get_table("r").columns, alias="a"),
+                         Scan("p", database.get_table("p").columns, alias="b"), None)
+        else:
+            plan = normalize_plan(scan(database, "r", "x"), scan(database, "r", "y"), ["n"])
+        adjustment = database.plan(plan, self.ROW)
+        assert isinstance(adjustment, AdjustmentNode)
+        (sorted_input,) = adjustment.children
+        assert adjustment.estimated_rows == factor * sorted_input.estimated_rows
+        columnar = database.plan(plan)
+        assert columnar.estimated_rows == adjustment.estimated_rows
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [("inner", 12), ("left", 40), ("semi", 40), ("anti", 40), ("right", 60), ("full", 60)],
+    )
+    def test_join_rows_keep_the_preserved_side(self, kind, rows):
+        # A keyed 40 × 60 join matches 40 · 60 · 0.005 = 12 rows; an outer,
+        # semi or anti kind emits at least every row of the side it keeps.
+        estimate = cost.join_cost(cost.scan_cost(40), cost.scan_cost(60), True, kind)
+        assert estimate.rows == pytest.approx(rows)
+
+    def test_keyed_join_compares_linearly_unkeyed_quadratically(self):
+        def compared(n, keyed):
+            left, right = cost.scan_cost(n), cost.scan_cost(n)
+            estimate = cost.join_cost(left, right, keyed, "inner")
+            work = estimate.cost - left.cost - right.cost - cost.CPU_TUPLE_COST * estimate.rows
+            return work / cost.CPU_OPERATOR_COST
+
+        assert compared(200, True) == pytest.approx(2 * compared(100, True))
+        assert compared(200, False) == pytest.approx(4 * compared(100, False))
 
 
 class TestKernelTemporalAlgebra:
