@@ -80,8 +80,8 @@ def _join_tables(size: int) -> Tuple[Table, Table]:
 def _limit_over_join(size: int, limit: int):
     """Physical pipeline ``Limit(k) ← HashJoin ← counted scans``."""
     left_table, right_table = _join_tables(size)
-    left_scan = CountingNode(SeqScanNode(left_table, "a"))
-    right_scan = CountingNode(SeqScanNode(right_table, "b"))
+    left_scan = CountingNode(SeqScanNode("l", left_table, "a"))
+    right_scan = CountingNode(SeqScanNode("r", right_table, "b"))
     condition = Comparison("=", Column("a.k"), Column("b.k"))
     join = HashJoinNode(left_scan, right_scan, "inner", condition, key_pairs=[(1, 1)])
     return LimitNode(join, limit), left_scan, right_scan, join

@@ -24,9 +24,10 @@ fallback (the two must not be mixed when tests force the fallback on).
 
 Two readers share the frames: the relation-level operators of
 :mod:`repro.core` and the engine's ``ColumnarAdjustment`` node.  The engine
-works on a *copy* of the tuples (a ``Table`` snapshot) that a physical plan
-may hold across mutations, so it reads a frame only while the snapshot's
-recorded :attr:`TemporalRelation.generation` is still current.
+reads a registered relation in place, its frames together with its scanned
+rows (:func:`repro.engine.table.relation_rows`, another entry of the same
+cache), both when the node executes, so the two always describe the same
+tuples.
 """
 
 from __future__ import annotations

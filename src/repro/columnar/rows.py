@@ -231,7 +231,7 @@ def arrays_from_frames(
     """Read both sides off the relations' cached columnar frames.
 
     ``rows`` must be ``argument``'s tuples as engine rows, position for
-    position (a current :class:`~repro.engine.table.Table` snapshot), and
+    position (:func:`~repro.engine.table.relation_rows`), and
     ``reference_rows`` likewise ``reference``'s; the
     key attribute lists are positionally paired.  Nothing here walks rows in
     Python after the first call: the frames and the argument's sorted-unique

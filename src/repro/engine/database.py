@@ -11,7 +11,7 @@ from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
 from repro.engine.optimizer.settings import Settings
 from repro.engine.plan import LogicalPlan
-from repro.engine.table import Table
+from repro.engine.table import END_COLUMN, START_COLUMN, Table, relation_columns, relation_rows
 from repro.relation.changelog import Delta
 from repro.relation.errors import SchemaError
 from repro.relation.relation import TemporalRelation
@@ -27,10 +27,11 @@ class Database:
     entirely in the plans built on top — exactly the architecture of the
     paper's PostgreSQL implementation.
 
-    Relations registered through :meth:`register_relation` stay *live*: the
-    database keeps the backing :class:`TemporalRelation` (with change
-    tracking enabled), routes DML through it, and lazily re-derives the
-    ``ts``/``te`` table snapshot after mutations.  Materialized views over
+    Relations registered through :meth:`register_relation` are stored once,
+    as the :class:`TemporalRelation` itself (with change tracking enabled):
+    DML goes through it, and a scan reads it in place when it executes
+    (:func:`~repro.engine.table.relation_rows`).  :attr:`tables` holds plain
+    tables only; one name names one object.  Materialized views over
     registered relations live in :attr:`views` and are maintained from the
     relations' change logs.
     """
@@ -40,9 +41,9 @@ class Database:
         from repro.views.catalog import ViewCatalog
 
         self.settings = settings if settings is not None else Settings()
+        #: Plain tables (:meth:`register_table`).
         self.tables: Dict[str, Table] = {}
-        #: Backing temporal relations of tables created via
-        #: :meth:`register_relation` — the authoritative, mutable store.
+        #: Temporal relations registered with :meth:`register_relation`.
         self.relations: Dict[str, TemporalRelation] = {}
         #: The durability engine (``None`` for a purely in-memory database).
         #: Set by :meth:`open`; when present, every registration, mutation and
@@ -53,8 +54,6 @@ class Database:
         #: Snapshot-isolation transactions (``None`` only on the read facade
         #: a transaction hands the planner — see SnapshotDatabase).
         self.transactions = TransactionManager(self)
-        self._stale_tables: set = set()
-        self._relation_listeners: Dict[str, tuple] = {}
         #: The :class:`~repro.obs.trace.QueryTrace` of the most recent traced
         #: execution (``EXPLAIN ANALYZE``, :meth:`execute_traced`, or every
         #: query when ``REPRO_TRACE`` is on).
@@ -144,92 +143,105 @@ class Database:
         return table
 
     def register_table(self, table: Table) -> Table:
-        """Register (or replace) a table under its own name."""
+        """Register (or replace) a plain table under its own name.
+
+        A relation registered under that name is dropped first
+        (:meth:`drop_table`), so one name never names two objects; a
+        materialized view's name is refused.
+        """
+        self._refuse_view_name(table.name)
+        if table.name in self.relations:
+            self.drop_table(table.name)
         self.tables[table.name] = table
         return table
 
-    def register_relation(self, name: str, relation: TemporalRelation) -> Table:
-        """Store a temporal relation as a table with ``ts``/``te`` columns.
+    def register_relation(self, name: str, relation: TemporalRelation) -> TemporalRelation:
+        """Register a temporal relation, read as a table with ``ts``/``te`` columns.
 
         The relation itself is retained (and change tracking enabled on it):
         subsequent DML — through :meth:`insert_rows` / :meth:`delete_rows` /
-        :meth:`update_rows` or directly on the relation — is observed, the
-        table snapshot re-derived lazily, and dependent materialized views
-        maintained from the recorded deltas.
+        :meth:`update_rows` or directly on the relation — is observed, scans
+        read its current rows, and dependent materialized views are
+        maintained from the recorded deltas.  A table or relation already
+        registered under ``name`` is dropped first (:meth:`drop_table`).  A
+        materialized view's name, and an attribute named like a boundary
+        column, are refused before anything changes or is logged.
         """
-        if name in self.relations:
-            self.drop_table(name)  # detach the old relation and its views
+        self._refuse_view_name(name)
+        clashing = sorted({START_COLUMN, END_COLUMN}.intersection(relation.schema.attribute_names))
+        if clashing:
+            raise SchemaError(
+                f"relation {name!r} cannot be registered: attribute(s) {clashing} "
+                f"clash with the boundary columns {START_COLUMN!r}/{END_COLUMN!r}"
+            )
+        if name in self.relations or name in self.tables:
+            self.drop_table(name)  # detach the old object and its views
         relation.enable_change_tracking()
         self.relations[name] = relation
-        listener = self._listener_for(name)
-        self._relation_listeners[name] = (relation, listener)
-        relation.add_mutation_listener(listener)
         self.transactions.track_relation(name, relation)
         if self.storage is not None:
             # Logs the registration (schema + current contents) and installs
             # the WAL listener so subsequent mutations are written ahead.
             self.storage.on_register_relation(name, relation)
-        table = Table.from_relation(name, relation)
-        table.name = name
-        return self.register_table(table)
+        return relation
 
-    def _listener_for(self, name: str) -> Callable[[TemporalRelation, List[Delta]], None]:
-        def mark_stale(_relation: TemporalRelation, _deltas: List[Delta]) -> None:
-            self._stale_tables.add(name)
+    def _refuse_view_name(self, name: str) -> None:
+        if name in self.views:
+            raise SchemaError(f"{name!r} already names a materialized view; drop it first")
 
-        return mark_stale
-
-    def get_table(self, name: str) -> Table:
-        """The table snapshot of ``name``.  A view has none: it is read only
-        through a query's ``ViewScan``, so its name raises a ``ViewError``."""
+    def scan_source(self, name: str) -> Union[Table, TemporalRelation]:
+        """What a scan of ``name`` reads: the registered relation itself, or a
+        plain table.  A view has neither: it is read only through a query's
+        ``ViewScan``, so its name raises a ``ViewError``."""
         if name in self.views:
             from repro.views.catalog import ViewError
 
             raise ViewError(f"{name!r} is a materialized view, not a table; read it with a query")
-        if name in self._stale_tables:
-            self._refresh_table(name)
+        relation = self.relations.get(name)
+        if relation is not None:
+            return relation
         try:
             return self.tables[name]
         except KeyError:
             raise SchemaError(
-                f"unknown table {name!r}; registered: {sorted(self.tables)}"
+                f"unknown table {name!r}; registered: {sorted({**self.tables, **self.relations})}"
             ) from None
+
+    def get_table(self, name: str) -> Table:
+        """The rows of ``name`` as a table (see :meth:`scan_source`).
+
+        For a relation the table shares the rows its scans read
+        (:func:`~repro.engine.table.relation_rows`, built by the first read
+        after a mutation) instead of copying them; it is for reading only.
+        """
+        source = self.scan_source(name)
+        if isinstance(source, Table):
+            return source
+        table = Table(name, relation_columns(source))
+        table.rows = relation_rows(source)
+        return table
 
     def columns_of(self, name: str) -> List[str]:
         """Column names of a table, or of a view (its ``output_columns()``)."""
         if name in self.views:
             return self.views.get(name).output_columns()
-        return self.get_table(name).columns
-
-    def _refresh_table(self, name: str) -> None:
-        """Re-derive a table snapshot from its mutated backing relation."""
-        relation = self.relations.get(name)
-        self._stale_tables.discard(name)
-        if relation is None:  # relation was dropped meanwhile
-            return
-        table = Table.from_relation(name, relation)
-        table.name = name
-        self.register_table(table)
+        source = self.scan_source(name)
+        return list(source.columns if isinstance(source, Table) else relation_columns(source))
 
     def drop_table(self, name: str) -> None:
         """Drop a table/relation, cascading to every dependent view.
 
-        The mutation listener is detached from the dropped relation (it may
-        live on outside the database) and any view that transitively depends
-        on the name is dropped — a view must not serve data from a dropped
-        relation, nor silently match a different relation registered later
-        under the same name.
+        The transaction and storage listeners are detached from a dropped
+        relation (it may live on outside the database) and any view that
+        transitively depends on the name is dropped — a view must not serve
+        data from a dropped relation, nor silently match a different
+        relation registered later under the same name.
         """
         if self.storage is not None and name in self.relations:
             self.storage.on_drop_table(name)
         self.tables.pop(name, None)
         self.relations.pop(name, None)
-        registered = self._relation_listeners.pop(name, None)
-        if registered is not None:
-            relation, listener = registered
-            relation.remove_mutation_listener(listener)
         self.transactions.untrack_relation(name)
-        self._stale_tables.discard(name)
         self.views.drop_dependents(name)
 
     def get_relation(self, name: str) -> TemporalRelation:

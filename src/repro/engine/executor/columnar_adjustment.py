@@ -14,11 +14,11 @@ filters the kernel's candidate pairs: as a NumPy mask where it compiles,
 else per pair with the bound expression the row join would evaluate.
 
 The arrays have two sources (see :mod:`repro.columnar.rows`).  When both
-inputs are bare scans of relation-backed tables that still mirror their
-relation, they are the frames cached on the relations and the child scans
-are never pulled (*frame* input); every other input is drained and encoded
-per execution (*rows* input).  Both feed the same kernel call and row
-builder, so the source changes the cost, never the result.
+inputs are bare scans of registered relations, they are the frames cached
+on the relations, read at execution time like the scans would be, and the
+child scans are never pulled (*frame* input); every other input is drained
+and encoded per execution (*rows* input).  Both feed the same kernel call
+and row builder, so the source changes the cost, never the result.
 
 Drained rows whose bounds are not all ``int64`` integers (floats, fractions,
 strings) run the pure-Python kernels over their raw values; there is no
@@ -47,6 +47,7 @@ from repro.columnar.runtime import numpy_available
 from repro.engine.executor.base import PhysicalNode, Row
 from repro.engine.executor.scan import SeqScanNode
 from repro.engine.expressions import Expression
+from repro.engine.table import relation_rows
 from repro.obs import trace as obs_trace
 from repro.relation.relation import TemporalRelation
 
@@ -98,21 +99,21 @@ def _scanned_relation(
 ) -> Optional[Tuple[Sequence[Row], TemporalRelation, Tuple[str, ...]]]:
     """``(rows, relation, key attributes)`` when ``node`` can be read as a frame.
 
-    That takes a bare scan of a table which still mirrors its backing
-    relation (see :meth:`Table.current_source_relation` — a plan outlives
-    mutations of the relation it was planned over), the relation's own
+    That takes a bare scan of a registered relation, the relation's own
     timestamp as the bounds, and keys among its nontemporal attributes.
+    The rows are the relation's current ones, exactly what the scan would
+    produce if it ran now.
     """
-    if not isinstance(node, SeqScanNode):
+    relation = node.relation if isinstance(node, SeqScanNode) else None
+    if relation is None:
         return None
-    table = node.table
-    relation = table.current_source_relation()
-    attributes = len(table.columns) - 2
-    if relation is None or (ts_index, te_index) != (attributes, attributes + 1):
+    attributes = relation.schema.attribute_names
+    if (ts_index, te_index) != (len(attributes), len(attributes) + 1):
         return None
-    if any(index >= attributes for index in key_indexes):
+    if any(index >= len(attributes) for index in key_indexes):
         return None
-    return table.rows, relation, tuple(table.columns[index] for index in key_indexes)
+    keys = tuple(attributes[index] for index in key_indexes)
+    return relation_rows(relation), relation, keys
 
 
 class ColumnarAdjustmentNode(PhysicalNode):

@@ -91,10 +91,9 @@ class Planner:
             view = views.get(node.table_name)
             physical: PhysicalNode = ViewScanNode(view, columns=node.columns)
             return self._estimated(physical, cost.view_scan_cost(view.estimated_rows()))
-        table = self.database.get_table(node.table_name)
-        physical = SeqScanNode(table, node.alias)
-        estimate = cost.scan_cost(len(table))
-        return self._estimated(physical, estimate)
+        source = self.database.scan_source(node.table_name)
+        physical = SeqScanNode(node.table_name, source, node.alias)
+        return self._estimated(physical, cost.scan_cost(len(source)))
 
     def _plan_values(self, node: logical.Values) -> PhysicalNode:
         physical = ValuesNode(node.columns, node.rows)

@@ -3,9 +3,11 @@
 The engine is deliberately schema-light: a table is an ordered list of column
 names plus a list of equally long value tuples.  Interval timestamps are
 stored as two integer columns (by convention ``ts`` and ``te``), exactly how
-the kernel implementation stores ``PERIOD`` boundaries, and converted to and
-from :class:`~repro.relation.relation.TemporalRelation` at the boundary of
-the engine.
+the kernel implementation stores ``PERIOD`` boundaries.
+
+A registered :class:`~repro.relation.relation.TemporalRelation` is not
+copied into a table: the executor reads it in place through
+:func:`relation_rows`, one entry of the relation's own derived cache.
 """
 
 from __future__ import annotations
@@ -34,13 +36,6 @@ class Table:
         self.columns: Tuple[str, ...] = tuple(columns)
         self.rows: List[Row] = [tuple(row) for row in rows] if rows is not None else []
         self._index = {column: i for i, column in enumerate(self.columns)}
-        #: The backing :class:`TemporalRelation` when the table is a snapshot
-        #: of one (set by :meth:`from_relation`); read through
-        #: :meth:`current_source_relation`.
-        self.source_relation: Optional[TemporalRelation] = None
-        #: ``source_relation.generation`` when the rows were copied; the
-        #: snapshot describes the live relation only while the two agree.
-        self.source_generation: int = -1
 
     # -- protocol ---------------------------------------------------------------
 
@@ -77,46 +72,6 @@ class Table:
 
     # -- conversion ---------------------------------------------------------------
 
-    @classmethod
-    def from_relation(
-        cls,
-        name: str,
-        relation: TemporalRelation,
-        start_column: str = START_COLUMN,
-        end_column: str = END_COLUMN,
-    ) -> Table:
-        """Store a temporal relation as a table with explicit ``ts``/``te`` columns.
-
-        Attributes holding :class:`Interval` values (propagated timestamps)
-        are kept as-is — the engine treats them as opaque values, which is
-        exactly the role of a propagated ``U`` attribute.
-        """
-        columns = list(relation.schema.attribute_names) + [start_column, end_column]
-        rows = [t.values + (t.start, t.end) for t in relation]
-        table = cls(name, columns, rows)
-        table.source_relation = relation
-        table.source_generation = relation.generation
-        return table
-
-    def current_source_relation(self) -> Optional[TemporalRelation]:
-        """The backing relation, if this snapshot still mirrors it row for row.
-
-        A physical plan keeps the table it was planned over, while structures
-        cached on the relation (:meth:`TemporalRelation.derived`) follow the
-        *live* tuples.  Consumers that want those structures in place of a
-        scan of :attr:`rows` ask here first: ``None`` once the relation was
-        mutated after the copy (or the table itself was appended to), so a
-        stale plan keeps answering from its own rows.
-        """
-        relation = self.source_relation
-        if (
-            relation is None
-            or relation.generation != self.source_generation
-            or len(relation) != len(self.rows)
-        ):
-            return None
-        return relation
-
     def to_relation(
         self,
         start_column: str = START_COLUMN,
@@ -152,3 +107,31 @@ class Table:
         if limit is not None and len(self.rows) > limit:
             lines.append(f"... ({len(self.rows) - limit} more rows)")
         return "\n".join(lines)
+
+
+# -- registered relations -------------------------------------------------------------
+
+
+def relation_columns(relation: TemporalRelation) -> Tuple[str, ...]:
+    """The columns the executor reads off ``relation``: attributes, ``ts``, ``te``.
+
+    Attributes holding :class:`Interval` values (propagated timestamps) are
+    opaque values to the engine — exactly the role of a propagated ``U``
+    attribute.
+    """
+    return relation.schema.attribute_names + (START_COLUMN, END_COLUMN)
+
+
+def build_rows(relation: TemporalRelation) -> List[Row]:
+    """Each tuple's values followed by its bounds, in the relation's order."""
+    return [t.values + (t.start, t.end) for t in relation]
+
+
+def relation_rows(relation: TemporalRelation) -> List[Row]:
+    """The rows a scan of ``relation`` reads (see :func:`build_rows`).
+
+    One entry of the relation's derived cache: built by the first read after
+    a mutation and dropped by the next one like every frame, so a reader
+    always sees the live relation.  The list is shared; callers only read it.
+    """
+    return relation.derived(("engine", "rows"), lambda: build_rows(relation))

@@ -125,8 +125,6 @@ class Transaction:
         self.status = "active"  # -> committed | aborted
         self.commit_epoch: Optional[int] = None
         self._workspaces: Dict[str, _Workspace] = {}
-        #: Bumped on every workspace write; keys the snapshot-table cache.
-        self.write_version = 0
         self._snapshot_database = None
 
     # -- plumbing --------------------------------------------------------------
@@ -176,7 +174,6 @@ class Transaction:
         schema = workspace.rows.schema
         tuples = [TemporalTuple(schema, tuple(values), interval) for values, interval in rows]
         workspace.record(workspace.rows.apply_effects((), tuples))
-        self.write_version += 1
         return len(tuples)
 
     def delete_rows(
@@ -209,7 +206,6 @@ class Transaction:
         if period is None or not period.is_empty():
             workspace.predicate_write = True
         touched = workspace.record(statement(workspace.rows))
-        self.write_version += 1
         return touched
 
     # -- lifecycle -------------------------------------------------------------
@@ -433,17 +429,20 @@ class SnapshotDatabase:
     """A read-only :class:`~repro.engine.database.Database` facade serving one
     transaction's visibility.
 
-    The analyzer/planner/executor pipeline resolves tables through
-    ``database.get_table``; inside a transaction the session hands them this
-    facade instead of the real database, so every table they see is the
-    begin-epoch snapshot overlaid with the transaction's own writes.  The
-    facade carries its *own* (empty) view catalog: planner view substitution
-    must never leak state from a different visibility epoch into the
-    transaction — the committed catalog answers for committed data only.
+    The analyzer/planner/executor pipeline resolves names through
+    ``database.scan_source``; inside a transaction the session hands them
+    this facade instead of the real database, which answers a relation's
+    name with :meth:`Transaction.visible_relation` — the begin-epoch
+    snapshot overlaid with the transaction's own writes, scanned in place
+    like any relation.  The facade carries its *own* (empty) view catalog:
+    planner view substitution must never leak state from a different
+    visibility epoch into the transaction — the committed catalog answers
+    for committed data only.
     """
 
     def __init__(self, transaction: Transaction):
         from repro.engine.database import Database
+        from repro.views.catalog import ViewCatalog
 
         self._transaction = transaction
         self._database = Database.__new__(Database)
@@ -453,24 +452,17 @@ class SnapshotDatabase:
         facade.tables = {}
         facade.relations = {}
         facade.storage = None
-        from repro.views.catalog import ViewCatalog
-
         facade.views = ViewCatalog(facade)
-        facade._stale_tables = set()
-        facade._relation_listeners = {}
         facade.transactions = None
         facade._last_trace = None
-        facade.get_table = self.get_table  # type: ignore[method-assign]
-        self._tables: Dict[str, Tuple[int, Any]] = {}
+        facade.scan_source = self.scan_source  # type: ignore[method-assign]
 
     @property
     def database(self):
         """The facade the engine executes against."""
         return self._database
 
-    def get_table(self, name: str):
-        from repro.engine.table import Table
-
+    def scan_source(self, name: str):
         transaction = self._transaction
         committed = transaction.manager.database
         if name in committed.views:
@@ -480,12 +472,7 @@ class SnapshotDatabase:
                 "base relations instead"
             )
         if name in committed.relations:
-            cached = self._tables.get(name)
-            if cached is not None and cached[0] == transaction.write_version:
-                return cached[1]
-            table = Table.from_relation(name, transaction.visible_relation(name))
-            self._tables[name] = (transaction.write_version, table)
-            return table
+            return transaction.visible_relation(name)
         # Plain (non-relation) tables are catalog constants: not versioned,
         # not mutable through DML — served as committed.
-        return committed.get_table(name)
+        return committed.scan_source(name)

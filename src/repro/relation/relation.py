@@ -141,14 +141,10 @@ class TemporalRelation:
         self._rowids: List[int] = []
         self._next_rowid: int = 0
         #: Cache of expensive derived structures (interval indexes, split
-        #: points); dropped on every mutation so cached entries are always
-        #: consistent with the current tuple set.
+        #: points, columnar frames, the rows the engine scans); dropped on
+        #: every mutation so cached entries are always consistent with the
+        #: current tuple set.
         self._derived_cache: Dict[Any, Any] = {}
-        #: Mutation generation: bumped by every mutation, next to the cache
-        #: drop.  A snapshot taken elsewhere (an engine ``Table``) records it
-        #: to tell later whether the live relation — and therefore anything
-        #: in ``_derived_cache`` — still describes the rows it copied.
-        self._generation: int = 0
         #: Change log (``None`` until tracking is enabled — intermediate
         #: results built by the adjustment operators never pay for logging).
         self._changelog: Optional[ChangeLog] = None
@@ -206,7 +202,6 @@ class TemporalRelation:
         self._tuples.append(tuple_)
         self._rowids.append(self._next_rowid)
         self._next_rowid += 1
-        self._generation += 1
         if self._derived_cache:
             self._derived_cache.clear()
         return tuple_
@@ -344,11 +339,10 @@ class TemporalRelation:
     def _after_mutation(self, deltas: List[Delta]) -> None:
         """Epilogue of every batch :meth:`_apply_run` applies.
 
-        Drops **all** derived caches (interval indexes, split points) so no
-        stale structure can be served, advances :attr:`generation`, then
+        Drops **all** derived caches (interval indexes, split points,
+        frames, engine rows) so no stale structure can be served, then
         notifies listeners.
         """
-        self._generation += 1
         if self._derived_cache:
             self._derived_cache.clear()
         if deltas and self._listeners:
@@ -664,9 +658,9 @@ class TemporalRelation:
 
         ``builder`` is called at most once per ``key`` until the relation is
         mutated, at which point every cached entry is dropped.  Used for the
-        ALIGN view's interval index, the normalization split points and the
-        columnar frames, so that relations referenced by many adjustment
-        calls pay the preprocessing cost once.
+        ALIGN view's interval index, the normalization split points, the
+        columnar frames and the rows the engine scans, so that relations
+        read by many queries pay the preprocessing cost once.
         """
         try:
             value = self._derived_cache[key]
@@ -677,16 +671,6 @@ class TemporalRelation:
             return value
         _DERIVED_COUNTER.inc(label="hit")
         return value
-
-    @property
-    def generation(self) -> int:
-        """Counter that changes whenever the tuple set may have changed.
-
-        Unlike :attr:`version` it needs no change tracking.  Holders of a
-        copy of the rows compare the value they recorded with the current
-        one before reading a :meth:`derived` structure on the copy's behalf.
-        """
-        return self._generation
 
     def peek_derived(self, key: Any) -> Any:
         """The cached derived structure for ``key``, or ``None`` — never builds.

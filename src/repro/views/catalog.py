@@ -207,7 +207,7 @@ class ViewCatalog:
     def _register(self, view) -> Any:
         if view.name in self._views:
             raise ViewError(f"materialized view {view.name!r} already exists")
-        if view.name in self.database.tables:
+        if view.name in self.database.tables or view.name in self.database.relations:
             raise ViewError(f"{view.name!r} already names a table")
         fingerprint = getattr(view, "fingerprint", None)
         if fingerprint is not None and fingerprint in self._by_fingerprint:

@@ -2,8 +2,9 @@
 
 Counts, not timings: after one base mutation, a view read refreshes the
 fragment store and streams it through ``ViewScan``.  It builds no relation
-(``TemporalRelation()`` or ``.add``) and no engine table (``Table.from_relation``),
-and ``EXPLAIN`` plans the read without refreshing the view it explains.
+(``TemporalRelation()`` or ``.add``) and no scanned rows of a relation
+(:func:`repro.engine.table.build_rows`), and ``EXPLAIN`` plans the read
+without refreshing the view it explains.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from collections import Counter
 import pytest
 
 from repro import Interval
+from repro.engine import table as engine_table
 from repro.engine.database import Database
-from repro.engine.table import Table
 from repro.relation.relation import TemporalRelation
 from repro.sql import Connection
 from repro.workloads.synthetic import SyntheticConfig, generate_random
@@ -33,7 +34,7 @@ def calls(monkeypatch):
     counted: Counter = Counter()
     init = TemporalRelation.__init__
     add = TemporalRelation.add
-    from_relation = Table.from_relation.__func__
+    build_rows = engine_table.build_rows
 
     def counting_init(self, *args, **kwargs):
         counted["TemporalRelation.__init__"] += 1
@@ -43,13 +44,13 @@ def calls(monkeypatch):
         counted["TemporalRelation.add"] += 1
         return add(self, tuple_)
 
-    def counting_from_relation(cls, *args, **kwargs):
-        counted["Table.from_relation"] += 1
-        return from_relation(cls, *args, **kwargs)
+    def counting_build_rows(relation):
+        counted["build_rows"] += 1
+        return build_rows(relation)
 
     monkeypatch.setattr(TemporalRelation, "__init__", counting_init)
     monkeypatch.setattr(TemporalRelation, "add", counting_add)
-    monkeypatch.setattr(Table, "from_relation", classmethod(counting_from_relation))
+    monkeypatch.setattr(engine_table, "build_rows", counting_build_rows)
     return counted
 
 

@@ -259,7 +259,7 @@ FILTERED_CTE = (
 
 
 class TestFrameInput:
-    """Bare scans of current relation snapshots read the relations' cached
+    """Bare scans of registered relations read the relations' cached
     frames; everything else is drained.  Same kernel, same rows, same order.
     (Frames are NumPy arrays: without NumPy every input is drained.)"""
 
@@ -339,10 +339,9 @@ class TestFrameInput:
         assert database.get_relation("r").peek_derived(("columnar", "endpoints", "py")) is None
 
     @needs_numpy
-    def test_old_plan_over_a_mutated_relation_answers_from_its_snapshot(self):
-        # A physical plan keeps the Table it was planned over; the cached
-        # frames follow the live relation.  The generation guard keeps the
-        # two apart.
+    def test_old_plan_over_a_mutated_relation_answers_the_live_relation(self):
+        # A scan reads its relation when it executes, and so does the frame
+        # input: a plan built before a mutation answers like a fresh plan.
         connection = _sql_database()
         database = connection.database
         logical = connection.logical_plan(KEYED_SQL["align"])
@@ -352,15 +351,13 @@ class TestFrameInput:
 
         database.update_rows("r", {"cat": "C0001"}, predicate=lambda t: t["cat"] == "C0002")
         rows, inputs, _ = _traced(old_plan)
-        assert inputs == ["rows"]
-        assert rows == before
-
+        assert inputs == ["frame"]
         fresh_rows, inputs, _ = _traced(database.plan(logical, COLUMNAR))
         assert inputs == ["frame"]
-        assert fresh_rows == database.execute(logical, ROW).rows
-        assert fresh_rows != before
+        assert rows == fresh_rows == database.execute(logical, ROW).rows
+        assert rows != before
 
-    def test_stale_reference_side_alone_declines_too(self):
+    def test_old_plan_after_a_reference_mutation_answers_the_live_relation(self):
         connection = _sql_database()
         database = connection.database
         logical = connection.logical_plan(KEYED_SQL["normalize-aliased"])
@@ -370,9 +367,10 @@ class TestFrameInput:
         new_point = (longest.start + 1, longest.start + 2)  # strictly inside it
         database.insert_rows("s", [((longest["cat"], 1, 5), new_point)])
         rows, inputs, _ = _traced(old_plan)
-        assert inputs == ["rows"] and rows == before
+        assert inputs == (["frame"] if numpy_available() else ["rows"])
         fresh = database.plan(logical, COLUMNAR).execute()
-        assert fresh == database.execute(logical, ROW).rows and fresh != before
+        assert rows == fresh == database.execute(logical, ROW).rows
+        assert rows != before
 
     def test_keys_on_the_timestamp_columns_take_the_row_input(self):
         database = _database()

@@ -46,7 +46,7 @@ def right():
 class TestBasicNodes:
     def test_seq_scan_with_alias(self):
         table = Table("t", ["a"], [(1,), (2,)])
-        node = SeqScanNode(table, alias="r")
+        node = SeqScanNode("t", table, alias="r")
         assert node.columns == ["r.a"]
         assert node.execute() == [(1,), (2,)]
 

@@ -24,7 +24,7 @@ from repro.engine.expressions import (
     equijoin_residual,
     resolve_column,
 )
-from repro.engine.table import Table
+from repro.engine.table import Table, relation_columns, relation_rows
 from repro.relation.errors import QueryError, SchemaError
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import Schema
@@ -57,28 +57,20 @@ class TestTable:
     def test_relation_roundtrip(self):
         relation = TemporalRelation(Schema(["n"]))
         relation.insert(("Ann",), Interval(0, 7))
-        table = Table.from_relation("r", relation)
+        table = Table("r", relation_columns(relation), relation_rows(relation))
         assert table.columns == ("n", "ts", "te")
         assert table.rows == [("Ann", 0, 7)]
         back = table.to_relation()
         assert back == relation
 
-    def test_snapshot_knows_whether_it_still_mirrors_its_relation(self):
+    def test_relation_rows_are_cached_until_the_next_mutation(self):
         relation = TemporalRelation(Schema(["n"]))
         relation.insert(("Ann",), Interval(0, 7))
-        table = Table.from_relation("r", relation)
-        assert table.current_source_relation() is relation
-        assert Table("t", ["n", "ts", "te"]).current_source_relation() is None
-        # A row appended to the table alone: the copy no longer matches.
-        table.append(("Bob", 1, 2))
-        assert table.current_source_relation() is None
-        # A mutation of the relation: the old snapshot is stale, a new one is not,
-        # even when the row count happens to be the same again.
-        table = Table.from_relation("r", relation)
-        relation.update({"n": "Zoe"})
-        assert len(relation) == len(table)
-        assert table.current_source_relation() is None
-        assert Table.from_relation("r", relation).current_source_relation() is relation
+        rows = relation_rows(relation)
+        assert relation_rows(relation) is rows
+        relation.insert(("Bob",), Interval(1, 2))
+        assert relation_rows(relation) == [("Ann", 0, 7), ("Bob", 1, 2)]
+        assert rows == [("Ann", 0, 7)]  # a reader's list is never rewritten
 
     def test_pretty(self):
         table = Table("t", ["a"], [(i,) for i in range(30)])

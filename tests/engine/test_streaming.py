@@ -33,13 +33,13 @@ def big_table(size=1000):
 
 class TestLimitShortCircuit:
     def test_limit_over_scan_pulls_only_k_rows(self):
-        scan = CountingNode(SeqScanNode(big_table()))
+        scan = CountingNode(SeqScanNode("t", big_table()))
         limit = LimitNode(scan, 5)
         assert len(limit.execute()) == 5
         assert scan.pulled == 5  # O(k), not 1000
 
     def test_limit_through_filter_project_chain(self):
-        scan = CountingNode(SeqScanNode(big_table()))
+        scan = CountingNode(SeqScanNode("t", big_table()))
         filtered = FilterNode(scan, Comparison("=", Column("k"), _literal(3)))
         projected = ProjectNode(filtered, [(Column("id"), "id")])
         limit = LimitNode(projected, 4)
@@ -48,8 +48,8 @@ class TestLimitShortCircuit:
         assert scan.pulled <= 4 * 7
 
     def test_limit_over_hash_join_stops_outer_scan(self):
-        outer = CountingNode(SeqScanNode(big_table()))
-        inner = CountingNode(SeqScanNode(big_table(50)))
+        outer = CountingNode(SeqScanNode("t", big_table()))
+        inner = CountingNode(SeqScanNode("t", big_table(50)))
         join = HashJoinNode(
             outer, inner, "inner",
             Comparison("=", IndexColumn(1), IndexColumn(3)), key_pairs=[(1, 1)],

@@ -6,9 +6,8 @@ incremental view maintenance) — hangs off
 :meth:`~repro.relation.relation.TemporalRelation._after_mutation`.  A write
 to ``_tuples``/``_rowids``/``_next_rowid``/``_derived_cache``/``_changelog``
 anywhere else silently desynchronizes caches, views, storage and
-transactions from the relation's contents.  ``_generation`` — what engine
-table snapshots compare before reading a derived structure on their own
-behalf — moves only with the cache drop, so it is protected the same way.
+transactions from the relation's contents — engine scans included, which
+read the relation's rows from its derived cache.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ PROTECTED = {
     "_next_rowid",
     "_derived_cache",
     "_changelog",
-    "_generation",
 }
 
 #: Method calls that mutate a protected container in place.
@@ -140,20 +138,6 @@ def test_bad_fixture_fires():
 def test_quiet_on_the_other_fixtures():
     # funnel_ok writes protected state from funnel methods of relation.py.
     walker.assert_quiet_on_other_fixtures(RULE_ID, check, "funnel")
-
-
-def test_generation_counter_is_protected_like_the_caches(tmp_path):
-    # Engine table snapshots trust ``_generation`` to move with every cache
-    # drop; a write from outside the funnel would let a stale plan read
-    # frames of rows it never copied.
-    source = tmp_path / "sneaky.py"
-    source.write_text(
-        "def rewind(relation):\n"
-        "    relation._generation = 0\n"
-        "    relation._generation += 1\n"
-    )
-    findings = list(check(Module(tmp_path, source)))
-    assert [f.line for f in findings] == [2, 3]
 
 
 def test_allows_silence_their_line_and_report_the_reason():

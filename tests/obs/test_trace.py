@@ -103,7 +103,7 @@ class TestSpanTreeMatchesExplain:
     @needs_numpy
     @pytest.mark.parametrize("kind", ["align", "normalize"])
     def test_columnar_input_is_a_span_fact_with_bypassed_scans_unexecuted(self, kind):
-        # Over current relation snapshots the columnar batch reads cached
+        # Over registered relations the columnar batch reads cached
         # frames and never pulls its children, and EXPLAIN ANALYZE must
         # render that instead of inventing zeros; over plain tables it drains
         # them.  One plan text, two honest traces, both line-for-line the

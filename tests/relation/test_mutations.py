@@ -185,27 +185,25 @@ class TestCacheInvalidation:
         assert _has_index(r)
 
     @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked"])
-    def test_every_mutation_path_advances_the_generation(self, tracked):
-        # The generation is what a copy of the rows (an engine Table) checks
-        # before reading a derived structure of the live relation: it must
-        # move whenever the caches are dropped, with or without change
-        # tracking, and stay put when nothing changed.
+    def test_every_mutation_path_drops_the_derived_cache(self, tracked):
+        # Engine scans read a relation's rows from its derived cache: every
+        # path that changes the tuples must drop it, with or without change
+        # tracking, and a statement that changes nothing must keep it.
         r = make([("a", 1, 0, 10), ("b", 2, 2, 6)])
         if tracked:
             r.enable_change_tracking()
-        seen = [r.generation]
         for mutate in (
             lambda: r.insert(("z", 0), Interval(50, 60)),
             lambda: r.delete(period=Interval(1, 2)),
             lambda: r.update({"v": 7}, predicate=lambda t: t["n"] == "b"),
             lambda: r.apply_effects([], [r.tuples()[0].with_interval(Interval(70, 80))]),
         ):
+            r.derived("marker", lambda: "cached")
             mutate()
-            assert r.generation > seen[-1]
-            seen.append(r.generation)
-        r.delete(predicate=lambda t: False)
+            assert r.peek_derived("marker") is None
         r.derived("marker", lambda: "cached")
-        assert r.generation == seen[-1]
+        r.delete(predicate=lambda t: False)
+        assert r.peek_derived("marker") == "cached"
 
     def test_stale_index_is_rebuilt_after_mutation(self):
         r = make([("a", 1, 0, 10)])

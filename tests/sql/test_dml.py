@@ -71,7 +71,7 @@ class TestDMLExecution:
         assert status.rows == [("INSERT", "r", 1)]
         relation = connection.database.relations["r"]
         assert (("Kim",), Interval(3, 9)) in relation.as_set()
-        # the table snapshot follows the relation
+        # a scan reads the relation itself
         assert ("Kim", 3, 9) in connection.execute("SELECT n, ts, te FROM r").rows
 
     def test_insert_requires_all_value_columns(self, connection):

@@ -82,7 +82,7 @@ class TestKillAndReopen:
         assert _relation_state(recovered, "r") == expected_r
         assert recovered.views.get("v_align").result() == expected_align
         assert recovered.views.get("v_norm").result() == expected_norm
-        # The recovered engine serves the same table snapshot.
+        # The recovered engine scans the recovered relation.
         assert sorted(recovered.get_table("l").rows) == sorted(
             [t.values + (t.start, t.end) for t in recovered.relations["l"]]
         )

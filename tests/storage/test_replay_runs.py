@@ -131,10 +131,10 @@ def test_each_applied_batch_runs_the_mutation_epilogue_once():
     replayed = _restored(start)
     seen = []
     replayed.add_mutation_listener(lambda _r, deltas: seen.append([d.version for d in deltas]))
-    generation = replayed.generation
+    replayed.derived("marker", lambda: "cached")
     replayed.replay_deltas(batches)
     assert seen == [[v for *_, v in batch] for batch in batches]
-    assert replayed.generation == generation + 2
+    assert replayed.peek_derived("marker") is None
 
 
 def _chain(updates, horizon=1_000_000):
@@ -193,12 +193,15 @@ def test_unknown_rowid_fails_the_run_and_leaves_the_relation_untouched():
     version = live.version
     bad = [("-", 999, TemporalTuple(SCHEMA, ("z", 0), Interval(0, 1)), version + 1)]
     replayed = _restored(start)
-    generation = replayed.generation
+    epilogues = []
+    replayed.add_mutation_listener(lambda _r, deltas: epilogues.append(deltas))
+    replayed.derived("marker", lambda: "cached")
     with pytest.raises(SchemaError, match="unknown rowid 999"):
         replayed.replay_deltas([good, bad])
     assert _state(replayed) == start
     assert replayed.changes_since(start[1]) == []
-    assert replayed.generation == generation
+    assert epilogues == []
+    assert replayed.peek_derived("marker") == "cached"
 
 
 def test_version_gap_fails_the_run_and_leaves_the_relation_untouched():

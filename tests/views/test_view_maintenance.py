@@ -275,9 +275,14 @@ class TestDependencies:
         replacement, _ = generate_random(config=CONFIG)
         database.register_relation("l", replacement)
         assert "v" not in database.views  # the old view must not serve the new "l"
-        # ...and the old relation no longer notifies the database
+        # ...and a mutation of the old relation reaches nothing the database
+        # serves: reads of "l" answer the replacement.
+        epoch = database.transactions.commit_epoch
         old_relation.insert(("C0000", 1, 2), Interval(0, 1))
-        assert "l" not in database._stale_tables
+        assert database.transactions.commit_epoch == epoch
+        assert sorted(database.query("SELECT * FROM l").rows) == sorted(
+            t.values + (t.start, t.end) for t in replacement
+        )
 
 
 class TestCatalog:
