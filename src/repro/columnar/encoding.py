@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.columnar.runtime import numpy_or_none
+from repro.relation.tuple import is_null
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.relation.relation import TemporalRelation
@@ -100,8 +101,9 @@ def encode_relation(relation: TemporalRelation, attributes: Sequence[str] = ()) 
     ``attributes`` name the equality key (normalization's ``B`` attributes or
     the equi part of an alignment θ); the empty sequence encodes every tuple
     under one shared code.  Repeated adjustments against the same reference
-    therefore pay the encoding pass once — the columnar analogue of the
-    cached :class:`~repro.temporal.interval_index.IntervalIndex`.
+    therefore pay the encoding pass once, and a maintained view encodes
+    only its changed tuples into the cached dictionary
+    (:func:`encode_keys` with ``key_index``).
     """
     attrs = tuple(attributes)
     backend = _backend()
@@ -145,3 +147,30 @@ def remap_codes(frame: ColumnarFrame, target: ColumnarFrame) -> Any:
         return lookup[frame.codes]
     return [table[code] if code >= 0 else NO_MATCH for code in frame.codes]
 
+
+def without_null_keys(key_index: Dict[Hashable, int], *codes: Any) -> Tuple[Any, ...]:
+    """``codes`` — arrays in ``key_index``'s dictionary — with every key that
+    contains ``ω`` mapped to :data:`NO_MATCH`.
+
+    An equality over ``ω`` is false in the engine, so a row with such a key
+    joins nothing, not even another ``ω`` key.  The check runs once per
+    distinct key, not per row; with no such key the arrays pass through.
+    """
+    null_codes = [
+        code
+        for key, code in key_index.items()
+        if isinstance(key, tuple) and any(map(is_null, key))
+    ]
+    if not null_codes:
+        return codes
+    # One spare slot at the end, so that NO_MATCH (-1) maps to itself.
+    table = list(range(len(key_index))) + [NO_MATCH]
+    for code in null_codes:
+        table[code] = NO_MATCH
+    np = numpy_or_none()
+    return tuple(
+        [table[code] for code in column]
+        if isinstance(column, list)
+        else np.asarray(table, dtype=np.int64)[column]
+        for column in codes
+    )

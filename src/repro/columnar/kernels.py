@@ -28,8 +28,7 @@ engine pipeline's behaviour bit for bit; the relation-level operators pass
 ``False``, matching the plane sweep (an empty interval overlaps nothing).
 
 The enumeration splits each left row's matches into two disjoint,
-``searchsorted``-addressable classes (the same decomposition the
-:class:`~repro.temporal.interval_index.IntervalIndex` uses):
+``searchsorted``-addressable classes:
 
 * *starters* — right rows whose start lies strictly inside the left
   interval: a contiguous range of the right side sorted by (code, start);

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequenc
 
 from repro.columnar import kernels
 from repro.columnar.batch import Batch, Cache, Gathered, Ints, Source
-from repro.columnar.encoding import NO_MATCH, encode_relation, remap_codes
+from repro.columnar.encoding import encode_keys, encode_relation, remap_codes, without_null_keys
 from repro.columnar.runtime import numpy_available, numpy_or_none
 from repro.relation.tuple import compare_values, is_null
 
@@ -141,32 +141,17 @@ def _key_codes(
     left_rows: Sequence[Row],
     right_rows: Sequence[Row],
     key_pairs: Sequence[Tuple[int, int]],
-) -> Tuple[List[int], List[int]]:
-    """Dictionary-encode the equality keys of both sides into shared codes.
-
-    A key containing ``ω`` gets the no-match code on either side: an equality
-    comparison over null is false in this engine, so such rows join nothing —
-    they must stay dangling, not meet other null keys.
-    """
+) -> Tuple[Any, Any]:
+    """Dictionary-encode the equality keys of both sides into shared codes
+    (the right side's dictionary); a key containing ``ω`` matches nothing
+    (:func:`~repro.columnar.encoding.without_null_keys`)."""
     if not key_pairs:
         return [0] * len(left_rows), [0] * len(right_rows)
-    left_indexes = [i for i, _ in key_pairs]
-    right_indexes = [j for _, j in key_pairs]
-    key_index: Dict[Tuple[Any, ...], int] = {}
-    right_codes: List[int] = []
-    for row in right_rows:
-        key = tuple(row[j] for j in right_indexes)
-        if any(is_null(v) for v in key):
-            right_codes.append(NO_MATCH)
-        else:
-            right_codes.append(key_index.setdefault(key, len(key_index)))
-    left_codes: List[int] = []
-    for row in left_rows:
-        key = tuple(row[i] for i in left_indexes)
-        if any(is_null(v) for v in key):
-            left_codes.append(NO_MATCH)
-        else:
-            left_codes.append(key_index.get(key, NO_MATCH))
+    right_keys = [tuple(row[j] for _, j in key_pairs) for row in right_rows]
+    left_keys = [tuple(row[i] for i, _ in key_pairs) for row in left_rows]
+    right_codes, key_index = encode_keys(right_keys)
+    left_codes, _ = encode_keys(left_keys, key_index)
+    left_codes, right_codes = without_null_keys(key_index, left_codes, right_codes)
     return left_codes, right_codes
 
 
@@ -245,20 +230,9 @@ def arrays_from_frames(
         ("columnar", "row_order", "np"),
         lambda: np.asarray(sorted_unique_positions(rows), dtype=np.intp),
     )
-    l_codes = remap_codes(left, right)[order]
-    r_codes = right.codes
-    # Once per distinct key, not per row: a key containing ω equals nothing.
-    null_codes = [
-        code
-        for key, code in right.key_index.items()
-        if isinstance(key, tuple) and any(map(is_null, key))
-    ]
-    if null_codes:
-        # One spare slot at the end, so that NO_MATCH (-1) maps to itself.
-        lookup = np.arange(len(right.key_index) + 1, dtype=np.int64)
-        lookup[-1] = NO_MATCH
-        lookup[null_codes] = NO_MATCH
-        l_codes, r_codes = lookup[l_codes], lookup[r_codes]
+    l_codes, r_codes = without_null_keys(
+        right.key_index, remap_codes(left, right)[order], right.codes
+    )
     return AdjustmentArrays(
         [rows[position] for position in order.tolist()],
         left.starts[order],

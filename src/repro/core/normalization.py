@@ -163,10 +163,9 @@ def split_points(
 
     The result is cached on ``reference`` (see
     :meth:`~repro.relation.relation.TemporalRelation.derived`), so repeated
-    normalizations against the same reference — the hot pattern of Fig. 14's
-    attribute sweep, of any shared dimension relation and of a maintained
-    :class:`~repro.views.view.NormalizeView` — collect and sort the endpoints
-    once instead of once per call.  Mutating the reference invalidates the
+    sweep normalizations against the same reference — the hot pattern of
+    Fig. 14's attribute sweep and of any shared dimension relation — collect
+    and sort the endpoints once instead of once per call.  Mutating the reference invalidates the
     cache.  The key of a tuple is ``values_of(attributes)`` (``()`` for
     ``N_{}``).
     """

@@ -132,9 +132,10 @@ def view_scan_cost(rows: float) -> Estimate:
 def incremental_maintenance_cost(pending: int, base_rows: int, reference_rows: int) -> Estimate:
     """Cost of folding ``pending`` deltas into a materialized adjustment view.
 
-    Each delta pays two index probes (finding the affected overlap groups on
-    one side, recomputing fragments against the other) plus a fixed
-    bookkeeping overhead (``VIEW_DELTA_OVERHEAD``).  Deliberately
+    Each delta pays a ``log n + log m`` term (finding the affected base
+    tuples, then re-fragmenting them through the kernels against the
+    reference rows that share their keys) plus a fixed bookkeeping overhead
+    (``VIEW_DELTA_OVERHEAD``).  Deliberately
     pessimistic about fan-out so that near-full-relation delta batches lose
     against :func:`full_recompute_cost` and the catalog falls back.
     """

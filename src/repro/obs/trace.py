@@ -248,9 +248,10 @@ class QueryTrace:
 
 @contextmanager
 def collect(root: Any, sql: Optional[str] = None) -> Iterator[QueryTrace]:
-    """Build a trace over ``root``'s plan tree and activate it for the body.
+    """Build a trace over ``root``'s plan tree and activate it for the body::
 
-    >>> # with collect(physical) as trace: list(physical)   # doctest: +SKIP
+        with collect(physical) as trace:
+            rows = list(physical)
     """
     trace = QueryTrace(root, sql=sql)
     with trace.activate():

@@ -140,8 +140,8 @@ class TemporalRelation:
         #: stored tuple (two value-equal tuples carry distinct rowids).
         self._rowids: List[int] = []
         self._next_rowid: int = 0
-        #: Cache of expensive derived structures (interval indexes, split
-        #: points, columnar frames, the rows the engine scans); dropped on
+        #: Cache of expensive derived structures (columnar frames, split
+        #: points, the rows the engine scans); dropped on
         #: every mutation so cached entries are always consistent with the
         #: current tuple set.
         self._derived_cache: Dict[Any, Any] = {}
@@ -339,8 +339,8 @@ class TemporalRelation:
     def _after_mutation(self, deltas: List[Delta]) -> None:
         """Epilogue of every batch :meth:`_apply_run` applies.
 
-        Drops **all** derived caches (interval indexes, split points,
-        frames, engine rows) so no stale structure can be served, then
+        Drops **all** derived caches (columnar frames, split points,
+        engine rows) so no stale structure can be served, then
         notifies listeners.
         """
         if self._derived_cache:
@@ -658,8 +658,8 @@ class TemporalRelation:
 
         ``builder`` is called at most once per ``key`` until the relation is
         mutated, at which point every cached entry is dropped.  Used for the
-        ALIGN view's interval index, the normalization split points, the
-        columnar frames and the rows the engine scans, so that relations
+        columnar frames, the normalization split points and the rows the
+        engine scans, so that relations
         read by many queries pay the preprocessing cost once.
         """
         try:

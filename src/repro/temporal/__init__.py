@@ -11,13 +11,9 @@ provides:
 * :mod:`~repro.temporal.timeline` — helpers mapping calendar-like labels
   (``"2012/3"`` or ISO dates) onto the discrete integer domain, so examples
   can be written in the paper's notation.
-* :mod:`~repro.temporal.interval_index` — sorted-endpoint overlap index a
-  maintained ALIGN view probes, so that a reference relation is sorted once
-  per mutation instead of once per changed base tuple.
 """
 
 from repro.temporal.interval import EMPTY_INTERVAL, Interval, coalesce, duration, overlaps
-from repro.temporal.interval_index import IntervalIndex, KeyedIntervalIndex
 from repro.temporal.timeline import (
     DayTimeline,
     MonthTimeline,
@@ -29,8 +25,6 @@ from repro.temporal.timeline import (
 __all__ = [
     "Interval",
     "EMPTY_INTERVAL",
-    "IntervalIndex",
-    "KeyedIntervalIndex",
     "overlaps",
     "duration",
     "coalesce",

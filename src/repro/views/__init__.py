@@ -11,14 +11,12 @@ change-preservation property (Def. 6/7) — and that fragment store is all the
 state it owns:
 
 * a deleted base tuple removes exactly its lineage-derived fragments;
-* an inserted base tuple is adjusted against the reference's cached
-  structures: its overlap group probed from the
-  :class:`~repro.temporal.interval_index.KeyedIntervalIndex` the ALIGN view
-  caches on its reference, or the cached per-key split points core's
-  ``normalize`` builds (NORMALIZE);
 * one rule covers a reference-side delta for both kinds: the base tuples
-  with its key and an overlapping interval are re-adjusted, in one pass over
-  the lineage, so a refresh after a reference mutation costs O(n + m log m).
+  with its key and an overlapping interval are re-adjusted, found in one
+  pass over the lineage;
+* the inserted and re-adjusted base tuples are fragmented the way a query
+  does, by one call of the columnar kernels against the reference rows that
+  share their keys.
 
 Past a staleness threshold decided by the optimizer's cost model
 (:func:`repro.engine.optimizer.cost.maintenance_strategy`) maintenance falls

@@ -15,7 +15,14 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.expressions import Expression, QueryError, equijoin_keys, resolve_column
+from repro.engine.expressions import (
+    Expression,
+    QueryError,
+    conjunction,
+    conjuncts_of,
+    equijoin_keys,
+    resolve_column,
+)
 from repro.relation.errors import SchemaError
 from repro.relation.relation import TemporalRelation
 from repro.relation.tuple import TemporalTuple
@@ -101,6 +108,18 @@ def theta_from_condition(
     return theta
 
 
+def _attribute_pairs(
+    condition: Optional[Expression],
+    left_columns: Sequence[str],
+    right_columns: Sequence[str],
+) -> List[Tuple[str, str]]:
+    """θ's cross-side equalities as plain attribute-name pairs, base side first."""
+    return [
+        (left_name.rsplit(".", 1)[-1], right_name.rsplit(".", 1)[-1])
+        for left_name, right_name in equijoin_keys(condition, left_columns, right_columns)
+    ]
+
+
 def equi_attributes_from_condition(
     condition: Optional[Expression],
     left_columns: Sequence[str],
@@ -109,20 +128,33 @@ def equi_attributes_from_condition(
     """Equality-key attribute pairs of θ, as plain schema attribute names.
 
     Pairs touching the interval boundary columns are skipped (they are not
-    nontemporal attributes); skipping a pair is always sound because θ is
-    evaluated in full by the view's predicate anyway — the key only speeds up
-    the index probes.
+    nontemporal attributes): such a conjunct stays in θ's residual
+    (:func:`residual_condition`), which the view evaluates per pair.
     """
-    left_attrs: List[str] = []
-    right_attrs: List[str] = []
-    for left_name, right_name in equijoin_keys(condition, left_columns, right_columns):
-        left_base = left_name.rsplit(".", 1)[-1]
-        right_base = right_name.rsplit(".", 1)[-1]
-        if {left_base, right_base} & {"ts", "te"}:
-            continue
-        left_attrs.append(left_base)
-        right_attrs.append(right_base)
-    return tuple(left_attrs), tuple(right_attrs)
+    pairs = [
+        pair
+        for pair in _attribute_pairs(condition, left_columns, right_columns)
+        if not set(pair) & {"ts", "te"}
+    ]
+    return tuple(left for left, _ in pairs), tuple(right for _, right in pairs)
+
+
+def residual_condition(
+    condition: Expression,
+    left_columns: Sequence[str],
+    right_columns: Sequence[str],
+    key_pairs: Sequence[Tuple[str, str]],
+) -> Optional[Expression]:
+    """θ without exactly the conjuncts the key codes decide: the cross-side
+    equalities of ``key_pairs`` (as :func:`_attribute_pairs` names them).
+    ``None`` when nothing is left."""
+    return conjunction(
+        [
+            conjunct
+            for conjunct in conjuncts_of(condition)
+            if not set(_attribute_pairs(conjunct, left_columns, right_columns)) & set(key_pairs)
+        ]
+    )
 
 
 class ViewCatalog:
@@ -257,13 +289,13 @@ class ViewCatalog:
         """Materialize ``base Φθ reference``.
 
         θ can be given either as an engine :class:`Expression` (``condition``
-        — compiled to a tuple predicate, mined for equality keys, and
-        fingerprinted so the planner can substitute the view into matching
-        plans) or as a raw callable (``theta`` — opaque: pass an explicit
-        ``fingerprint`` to opt into plan matching; such a view cannot be
-        persisted by the storage engine).  ``build=False`` skips the initial
-        materialization — the recovery path, which installs snapshot state
-        instead.
+        — mined for equality keys, its residual compiled to a tuple
+        predicate, and fingerprinted so the planner can substitute the view
+        into matching plans) or as a raw callable (``theta`` — opaque, run
+        per candidate pair: pass an explicit ``fingerprint`` to opt into plan
+        matching; such a view cannot be persisted by the storage engine).
+        ``build=False`` skips the initial materialization — the recovery
+        path, which installs snapshot state instead.
         """
         base = self._relation(base_name)
         reference = self._relation(reference_name)
@@ -279,11 +311,15 @@ class ViewCatalog:
                 raise ViewError("give either condition (Expression) or theta (callable)")
             left_columns = self._engine_columns(base_name, base_alias)
             right_columns = self._engine_columns(reference_name, reference_alias)
-            theta = theta_from_condition(condition, left_columns, right_columns)
             if not equi:
                 equi, ref_equi = equi_attributes_from_condition(
                     condition, left_columns, right_columns
                 )
+            residual = residual_condition(
+                condition, left_columns, right_columns, list(zip(equi, ref_equi))
+            )
+            if residual is not None:
+                theta = theta_from_condition(residual, left_columns, right_columns)
             if fingerprint is None and not downstream:
                 fingerprint = align_fingerprint(
                     base_name,

@@ -5,18 +5,19 @@ fully described by its fragments per base *rowid* — the lineage of Def. 6.
 That fragment store is the only state such a view owns, and a query reads it
 only through a ``ViewScan``:
 
-* :class:`AlignView` — ``base Φθ reference`` (Def. 11): a base tuple is
-  aligned against the group probed from the interval index the view caches
-  on its reference (:func:`reference_index`);
-* :class:`NormalizeView` — ``N_B(base; reference)`` (Def. 9): a base tuple is
-  split at the reference's cached per-key split points, the ones core's
-  sweep :func:`~repro.core.normalization.normalize` splits at.
+* :class:`AlignView` — ``base Φθ reference`` (Def. 11);
+* :class:`NormalizeView` — ``N_B(base; reference)`` (Def. 9).
+
+Both compute fragments the way a query does: one call of the columnar
+kernels (:mod:`repro.columnar.kernels`) over a batch of base tuples, with
+their keys encoded into the dictionary of the reference's cached frame
+(:meth:`_AdjustedView._fragment`).  A recompute hands the kernel the whole
+base and reference.  A refresh hands it only the re-fragmented base tuples
+and the reference rows that share their keys.
 
 A base delta re-fragments its own tuple.  One rule covers a reference delta
 for both kinds: every base tuple with the changed tuple's key and an
-overlapping interval is re-fragmented, in one pass over the lineage.  A
-refresh after a reference mutation therefore costs O(n + m log m): the pass,
-plus rebuilding the reference's cached structure, which the mutation dropped.
+overlapping interval is re-fragmented, found in one pass over the lineage.
 Each refresh asks :func:`~repro.engine.optimizer.cost.maintenance_strategy`
 first: when the pending batch is large relative to the relations, the view
 recomputes from scratch instead.
@@ -32,12 +33,13 @@ fragment passes the filter predicates and projections on its way out, so
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.normalization import split_points
-from repro.core.primitives import align_tuple
+from repro.columnar import kernels
+from repro.columnar.encoding import encode_keys, encode_relation, remap_codes, without_null_keys
+from repro.columnar.runtime import numpy_or_none
 from repro.core.sweep import ThetaPredicate
 from repro.engine.optimizer import cost
 from repro.engine.table import Table
@@ -48,7 +50,6 @@ from repro.relation.schema import Schema
 from repro.relation.tuple import TemporalTuple
 from repro.storage.wal import WalCorruptionError
 from repro.temporal.interval import Interval
-from repro.temporal.interval_index import KeyedIntervalIndex
 
 #: A downstream operator folded into fragment maintenance, in *serializable*
 #: form: ``("filter", where_expression, bound_columns)`` — an engine
@@ -62,29 +63,6 @@ _REFRESH_COUNTER = obs_metrics.counter("view.refresh", label_name="outcome")
 
 #: The keys of an incremental view's persisted state (:meth:`_AdjustedView.export_state`).
 _ADJUSTED_STATE_KEYS = {"fragments", "base_cursor", "ref_cursor", "stats"}
-
-
-def reference_index(
-    reference: TemporalRelation, attributes: Tuple[str, ...]
-) -> KeyedIntervalIndex:
-    """The overlap index an ALIGN view probes: the reference's non-empty
-    tuples (the sweep's rule), partitioned by their ``attributes`` values —
-    one partition under ``()`` for an unkeyed view.
-
-    Cached on ``reference`` under ``("interval_index", attributes)`` and
-    dropped by its next mutation, so the reference is sorted once per
-    mutation instead of once per changed base tuple.
-    """
-
-    def build() -> KeyedIntervalIndex:
-        key_of = reference.schema.key_getter(attributes)
-        return KeyedIntervalIndex(
-            (key_of(t.values), t.start, t.end, t)
-            for t in reference
-            if not t.interval.is_empty()
-        )
-
-    return reference.derived(("interval_index", attributes), build)
 
 
 def _count_refresh(outcome: str) -> str:
@@ -127,6 +105,8 @@ class _AdjustedView:
     lineage per base rowid, plus the two change-log cursors."""
 
     kind: str = "adjusted"
+    #: θ beyond the key codes, over one tuple of each side (ALIGN only).
+    theta: Optional[ThetaPredicate] = None
 
     def __init__(
         self,
@@ -166,11 +146,6 @@ class _AdjustedView:
         self._ref_cursor = -1
 
     # -- kind-specific hooks --------------------------------------------------
-
-    def _fragmenter(self) -> Callable[[TemporalTuple], List[TemporalTuple]]:
-        """A function giving one base tuple's fragments against the current
-        reference (built once per refresh, over the reference's cache)."""
-        raise NotImplementedError
 
     def _key_attributes(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         """Base- and reference-side attributes a group requires equal (may be empty)."""
@@ -242,9 +217,9 @@ class _AdjustedView:
                 affected.add(delta.rowid)
         if ref_deltas:
             affected.update(self._touched_by(ref_deltas))
-        fragment = self._fragmenter()
-        for rowid in affected:
-            self._fragments[rowid] = fragment(self._left_items[rowid])
+        if affected:
+            items = [(rowid, self._left_items[rowid]) for rowid in affected]
+            self._fragments.update(self._fragment(items, whole=False))
         self._advance_cursors()
 
     def _touched_by(self, ref_deltas: List[Delta]) -> Set[int]:
@@ -288,11 +263,69 @@ class _AdjustedView:
 
     def recompute(self) -> None:
         """Rebuild the whole view from the current relation states."""
-        self._left_items = dict(self.base.rows_with_ids())
-        fragment = self._fragmenter()
-        self._fragments = {rowid: fragment(t) for rowid, t in self._left_items.items()}
+        items = self.base.rows_with_ids()
+        self._left_items = dict(items)
+        self._fragments = self._fragment(items, whole=True)
         self._advance_cursors()
         self.stats["recomputed"] += 1
+
+    def _fragment(
+        self, items: Sequence[Tuple[int, TemporalTuple]], whole: bool
+    ) -> Dict[int, List[TemporalTuple]]:
+        """The fragments of each ``(rowid, tuple)`` item against the current
+        reference, from one kernel call.
+
+        ``whole`` says the items are the whole base in its own order: their
+        arrays are then the base's cached frame, and the whole reference goes
+        in.  Otherwise the items' bounds and keys are encoded straight into
+        the dictionary of the reference's cached frame, and only the
+        reference rows carrying one of their key codes go in.  Either way a
+        key containing ``ω`` matches nothing, as in a query, and an ALIGN
+        view's θ beyond its key codes filters the candidate pairs, as in
+        core's ``align_relation``.  An empty interval has no fragments (the
+        sweep's rule); an unsplit fragment is the base tuple itself.
+        """
+        base_keys, reference_keys = self._key_attributes()
+        right = encode_relation(self.reference, reference_keys)
+        if whole:
+            left = encode_relation(self.base, base_keys)
+            starts, ends, codes = left.starts, left.ends, remap_codes(left, right)
+        else:
+            key_of = self.base.schema.key_getter(base_keys)
+            starts = [t.start for _, t in items]
+            ends = [t.end for _, t in items]
+            codes, _ = encode_keys([key_of(t.values) for _, t in items], right.key_index)
+        codes, r_codes = without_null_keys(right.key_index, codes, right.codes)
+        reference = [right.starts, right.ends, r_codes]
+        kept = None if whole else _positions_with_codes(r_codes, codes)
+        if kept is not None:
+            reference = [_take(column, kept) for column in reference]
+        if self.kind == "normalize":
+            pieces = kernels.normalize_pieces_from_intervals(starts, ends, codes, *reference)
+        else:
+            pair_filter: Optional[kernels.PairFilter] = None
+            theta = self.theta
+            if theta is not None:
+                references = self.reference.tuples()
+                if kept is not None:
+                    references = _take(references, kept)
+
+                def keep(li: Any, ri: Any) -> Tuple[Any, Any]:
+                    return kernels.keep_pairs(
+                        li, ri, lambda i, j: theta(items[i][1], references[j])
+                    )
+
+                pair_filter = keep
+            pieces = kernels.align_pieces(
+                starts, ends, codes, *reference, pair_filter=pair_filter
+            )
+        fragments: Dict[int, List[TemporalTuple]] = {rowid: [] for rowid, _ in items}
+        for i, start, end in zip(*pieces):
+            rowid, t = items[i]
+            if start != t.start or end != t.end:
+                t = t.with_interval(Interval(start, end))
+            fragments[rowid].append(t)
+        return fragments
 
     def _advance_cursors(self) -> None:
         self._base_cursor = self.base.version
@@ -443,7 +476,13 @@ class _AdjustedView:
 
 
 class AlignView(_AdjustedView):
-    """Materialized ``base Φθ reference`` with per-rowid fragment lineage."""
+    """Materialized ``base Φθ reference`` with per-rowid fragment lineage.
+
+    θ is the equality of ``equi_attributes`` with
+    ``reference_equi_attributes`` (the key codes) and ``theta``, a predicate
+    over one tuple of each side that the kernel's candidate pairs must also
+    pass (``None`` when the keys are all of θ).
+    """
 
     kind = "align"
 
@@ -472,27 +511,9 @@ class AlignView(_AdjustedView):
     def _key_attributes(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         return self.equi_attributes, self.reference_equi_attributes
 
-    def _fragmenter(self) -> Callable[[TemporalTuple], List[TemporalTuple]]:
-        index = reference_index(self.reference, self.reference_equi_attributes)
-        key_of = self.base.schema.key_getter(self.equi_attributes)
-        theta = self.theta
-
-        def fragment(t: TemporalTuple) -> List[TemporalTuple]:
-            if t.interval.is_empty():
-                return []
-            group = index.probe(key_of(t.values), t.start, t.end)
-            if theta is not None:
-                group = [s for s in group if theta(t, s)]
-            return [
-                t.with_interval(piece)
-                for piece in align_tuple(t.interval, [s.interval for s in group])
-            ]
-
-        return fragment
-
 
 class NormalizeView(_AdjustedView):
-    """Materialized ``N_B(base; reference)`` split at the reference's cached points."""
+    """Materialized ``N_B(base; reference)``: ``B = attributes`` are the key codes."""
 
     kind = "normalize"
 
@@ -512,24 +533,6 @@ class NormalizeView(_AdjustedView):
 
     def _key_attributes(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         return self.attributes, self.attributes
-
-    def _fragmenter(self) -> Callable[[TemporalTuple], List[TemporalTuple]]:
-        # The same sorted, de-duplicated per-key endpoints core's sweep
-        # ``normalize`` splits at, cached on the reference.
-        points_by_key = split_points(self.reference, self.attributes)
-        key_of = self.base.schema.key_getter(self.attributes)
-
-        def fragment(t: TemporalTuple) -> List[TemporalTuple]:
-            if t.interval.is_empty():
-                return []
-            points = points_by_key.get(key_of(t.values), ())
-            interior = points[bisect_right(points, t.start):bisect_left(points, t.end)]
-            if not interior:
-                return [t]
-            bounds = [t.start, *interior, t.end]
-            return [t.with_interval(Interval(a, b)) for a, b in zip(bounds, bounds[1:])]
-
-        return fragment
 
 
 class RecomputeView:
@@ -632,6 +635,22 @@ class RecomputeView:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RecomputeView({self.name!r}, {self.status()})"
+
+
+def _positions_with_codes(r_codes: Any, codes: Any) -> Any:
+    """Positions of ``r_codes`` holding one of the (non-negative) ``codes``."""
+    if isinstance(r_codes, list):
+        wanted = {code for code in codes if code >= 0}
+        return [j for j, code in enumerate(r_codes) if code in wanted]
+    np = numpy_or_none()
+    return np.nonzero(np.isin(r_codes, codes[codes >= 0]))[0]
+
+
+def _take(column: Any, positions: Any) -> Any:
+    """``column`` at ``positions`` (a list, or a NumPy array and index array)."""
+    if isinstance(column, list):
+        return [column[j] for j in (positions if isinstance(positions, list) else positions.tolist())]
+    return column[positions]
 
 
 def _scan_names(plan) -> Set[str]:

@@ -17,6 +17,7 @@ from repro.columnar import (
     normalize_pieces_from_intervals,
     remap_codes,
 )
+from repro.columnar.encoding import NO_MATCH, without_null_keys
 from repro.columnar.kernels import keep_pairs
 from repro.columnar.runtime import forced_python, numpy_available, resolve_use_numpy
 
@@ -108,6 +109,23 @@ class TestEncoding:
         rel = relation([(("a",), 0, 1)])
         frame = encode_relation(rel, ("cat",))
         assert remap_codes(frame, frame) is frame.codes
+
+    @pytest.mark.parametrize("as_list", [True, False] if numpy_available() else [True])
+    def test_keys_containing_null_match_nothing(self, as_list):
+        key_index = {("a", 1): 0, ("a", None): 1, (None, 2): 2}
+        left, right = [2, 0, -1, 1], [1, 2, 0]
+        if not as_list:
+            import numpy
+
+            left, right = numpy.asarray(left), numpy.asarray(right)
+        left, right = without_null_keys(key_index, left, right)
+        assert list(left) == [NO_MATCH, 0, NO_MATCH, NO_MATCH]
+        assert list(right) == [NO_MATCH, NO_MATCH, 0]
+        assert isinstance(left, list) == as_list
+
+    def test_without_null_keys_passes_arrays_through(self):
+        codes = [0, 1]
+        assert without_null_keys({("a",): 0, ("b",): 1}, codes)[0] is codes
 
 
 @pytest.mark.parametrize("use_numpy", BACKENDS)

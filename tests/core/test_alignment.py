@@ -1,5 +1,6 @@
 """Tests for temporal alignment ``r Φθ s`` (Def. 11, Lemma 1, Propositions 3–4)."""
 
+import random
 from decimal import Decimal
 
 import pytest
@@ -8,6 +9,8 @@ from repro import predicates
 from repro.core.alignment import align_pair, align_relation, alignment_cardinality_bound
 from repro.core.normalization import normalize
 from repro.core.sweep import matching_groups, overlap_groups, uncovered_intervals, value_key
+from repro.relation.relation import TemporalRelation
+from repro.relation.schema import Schema
 from repro.temporal.interval import Interval
 from repro.workloads.hotel import HOTEL_TIMELINE, hotel_prices, hotel_reservations
 
@@ -174,3 +177,30 @@ class TestSweepHelpers:
         gaps = uncovered_intervals(Interval(0, 10), [Interval(2, 4), Interval(3, 6)])
         assert gaps == [Interval(0, 2), Interval(6, 10)]
         assert uncovered_intervals(Interval(0, 10), [Interval(-5, 20)]) == []
+
+
+class TestAlignmentStrategies:
+    def test_strategies_produce_identical_relations(self):
+        rng = random.Random(11)
+
+        def random_relation(n):
+            relation = TemporalRelation(Schema(["k", "v"]))
+            for i in range(n):
+                start = rng.randrange(0, 60)
+                end = start + rng.randrange(0, 12)
+                relation.insert((rng.randrange(4), i), Interval(start, end))
+            return relation
+
+        for _ in range(10):
+            left, right = random_relation(30), random_relation(30)
+            assert align_relation(left, right, strategy="sweep") == align_relation(
+                left, right, strategy="columnar"
+            )
+            assert align_relation(
+                left, right, equi_attributes=["k"], strategy="sweep"
+            ) == align_relation(left, right, equi_attributes=["k"], strategy="columnar")
+
+    def test_unknown_strategy_rejected(self):
+        relation = TemporalRelation(Schema(["k"]))
+        with pytest.raises(ValueError):
+            align_relation(relation, relation, strategy="quantum")

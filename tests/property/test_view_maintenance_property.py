@@ -3,7 +3,8 @@
 Hypothesis drives random sequences of sequenced mutations (insert, delete,
 update — period-restricted and whole-tuple) against both relations of each
 synthetic family and asserts, mid-stream and at the end, that every
-maintained view shape — keyed and unkeyed ALIGN, keyed and unkeyed
+maintained view shape — keyed and unkeyed ALIGN, ALIGN with a θ beyond its
+key (as a residual condition or as an opaque callable), keyed and unkeyed
 NORMALIZE, self-NORMALIZE — equals a from-scratch adjustment of the mutated
 relations, both as a relation (``result()``) and as the bag of rows
 ``SELECT * FROM v`` reads through ``ViewScan``.  The cost model is pinned to
@@ -24,7 +25,7 @@ from repro import Interval
 from repro.core.alignment import align_relation
 from repro.core.normalization import normalize
 from repro.engine.database import Database
-from repro.engine.expressions import Column, Comparison
+from repro.engine.expressions import And, Column, Comparison
 from repro.engine.optimizer import cost
 from repro.workloads.synthetic import (
     SyntheticConfig,
@@ -90,6 +91,16 @@ def apply_mutation(database: Database, op) -> None:
 
 
 CAT = Comparison("=", Column("l.cat"), Column("r.cat"))
+#: A θ the key codes decide only in part: the rest runs per candidate pair.
+CAT_AND_DURATIONS = And(CAT, Comparison("<=", Column("l.min_dur"), Column("r.max_dur")))
+
+
+def durations(x, y) -> bool:
+    return x["min_dur"] <= y["max_dur"]
+
+
+def parities(x, y) -> bool:
+    return (x["min_dur"] + y["max_dur"]) % 2 == 0
 
 #: View shape -> (create the view ``v``, compute its contents from scratch).
 SHAPES = {
@@ -97,6 +108,20 @@ SHAPES = {
         lambda db: db.views.create_align_view("v", "l", "r", condition=CAT),
         lambda left, right: align_relation(
             left, right, equi_attributes=["cat"], strategy="sweep"
+        ),
+    ),
+    "align_residual": (
+        lambda db: db.views.create_align_view("v", "l", "r", condition=CAT_AND_DURATIONS),
+        lambda left, right: align_relation(
+            left, right, theta=durations, equi_attributes=["cat"], strategy="sweep"
+        ),
+    ),
+    "align_opaque": (
+        lambda db: db.views.create_align_view(
+            "v", "l", "r", theta=parities, equi_attributes=["cat"]
+        ),
+        lambda left, right: align_relation(
+            left, right, theta=parities, equi_attributes=["cat"], strategy="sweep"
         ),
     ),
     "align_unkeyed": (

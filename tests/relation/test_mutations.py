@@ -2,8 +2,8 @@
 
 The cache-invalidation cases are the regression net for cache coherence:
 *every* mutation path — ``add``/``insert``, ``delete``, ``update`` —
-must drop the lazy ``derived`` caches (the ALIGN view's interval index
-among them), or an adjustment against a stale index silently returns
+must drop the lazy ``derived`` caches (the columnar frame and the split
+points among them), or an adjustment against a stale frame silently returns
 fragments of a relation state that no longer exists.
 """
 
@@ -12,7 +12,9 @@ import pytest
 from repro import Interval, Schema, TemporalRelation
 from repro.relation.changelog import ChangeLog, ChangeLogTruncatedError
 from repro.relation.errors import DuplicateTupleError, SchemaError
-from repro.views.view import reference_index
+from repro.columnar.encoding import encode_relation
+from repro.columnar.runtime import numpy_or_none
+from repro.core.normalization import split_points
 
 
 def make(rows):
@@ -146,18 +148,25 @@ class TestChangeLog:
         assert batches == [8, 1]
 
 
-def _has_index(relation, attributes=()):
-    return relation.peek_derived(("interval_index", attributes)) is not None
+def _has_frame(relation, attributes=()):
+    """Whether ``relation`` caches its columnar frame keyed on ``attributes``
+    and its split points under them — what an adjustment against it reads."""
+    backend = "py" if numpy_or_none() is None else "np"
+    return (
+        relation.peek_derived(("columnar", "keys", backend, attributes)) is not None
+        and relation.peek_derived(("split_points", attributes)) is not None
+    )
 
 
 class TestCacheInvalidation:
     """Every mutation path must drop the derived caches (the PR-3 audit)."""
 
     def build_caches(self, r):
-        reference_index(r, ())
-        reference_index(r, ("n",))
+        for attributes in ((), ("n",)):
+            encode_relation(r, attributes)
+            split_points(r, attributes)
         r.derived("marker", lambda: "cached")
-        assert _has_index(r) and _has_index(r, ("n",))
+        assert _has_frame(r) and _has_frame(r, ("n",))
 
     @pytest.mark.parametrize(
         "mutate",
@@ -174,15 +183,15 @@ class TestCacheInvalidation:
         r = make([("a", 1, 0, 10), ("b", 2, 2, 6)])
         self.build_caches(r)
         mutate(r)
-        assert not _has_index(r)
-        assert not _has_index(r, ("n",))
+        assert not _has_frame(r)
+        assert not _has_frame(r, ("n",))
 
     def test_noop_mutation_keeps_caches(self):
         r = make([("a", 1, 0, 10)])
         self.build_caches(r)
         r.delete(predicate=lambda t: False)
         r.update({"v": 1}, predicate=lambda t: False)
-        assert _has_index(r)
+        assert _has_frame(r)
 
     @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked"])
     def test_every_mutation_path_drops_the_derived_cache(self, tracked):
@@ -205,14 +214,21 @@ class TestCacheInvalidation:
         r.delete(predicate=lambda t: False)
         assert r.peek_derived("marker") == "cached"
 
-    def test_stale_index_is_rebuilt_after_mutation(self):
+    def test_stale_frame_is_rebuilt_after_mutation(self):
         r = make([("a", 1, 0, 10)])
-        index = reference_index(r, ())
-        assert len(index.probe((), 0, 10)) == 1
+        frame = encode_relation(r, ("n",))
+        assert len(frame) == 1 and split_points(r, ("n",)) == {("a",): [0, 10]}
         r.delete(period=Interval(0, 10))
-        rebuilt = reference_index(r, ())
-        assert rebuilt is not index
-        assert rebuilt.probe((), 0, 10) == []
+        rebuilt = encode_relation(r, ("n",))
+        assert rebuilt.starts is not frame.starts
+        assert len(rebuilt) == 0 and split_points(r, ("n",)) == {}
+
+    def test_derived_cache_builds_once(self):
+        r = make([("a", 1, 0, 10)])
+        calls = []
+        r.derived("probe", lambda: calls.append(1) or "value")
+        assert r.derived("probe", lambda: calls.append(1) or "other") == "value"
+        assert len(calls) == 1
 
 
 class TestTrimBoundary:

@@ -5,17 +5,21 @@ the mutated relations — the correctness bar is *exact* relation equality,
 after every mutation of a mixed stream.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import Interval, Schema, TemporalRelation
 from repro.core.alignment import align_relation
 from repro.core.normalization import normalize, self_normalize
 from repro.engine.database import Database
-from repro.engine.expressions import Column, Comparison
+from repro.engine.expressions import And, Column, Comparison
+from repro.engine.optimizer import cost
 from repro.engine.optimizer.settings import Settings
 from repro.engine.temporal_plans import align_plan, normalize_plan, scan
+from repro.relation.tuple import NULL
 from repro.sql import Connection
-from repro.views.catalog import ViewError, condition_fingerprint
+from repro.views.catalog import ViewError, condition_fingerprint, residual_condition
 from repro.workloads.synthetic import (
     SyntheticConfig,
     generate_disjoint,
@@ -286,6 +290,17 @@ class TestDependencies:
 
 
 class TestCatalog:
+    def test_residual_keeps_what_the_key_codes_do_not_decide(self):
+        left = ["l.cat", "l.min_dur", "l.max_dur", "l.ts", "l.te"]
+        right = ["r.cat", "r.min_dur", "r.max_dur", "r.ts", "r.te"]
+        on_ts = Comparison("=", Column("l.ts"), Column("r.ts"))
+        shorter = Comparison("<=", Column("l.min_dur"), Column("r.max_dur"))
+        condition = And(equi_cat(), on_ts, shorter)
+        assert residual_condition(equi_cat(), left, right, [("cat", "cat")]) is None
+        residual = residual_condition(condition, left, right, [("cat", "cat")])
+        assert repr(residual) == repr(And(on_ts, shorter))
+        assert residual_condition(condition, left, right, []) is not None
+
     def test_condition_fingerprint_canonicalizes_aliases(self):
         left = ["a.cat", "a.ts", "a.te"]
         right = ["b.cat", "b.ts", "b.te"]
@@ -313,6 +328,75 @@ class TestCatalog:
         database.views.drop("v")
         database.views.create_align_view("v2", "l", "r", condition=equi_cat())
         assert database.views.names() == ["v2"]
+
+
+class TestNullKeys:
+    """A key containing ω equals nothing, in a view as in its query."""
+
+    QUERIES = {
+        "align": "SELECT * FROM (r r1 ALIGN s s1 ON r1.k = s1.k) x",
+        "normalize": "SELECT * FROM (r r1 NORMALIZE s s1 USING(k)) x",
+    }
+
+    @staticmethod
+    def _connection():
+        r = TemporalRelation(Schema(["k", "v"]))
+        r.insert((NULL, 1), Interval(0, 10))
+        r.insert(("a", 2), Interval(0, 10))
+        s = TemporalRelation(Schema(["k", "w"]))
+        s.insert((NULL, 3), Interval(2, 5))
+        s.insert(("a", 4), Interval(3, 6))
+        db = Database()
+        db.register_relation("r", r)
+        db.register_relation("s", s)
+        return Connection(db)
+
+    @staticmethod
+    def _mutate(connection):
+        db = connection.database
+        db.insert_rows("r", [((NULL, 5), Interval(1, 8))])
+        db.insert_rows("s", [((NULL, 6), Interval(4, 7)), (("a", 7), Interval(1, 2))])
+
+    @pytest.mark.parametrize("kind", sorted(QUERIES))
+    def test_view_and_substituted_query_equal_the_query_without_the_view(
+        self, kind, monkeypatch
+    ):
+        # Relations this small would recompute: pin the delta path.
+        monkeypatch.setattr(cost, "maintenance_strategy", lambda *_sizes: "incremental")
+        query = self.QUERIES[kind]
+        connection, twin = self._connection(), self._connection()
+        connection.execute(f"CREATE MATERIALIZED VIEW v AS {query}")
+        for step in ("created", "mutated"):
+            if step == "mutated":
+                self._mutate(connection)
+                self._mutate(twin)
+            expected = Counter(twin.execute(query).rows)
+            assert any(None in row or NULL in row for row in expected)
+            assert Counter(connection.execute("SELECT * FROM v").rows) == expected, step
+            plan = "\n".join(row[0] for row in connection.execute(f"EXPLAIN {query}").rows)
+            assert "ViewScan(v" in plan
+            assert Counter(connection.execute(query).rows) == expected, step
+        assert connection.database.views.get("v").stats["incremental"] == 1
+
+
+def test_a_bound_conjunct_in_theta_stays_per_pair(database, monkeypatch):
+    # ``l.ts = r.ts`` is a key of the query's join but no key code of the
+    # view: the view evaluates it per candidate pair, and agrees.
+    monkeypatch.setattr(cost, "maintenance_strategy", lambda *_sizes: "incremental")
+    query = "SELECT * FROM (l ALIGN r ON l.cat = r.cat AND l.ts = r.ts) x"
+    connection = Connection(database)
+    expected = Counter(connection.execute(query).rows)
+    connection.execute(f"CREATE MATERIALIZED VIEW v AS {query}")
+    view = database.views.get("v")
+    assert Counter(view.iter_rows()) == expected
+    for mutate in MUTATIONS:
+        mutate(database)
+    database.insert_rows("r", [(("C0001", 1, 4), Interval(50, 80))])
+    assert view.refresh() == "incremental"
+    database.views.drop("v")
+    expected = Counter(connection.execute(query).rows)
+    assert any(row[3:] == (50, 80) for row in expected)  # a pair θ accepted
+    assert Counter(view.iter_rows()) == expected
 
 
 class TestTrimBoundaryKeepsViewsIncremental:
