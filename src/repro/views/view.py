@@ -648,9 +648,7 @@ def _positions_with_codes(r_codes: Any, codes: Any) -> Any:
 
 def _take(column: Any, positions: Any) -> Any:
     """``column`` at ``positions`` (a list, or a NumPy array and index array)."""
-    if isinstance(column, list):
-        return [column[j] for j in (positions if isinstance(positions, list) else positions.tolist())]
-    return column[positions]
+    return [column[j] for j in positions] if isinstance(column, list) else column[positions]
 
 
 def _scan_names(plan) -> Set[str]:
