@@ -13,6 +13,8 @@ share the endpoint arrays:
 
 * ``("columnar", "endpoints", backend)`` — the ``starts``/``ends`` arrays;
 * ``("columnar", "keys", backend, attrs)`` — codes + dictionary per key set;
+* ``("columnar", "groups", backend, attrs)`` — the row positions of each
+  code, for :func:`positions_with_codes`;
 * ``("columnar", "row_order", "np")`` — positions of the tuples, as engine
   rows, in the executor's sort order with exact duplicates dropped (built by
   :func:`repro.columnar.rows.arrays_from_frames`, the engine's reader).
@@ -32,6 +34,7 @@ tuples.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.columnar.runtime import numpy_or_none
@@ -125,6 +128,40 @@ def encode_relation(relation: TemporalRelation, attributes: Sequence[str] = ()) 
     starts, ends = relation.derived(("columnar", "endpoints", backend), build_endpoints)
     codes, key_index = relation.derived(("columnar", "keys", backend, attrs), build_keys)
     return ColumnarFrame(starts, ends, codes, key_index)
+
+
+def positions_with_codes(
+    relation: TemporalRelation, attributes: Sequence[str], codes: Any
+) -> Optional[Any]:
+    """Positions of ``relation``'s rows whose key code under ``attributes``
+    is one of ``codes`` (``None`` when that is every row); a key containing
+    ``ω`` matches nothing (:func:`without_null_keys`).  The code-sorted
+    positions and an offset per code are one derived entry, built once per
+    relation state, so a call costs O(len(codes) + rows returned)."""
+    attrs = tuple(attributes)
+    np = numpy_or_none()
+
+    def build_groups() -> Tuple[Any, List[int]]:
+        frame = encode_relation(relation, attrs)
+        (row_codes,) = without_null_keys(frame.key_index, frame.codes)
+        if np is None:
+            groups: List[List[int]] = [[] for _ in frame.key_index]
+            for position, code in enumerate(row_codes):
+                if code >= 0:
+                    groups[code].append(position)
+            return [p for group in groups for p in group], [0, *accumulate(map(len, groups))]
+        order = np.argsort(row_codes, kind="stable")  # ω rows (-1) come first
+        offsets = np.searchsorted(row_codes[order], np.arange(len(frame.key_index) + 1))
+        return order, offsets.tolist()
+
+    order, offsets = relation.derived(("columnar", "groups", _backend(), attrs), build_groups)
+    wanted = sorted({c for c in codes if c >= 0}) if np is None else np.unique(codes[codes >= 0])
+    spans = [order[offsets[code] : offsets[code + 1]] for code in wanted]
+    if sum(map(len, spans)) == len(relation):
+        return None
+    if np is None:
+        return [position for span in spans for position in span]
+    return np.concatenate(spans) if spans else order[:0]
 
 
 def remap_codes(frame: ColumnarFrame, target: ColumnarFrame) -> Any:

@@ -614,6 +614,10 @@ class TemporalRelation:
         """The tuples in insertion order (a copy; mutation safe)."""
         return list(self._tuples)
 
+    def tuples_at(self, positions: Iterable[int]) -> List[TemporalTuple]:
+        """The tuples at ``positions`` (a columnar frame's row positions)."""
+        return [self._tuples[position] for position in positions]
+
     def as_set(self) -> Set[Tuple[Tuple[Any, ...], Interval]]:
         """Set view ``{(values, interval)}`` used for order-insensitive equality."""
         return {(t.values, t.interval) for t in self._tuples}

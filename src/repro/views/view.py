@@ -11,9 +11,9 @@ only through a ``ViewScan``:
 Both compute fragments the way a query does: one call of the columnar
 kernels (:mod:`repro.columnar.kernels`) over a batch of base tuples, with
 their keys encoded into the dictionary of the reference's cached frame
-(:meth:`_AdjustedView._fragment`).  A recompute hands the kernel the whole
-base and reference.  A refresh hands it only the re-fragmented base tuples
-and the reference rows that share their keys.
+(:meth:`_AdjustedView._fragment`).  Either way the kernel gets only the
+reference rows that share a key with the batch: a recompute's batch is the
+whole base, a refresh's only the re-fragmented base tuples.
 
 A base delta re-fragments its own tuple.  One rule covers a reference delta
 for both kinds: every base tuple with the changed tuple's key and an
@@ -38,8 +38,7 @@ from itertools import accumulate
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.columnar import kernels
-from repro.columnar.encoding import encode_keys, encode_relation, remap_codes, without_null_keys
-from repro.columnar.runtime import numpy_or_none
+from repro.columnar.encoding import encode_keys, encode_relation, positions_with_codes
 from repro.core.sweep import ThetaPredicate
 from repro.engine.optimizer import cost
 from repro.engine.table import Table
@@ -219,7 +218,7 @@ class _AdjustedView:
             affected.update(self._touched_by(ref_deltas))
         if affected:
             items = [(rowid, self._left_items[rowid]) for rowid in affected]
-            self._fragments.update(self._fragment(items, whole=False))
+            self._fragments.update(self._fragment(items))
         self._advance_cursors()
 
     def _touched_by(self, ref_deltas: List[Delta]) -> Set[int]:
@@ -265,39 +264,33 @@ class _AdjustedView:
         """Rebuild the whole view from the current relation states."""
         items = self.base.rows_with_ids()
         self._left_items = dict(items)
-        self._fragments = self._fragment(items, whole=True)
+        self._fragments = self._fragment(items)
         self._advance_cursors()
         self.stats["recomputed"] += 1
 
     def _fragment(
-        self, items: Sequence[Tuple[int, TemporalTuple]], whole: bool
+        self, items: Sequence[Tuple[int, TemporalTuple]]
     ) -> Dict[int, List[TemporalTuple]]:
         """The fragments of each ``(rowid, tuple)`` item against the current
         reference, from one kernel call.
 
-        ``whole`` says the items are the whole base in its own order: their
-        arrays are then the base's cached frame, and the whole reference goes
-        in.  Otherwise the items' bounds and keys are encoded straight into
-        the dictionary of the reference's cached frame, and only the
-        reference rows carrying one of their key codes go in.  Either way a
-        key containing ``ω`` matches nothing, as in a query, and an ALIGN
-        view's θ beyond its key codes filters the candidate pairs, as in
-        core's ``align_relation``.  An empty interval has no fragments (the
-        sweep's rule); an unsplit fragment is the base tuple itself.
+        The items' bounds and keys are encoded straight into the dictionary
+        of the reference's cached frame, and only the reference rows
+        carrying one of their key codes go in
+        (:func:`~repro.columnar.encoding.positions_with_codes`).  A key
+        containing ``ω`` matches nothing, as in a query, and an ALIGN view's
+        θ beyond its key codes filters the candidate pairs, as in core's
+        ``align_relation``.  An empty interval has no fragments (the sweep's
+        rule); an unsplit fragment is the base tuple itself.
         """
         base_keys, reference_keys = self._key_attributes()
         right = encode_relation(self.reference, reference_keys)
-        if whole:
-            left = encode_relation(self.base, base_keys)
-            starts, ends, codes = left.starts, left.ends, remap_codes(left, right)
-        else:
-            key_of = self.base.schema.key_getter(base_keys)
-            starts = [t.start for _, t in items]
-            ends = [t.end for _, t in items]
-            codes, _ = encode_keys([key_of(t.values) for _, t in items], right.key_index)
-        codes, r_codes = without_null_keys(right.key_index, codes, right.codes)
-        reference = [right.starts, right.ends, r_codes]
-        kept = None if whole else _positions_with_codes(r_codes, codes)
+        key_of = self.base.schema.key_getter(base_keys)
+        starts = [t.start for _, t in items]
+        ends = [t.end for _, t in items]
+        codes, _ = encode_keys([key_of(t.values) for _, t in items], right.key_index)
+        kept = positions_with_codes(self.reference, reference_keys, codes)
+        reference = [right.starts, right.ends, right.codes]
         if kept is not None:
             reference = [_take(column, kept) for column in reference]
         if self.kind == "normalize":
@@ -306,9 +299,8 @@ class _AdjustedView:
             pair_filter: Optional[kernels.PairFilter] = None
             theta = self.theta
             if theta is not None:
-                references = self.reference.tuples()
-                if kept is not None:
-                    references = _take(references, kept)
+                rows = self.reference
+                references = rows.tuples() if kept is None else rows.tuples_at(kept)
 
                 def keep(li: Any, ri: Any) -> Tuple[Any, Any]:
                     return kernels.keep_pairs(
@@ -316,9 +308,7 @@ class _AdjustedView:
                     )
 
                 pair_filter = keep
-            pieces = kernels.align_pieces(
-                starts, ends, codes, *reference, pair_filter=pair_filter
-            )
+            pieces = kernels.align_pieces(starts, ends, codes, *reference, pair_filter=pair_filter)
         fragments: Dict[int, List[TemporalTuple]] = {rowid: [] for rowid, _ in items}
         for i, start, end in zip(*pieces):
             rowid, t = items[i]
@@ -635,15 +625,6 @@ class RecomputeView:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RecomputeView({self.name!r}, {self.status()})"
-
-
-def _positions_with_codes(r_codes: Any, codes: Any) -> Any:
-    """Positions of ``r_codes`` holding one of the (non-negative) ``codes``."""
-    if isinstance(r_codes, list):
-        wanted = {code for code in codes if code >= 0}
-        return [j for j, code in enumerate(r_codes) if code in wanted]
-    np = numpy_or_none()
-    return np.nonzero(np.isin(r_codes, codes[codes >= 0]))[0]
 
 
 def _take(column: Any, positions: Any) -> Any:

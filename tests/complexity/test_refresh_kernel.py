@@ -4,8 +4,10 @@ Counts, not timings: after one base insert, refreshing a keyed ALIGN or
 NORMALIZE view makes exactly one kernel call.  Its argument side is the one
 inserted tuple; its reference side is the reference rows with that tuple's
 key, and no others.  At n and 4n tuples, with the number of keys growing
-with n, that reference side keeps its size: a refresh is O(rows per key),
-not O(reference).
+with n, that reference side keeps its size.  The refresh reads neither
+relation whole either: the rows of each key are grouped once per reference
+state, in a cached entry beside its frame, and a residual θ sees only the
+kept reference tuples.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ PER_KEY = 8
 
 VIEWS = {
     "align": ("SELECT * FROM (l ALIGN r ON l.k = r.k) x", "align_pieces"),
+    "align_residual": ("SELECT * FROM (l ALIGN r ON l.k = r.k AND l.x <= r.x) x", "align_pieces"),
     "normalize": (
         "SELECT * FROM (l l1 NORMALIZE r r1 USING(k)) x",
         "normalize_pieces_from_intervals",
@@ -57,7 +60,12 @@ def _refresh_calls(kind: str, n: int, monkeypatch) -> List[Tuple[int, int]]:
         calls.append((len(l_starts), len(r_starts)))
         return kernel(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, **options)
 
+    def whole(relation):
+        raise AssertionError("the refresh read a whole relation")
+
     monkeypatch.setattr(kernels, kernel_name, counting)
+    monkeypatch.setattr(TemporalRelation, "__iter__", whole)
+    monkeypatch.setattr(TemporalRelation, "tuples", whole)
     assert database.views.get("v").refresh() == "incremental"
     monkeypatch.undo()
     return calls

@@ -12,7 +12,7 @@ import pytest
 from repro import Interval, Schema, TemporalRelation
 from repro.relation.changelog import ChangeLog, ChangeLogTruncatedError
 from repro.relation.errors import DuplicateTupleError, SchemaError
-from repro.columnar.encoding import encode_relation
+from repro.columnar.encoding import encode_relation, positions_with_codes
 from repro.columnar.runtime import numpy_or_none
 from repro.core.normalization import split_points
 
@@ -148,14 +148,21 @@ class TestChangeLog:
         assert batches == [8, 1]
 
 
-def _has_frame(relation, attributes=()):
-    """Whether ``relation`` caches its columnar frame keyed on ``attributes``
-    and its split points under them — what an adjustment against it reads."""
+def _derived_entries(attributes=()):
+    """The derived entries an adjustment against a relation reads, keyed on
+    ``attributes``: endpoints, key codes, the rows of each code, split points."""
     backend = "py" if numpy_or_none() is None else "np"
-    return (
-        relation.peek_derived(("columnar", "keys", backend, attributes)) is not None
-        and relation.peek_derived(("split_points", attributes)) is not None
-    )
+    return [
+        ("columnar", "endpoints", backend),
+        ("columnar", "keys", backend, attributes),
+        ("columnar", "groups", backend, attributes),
+        ("split_points", attributes),
+    ]
+
+
+def _cached(relation, attributes=()):
+    """Whether every entry of :func:`_derived_entries` is cached."""
+    return all(relation.peek_derived(entry) is not None for entry in _derived_entries(attributes))
 
 
 class TestCacheInvalidation:
@@ -163,10 +170,11 @@ class TestCacheInvalidation:
 
     def build_caches(self, r):
         for attributes in ((), ("n",)):
-            encode_relation(r, attributes)
+            frame = encode_relation(r, attributes)
+            positions_with_codes(r, attributes, frame.codes[:1])
             split_points(r, attributes)
         r.derived("marker", lambda: "cached")
-        assert _has_frame(r) and _has_frame(r, ("n",))
+        assert _cached(r) and _cached(r, ("n",))
 
     @pytest.mark.parametrize(
         "mutate",
@@ -183,15 +191,18 @@ class TestCacheInvalidation:
         r = make([("a", 1, 0, 10), ("b", 2, 2, 6)])
         self.build_caches(r)
         mutate(r)
-        assert not _has_frame(r)
-        assert not _has_frame(r, ("n",))
+        # Each entry on its own: a path that dropped only some of them would
+        # leave a stale one behind.
+        for attributes in ((), ("n",)):
+            for entry in _derived_entries(attributes):
+                assert r.peek_derived(entry) is None, entry
 
     def test_noop_mutation_keeps_caches(self):
         r = make([("a", 1, 0, 10)])
         self.build_caches(r)
         r.delete(predicate=lambda t: False)
         r.update({"v": 1}, predicate=lambda t: False)
-        assert _has_frame(r)
+        assert _cached(r) and _cached(r, ("n",))
 
     @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked"])
     def test_every_mutation_path_drops_the_derived_cache(self, tracked):

@@ -378,6 +378,28 @@ class TestNullKeys:
             assert Counter(connection.execute(query).rows) == expected, step
         assert connection.database.views.get("v").stats["incremental"] == 1
 
+    @pytest.mark.parametrize("kind", ["align", "normalize"])
+    def test_views_defined_through_the_api_keep_the_rule(self, kind, monkeypatch):
+        # An opaque θ with equi_attributes, or create_normalize_view, has no
+        # SQL query to agree with; it follows the query's rule all the same
+        # (core's align_relation/normalize still let ω match ω).
+        monkeypatch.setattr(cost, "maintenance_strategy", lambda *_sizes: "incremental")
+        database = self._connection().database
+        if kind == "align":
+            view = database.views.create_align_view(
+                "v", "r", "s", theta=lambda x, y: True, equi_attributes=["k"]
+            )
+        else:
+            view = database.views.create_normalize_view("v", "r", "s", attributes=["k"])
+        expected = {(NULL, 1, 0, 10), ("a", 2, 0, 3), ("a", 2, 3, 6), ("a", 2, 6, 10)}
+        assert set(view.iter_rows()) == expected
+        self._mutate(Connection(database))
+        assert view.refresh() == "incremental"
+        expected |= {(NULL, 5, 1, 8)}
+        expected -= {("a", 2, 0, 3)}
+        expected |= {("a", 2, 0, 1), ("a", 2, 1, 2), ("a", 2, 2, 3)}
+        assert set(view.iter_rows()) == expected
+
 
 def test_a_bound_conjunct_in_theta_stays_per_pair(database, monkeypatch):
     # ``l.ts = r.ts`` is a key of the query's join but no key code of the
